@@ -8,7 +8,9 @@ Subcommands
     artifacts (``diagnostics.csv``, ``meta.json``, optional raw snapshots)
     into the configured output directory.  Exit 0 for the scientific
     outcomes ``converged``/``plateau``/``max_time``, exit 3 for ``blowup``
-    (a labeled result, not a failure), exit 1 for configuration errors.
+    (a labeled result, not a failure), exit 4 for ``solver_failure`` (an
+    implicit solve did not converge; the artifacts cover the steps
+    accepted before it), exit 1 for configuration errors.
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -65,6 +67,7 @@ __all__ = [
     "EXIT_CONFIG",
     "EXIT_INVARIANT",
     "EXIT_BLOWUP",
+    "EXIT_SOLVER",
     "OUTPUT_ROOT_ENV",
     "cmd_calibrate",
     "cmd_check",
@@ -77,6 +80,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_BLOWUP = 3
+EXIT_SOLVER = 4
 
 OUTPUT_ROOT_ENV = "CRFLOW_OUTPUT_ROOT"
 CALIBRATION_CACHE = "calibration.json"
@@ -344,12 +348,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         "bondi_sup_rate": traj.bondi_sup_rate,
         "wall_time_seconds": wall,
     }
+    if traj.solver_error is not None:
+        meta["solver_error"] = traj.solver_error
     _dump_json(meta, os.path.join(outdir, "meta.json"))
 
     print(
         f"outcome: {traj.outcome}  steps: {len(traj.times) - 1}  "
         f"final energy: {_fmt(final.energy)}  artifacts: {outdir}"
     )
+    if traj.solver_error is not None:
+        print(f"error: {traj.solver_error}", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 

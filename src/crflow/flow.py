@@ -29,6 +29,7 @@ NaNs, and the run loop classifies the state via detect_blowup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,11 @@ import numpy as np
 from .conventions import ConventionLedger, DEFAULT_LEDGER
 from .manifold import ModelGeometry, ScalarField
 from .operators import (
+    LinearSolveError,
     _div_form_values,
     _webster_core,
     linear_solve,
+    shifted_bilap_inverse,
     stability_symbol_max,
 )
 
@@ -97,7 +100,11 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Result of a run: outcome label plus the per-step record."""
+    """Result of a run: outcome label plus the per-step record.
+
+    ``solver_error`` holds the solver's message when the outcome is
+    ``solver_failure``, else ``None``.
+    """
 
     outcome: str
     dt: float
@@ -107,6 +114,7 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     bondi_sup_rate: float = float("-inf")
     final_state: FlowState | None = None
+    solver_error: str | None = None
 
     @property
     def energies(self):
@@ -281,6 +289,15 @@ def step_imex(state: FlowState, dt: float,
 
     with c = c_stab.  The shifted operator is symmetric positive
     definite, so the conjugate-gradient solve is well posed at any dt.
+    On the sector and the sphere it is preconditioned by the exact
+    spectral inverse (``shifted_bilap_inverse``): one operator
+    application per step whatever dt, still checked against the CG
+    residual tolerance.  The lattice keeps plain CG.
+
+    The step then restores the volume of the incoming state exactly, by
+    the constant shift lambda' += log(V / V') / 4.  The energy is
+    invariant under constant shifts, so this removes the implicit
+    step's volume drift without touching the energy.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -304,7 +321,11 @@ def step_imex(state: FlowState, dt: float,
         return v + (dt * c) * bilap(v)
 
     sol = linear_solve(shifted, ScalarField(geom, b), tol=ledger.cg_tol,
-                       max_iter=ledger.cg_max_iter, ledger=ledger)
+                       max_iter=ledger.cg_max_iter, ledger=ledger,
+                       preconditioner=shifted_bilap_inverse(geom, dt * c, ledger))
+    v_old, v_new = state.diagnostics.volume, volume(sol, ledger)
+    if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
+        sol = ScalarField(geom, sol.values + 0.25 * math.log(v_old / v_new))
     return make_state(sol, state.time + dt, state.step_index + 1, dt, ledger)
 
 
@@ -336,7 +357,9 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     Outcomes: ``blowup`` (non-finite state or |lambda| past threshold),
     ``converged`` (energy plateau after a genuine decrease),
     ``plateau`` (energy plateau without one — e.g. data that starts
-    stationary), ``max_time`` (time or step budget exhausted first).
+    stationary), ``max_time`` (time or step budget exhausted first),
+    ``solver_failure`` (an implicit solve raised ``LinearSolveError``;
+    the record ends at the last accepted step).
     Deterministic for fixed inputs.  One Diagnostics record per step,
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
@@ -395,7 +418,12 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
                 or state.time + dt_val > max_time * (1.0 + 1e-12)):
             traj.outcome = "max_time"
             break
-        state = stepper(state, dt_val, ledger)
+        try:
+            state = stepper(state, dt_val, ledger)
+        except LinearSolveError as exc:
+            traj.outcome = "solver_failure"
+            traj.solver_error = str(exc)
+            break
         record(state)
         recent.append(state.diagnostics.energy)
         if len(recent) > plateau_window + 1:

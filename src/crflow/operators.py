@@ -25,12 +25,14 @@ with What the background constant (0 flat; calibrated on the sphere).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .conventions import ConventionLedger, DEFAULT_LEDGER
 from .manifold import (
+    HEISENBERG_SECTOR,
     SPHERE_REDUCED,
     GeometryError,
     ModelGeometry,
@@ -50,6 +52,7 @@ __all__ = [
     "calibrate_sphere_curvature",
     "yamabe_apply",
     "linear_solve",
+    "shifted_bilap_inverse",
     "stability_symbol_max",
 ]
 
@@ -320,13 +323,20 @@ def yamabe_apply(lam: ScalarField, phi: ScalarField,
 
 def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
                  max_iter: int | None = None,
-                 ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+                 ledger: ConventionLedger = DEFAULT_LEDGER,
+                 preconditioner=None) -> ScalarField:
     """Conjugate-gradient solve of a symmetric positive (semi)definite
     grid operator; deterministic.
 
-    ``operator`` maps a value array to a value array.  Convergence is
-    relative residual <= tol; failure raises ``LinearSolveError`` (an
-    inconsistent right-hand side on a singular operator lands here).
+    ``operator`` maps a value array to a value array.  ``preconditioner``,
+    if given, maps a residual array to an approximation of the operator's
+    inverse applied to it (symmetric positive definite), which makes this
+    preconditioned CG; with the exact inverse (``shifted_bilap_inverse``)
+    the solve converges after one operator application.  Either way
+    convergence is the true relative residual ||b - A x|| <= tol ||b||,
+    so the preconditioner can never silently degrade a solve; failure
+    raises ``LinearSolveError`` (an inconsistent right-hand side on a
+    singular operator lands here).
     """
     tol = ledger.cg_tol if tol is None else float(tol)
     max_iter = ledger.cg_max_iter if max_iter is None else int(max_iter)
@@ -337,8 +347,10 @@ def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
         return geom.zeros()
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
     rs = float(np.vdot(r, r).real)
+    z = r if preconditioner is None else preconditioner(r)
+    rz = rs if preconditioner is None else float(np.vdot(r, z).real)
+    p = z.copy()
     for _ in range(max_iter):
         ap = operator(p)
         pap = float(np.vdot(p, ap).real)
@@ -346,17 +358,77 @@ def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
             raise LinearSolveError(
                 "conjugate gradient breakdown: operator is not positive "
                 "definite on the Krylov space")
-        alpha = rs / pap
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(np.vdot(r, r).real)
-        if np.sqrt(rs_new) <= tol * bnorm:
+        rs = float(np.vdot(r, r).real)
+        if np.sqrt(rs) <= tol * bnorm:
             return ScalarField(geom, x)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if preconditioner is None:
+            z, rz_new = r, rs
+        else:
+            z = preconditioner(r)
+            rz_new = float(np.vdot(r, z).real)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     raise LinearSolveError(
         f"no convergence in {max_iter} iterations "
         f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_eigenbasis(n: int, ds: float, cs: float):
+    """Eigenvalues and orthonormal eigenvectors of the background sphere
+    sublaplacian, the symmetric tridiagonal matrix that
+    ``_div_form_values`` applies (degenerate face weights, no boundary
+    condition).  Cached per grid; read-only."""
+    mu = _sphere_faces(n)
+    a = (cs / (ds * ds)) * (np.diag(mu[:-1] + mu[1:])
+                            - np.diag(mu[1:-1], 1) - np.diag(mu[1:-1], -1))
+    evals, evecs = np.linalg.eigh(a)
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
+
+
+def shifted_bilap_inverse(geom: ModelGeometry, s: float,
+                          ledger: ConventionLedger = DEFAULT_LEDGER):
+    """Exact inverse of v -> v + s * sublap(sublap(v)) from the operator's
+    structure, as a function of value arrays; ``None`` where no such
+    structure is used.
+
+    Sector: the five-point stencil is diagonal in Fourier space with
+    symbol sigma(k) = h * sum_axis 4 sin^2(pi k_a / n_a) / d_a^2, so the
+    inverse is an ``rfft2``, a division by 1 + s sigma^2 and an
+    ``irfft2``.  Sphere: one eigendecomposition of the tridiagonal
+    operator per grid, independent of s.  Lattice: ``None`` (the twisted
+    gathers couple the vertical Fourier modes of different x-cells).
+    """
+    if geom.kind == HEISENBERG_SECTOR:
+        from numpy import fft    # loaded only on this path, never at import
+
+        nx, ny = geom.resolution
+        dx, dy = geom.spacing
+        h = ledger.heisenberg_horizontal_factor
+        sx = np.sin(np.pi * np.arange(nx) / nx)[:, None]
+        sy = np.sin(np.pi * np.arange(ny // 2 + 1) / ny)[None, :]   # rfft half
+        sig = h * (4.0 * sx * sx / (dx * dx) + 4.0 * sy * sy / (dy * dy))
+        denom = 1.0 + s * sig * sig
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            return fft.irfft2(fft.rfft2(v) / denom, s=v.shape)
+
+        return solve
+    if geom.kind == SPHERE_REDUCED:
+        evals, evecs = _sphere_eigenbasis(geom.resolution[0], geom.spacing[0],
+                                          ledger.sphere_cs)
+        gain = 1.0 / (1.0 + s * evals * evals)
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            return evecs @ (gain * (evecs.T @ v))
+
+        return solve
+    return None
 
 
 def stability_symbol_max(geom: ModelGeometry,

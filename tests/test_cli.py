@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from crflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_SOLVER,
     OUTPUT_ROOT_ENV,
     ConfigError,
     RunConfig,
@@ -251,6 +253,37 @@ def test_ascending_probe_exits_with_the_blowup_code(tmp_path, capsys):
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["outcome"] == "blowup"
     assert meta["n_steps"] < 20000
+
+
+def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys):
+    cfg_path, cfg = write_config(
+        tmp_path,
+        geometry={
+            "kind": "HeisenbergLattice3D",
+            "resolution": [16, 16, 16],
+            "periods": [1.0, 1.0, 0.125],
+        },
+        initial_data={"kind": "random", "seed": 3},
+        integrator="imex",
+        dt=1e-7,
+        max_time=1e-6,
+        max_steps=None,
+        conventions={"cg_max_iter": 5},
+    )
+    assert main(["run", str(cfg_path)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "outcome: solver_failure" in captured.out
+    assert "no convergence in 5 iterations" in captured.err
+
+    outdir = tmp_path / "out"
+    rows = read_rows(outdir / "diagnostics.csv")
+    meta = json.loads((outdir / "meta.json").read_text())
+    assert RunConfig.from_dict(meta["config"]) == RunConfig.from_dict(cfg)
+    assert meta["outcome"] == "solver_failure"
+    assert "no convergence" in meta["solver_error"]
+    assert len(rows) == 1 + 1 + meta["n_steps"]
+    assert int(rows[-1][0]) == meta["n_steps"]
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
 
 
 def test_bad_config_exits_with_the_config_code(tmp_path, capsys):

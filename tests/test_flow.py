@@ -213,6 +213,41 @@ def test_imex_is_stable_and_monotone_at_ten_times_the_explicit_edge(
     assert all(es[k + 1] <= es[k] * (1.0 + 1e-10) for k in range(len(es) - 1))
 
 
+@pytest.mark.parametrize(
+    "make, amplitude, cutoff",
+    [(lambda: sector(32), 0.1, 3), (lambda: sphere(64), 0.05, 16)],
+    ids=["sector", "sphere"],
+)
+def test_imex_restores_volume_and_descends_at_a_thousand_times_the_edge(
+    make, amplitude, cutoff
+):
+    geom = make()
+    dt = 1e3 * auto_dt(geom)
+    lam0 = initial_data(
+        geom,
+        {"kind": "random", "seed": 3, "amplitude": amplitude, "cutoff": cutoff},
+    )
+    traj = run(geom, lam0, integrator="imex", dt=dt, max_time=40.5 * dt,
+               max_steps=40)
+    assert traj.outcome == "max_time"
+    assert len(traj.times) - 1 == 40
+    vols, es = traj.volumes, traj.energies
+    assert max(abs(v - vols[0]) for v in vols) <= 1e-13 * vols[0]
+    assert all(es[k + 1] <= es[k] * (1.0 + 1e-10) for k in range(len(es) - 1))
+
+
+def test_solver_failure_ends_the_run_with_the_accepted_steps():
+    # the lattice keeps plain CG, which one iteration cannot converge
+    geom = lattice()
+    starved = DEFAULT_LEDGER.replace(cg_max_iter=1)
+    traj = run(geom, random_data(geom, 3), integrator="imex", dt=1e-7,
+               max_time=1.0, max_steps=3, ledger=starved)
+    assert traj.outcome == "solver_failure"
+    assert "no convergence" in traj.solver_error
+    assert len(traj.times) == len(traj.diagnostics) == 1
+    assert traj.final_state.step_index == 0
+
+
 def test_detect_blowup_on_threshold_crossing():
     geom = sector(8)
     tall = constant(geom, DEFAULT_LEDGER.blowup_threshold + 1.0)

@@ -10,6 +10,7 @@ from crflow import (
     GeometryError,
     LinearSolveError,
     ScalarField,
+    auto_dt,
     build_geometry,
     calibrate_sphere_curvature,
     conformal_sublap,
@@ -24,6 +25,7 @@ from crflow import (
     yamabe_apply,
 )
 from crflow.conventions import DEFAULT_LEDGER
+from crflow.operators import _div_form_values, shifted_bilap_inverse
 
 
 def sector(n=16, periods=(1.0, 1.0)):
@@ -362,6 +364,54 @@ def test_linear_solve_reports_non_convergence():
     rhs = rand_field(geom, 13)
     with pytest.raises(LinearSolveError):
         linear_solve(stiff, rhs, tol=1e-14, max_iter=2)
+
+
+# ---------------------------------------------------------------------------
+# exact spectral inverse of the IMEX operator
+
+
+@pytest.mark.parametrize("kx, ky", [(0, 1), (3, 0), (5, 7), (6, 10), (11, 19)])
+def test_fourier_modes_diagonalize_the_sector_stencil(kx, ky):
+    # the symbol the spectral inverse divides by, checked against the
+    # stencil itself on a non-square grid with unequal spacings
+    geom = build_geometry(
+        {"kind": "HeisenbergSector2D", "resolution": [12, 20], "periods": [1.0, 1.7]}
+    )
+    nx, ny = geom.resolution
+    dx, dy = geom.spacing
+    h = DEFAULT_LEDGER.heisenberg_horizontal_factor
+    i, j = np.indices((nx, ny))
+    mode = np.exp(2j * np.pi * (kx * i / nx + ky * j / ny))
+    sigma = h * (4.0 * math.sin(math.pi * kx / nx) ** 2 / dx**2
+                 + 4.0 * math.sin(math.pi * ky / ny) ** 2 / dy**2)
+    out = _div_form_values(geom, mode.real) + 1j * _div_form_values(geom, mode.imag)
+    assert np.max(np.abs(out - sigma * mode)) <= 1e-12 * sigma
+
+
+@pytest.mark.parametrize("mult", [10.0, 1e3, 1e4])
+@pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64)],
+                         ids=["sector", "sphere"])
+def test_exact_preconditioner_solves_in_one_matvec(make, mult):
+    geom = make()
+    s = mult * auto_dt(geom) * DEFAULT_LEDGER.c_stab
+    matvecs = []
+
+    def operator(v):
+        matvecs.append(1)
+        return v + s * _div_form_values(geom, _div_form_values(geom, v))
+
+    b = rand_field(geom, 21)
+    plain = linear_solve(operator, b)
+    assert len(matvecs) > 1
+    matvecs.clear()
+    pcg = linear_solve(operator, b, preconditioner=shifted_bilap_inverse(geom, s))
+    assert len(matvecs) == 1
+    scale = np.max(np.abs(plain.values))
+    assert np.max(np.abs(pcg.values - plain.values)) <= 1e-9 * scale
+
+
+def test_lattice_has_no_spectral_inverse():
+    assert shifted_bilap_inverse(lattice(), 1.0) is None
 
 
 # ---------------------------------------------------------------------------
