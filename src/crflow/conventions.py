@@ -31,7 +31,6 @@ class ConventionLedger:
     ascending probe used by the blow-up tests.
     """
 
-    sublap_sign: float = 1.0          # quadratic form of sublap is >= 0
     yamabe_coefficient: float = 4.0   # L = 4 * sublap + W
     flow_sign: float = -1.0           # descent; +1 only for probe runs
     # frame scale constants per geometry kind
@@ -40,19 +39,12 @@ class ConventionLedger:
     sphere_cs: float = 8.0            # reduced operator -c_s (s(1-s) f')'
     sphere_kappa: float = math.pi**2  # total volume of the round model
     # discretization / solver defaults
-    stencil_order: int = 2
     cg_tol: float = 1e-10
     cg_max_iter: int = 10000
     c_stab: float = 32.0              # linearized flat-state stiffness
     blowup_threshold: float = 20.0    # max |lambda| before declaring blow-up
     plateau_window: int = 50          # steps per plateau comparison
     plateau_tol: float = 1e-10        # |dE|/E threshold for a plateau
-
-    def frame_scale(self, kind: str) -> float:
-        """Second-order frame constant for a geometry kind."""
-        if kind == "SphereReduced1D":
-            return self.sphere_cs
-        return self.heisenberg_horizontal_factor
 
     def as_dict(self) -> dict:
         return asdict(self)

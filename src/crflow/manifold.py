@@ -83,8 +83,6 @@ class ModelGeometry:
     background_curvature : float
         Curvature of the background structure: 0 for the flat kinds, the
         runtime-calibrated positive constant for the sphere kind.
-    frame_normalization : dict
-        Record of the frame conventions the operators use.
     t_wrap_shift : int
         Lattice only: integer tau-cell shift applied per y-cell on an
         x-wrap (0 for the other kinds).
@@ -95,7 +93,6 @@ class ModelGeometry:
     periods: tuple
     cell_volume_weight: float
     background_curvature: float
-    frame_normalization: dict
     t_wrap_shift: int = 0
     # derived quantities, filled in by build_geometry
     spacing: tuple = ()
@@ -105,14 +102,6 @@ class ModelGeometry:
     _gather: dict = dataclass_field(default_factory=dict, repr=False)
 
     # -- basic helpers -------------------------------------------------
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.resolution))
-
-    @property
-    def total_volume(self) -> float:
-        return self.cell_volume_weight * float(np.prod(self.periods))
 
     def cell_weight(self) -> float:
         """Quadrature weight of a single cell."""
@@ -133,9 +122,6 @@ class ModelGeometry:
 
     def constant(self, value: float) -> "ScalarField":
         return ScalarField(self, np.full(self.resolution, float(value)))
-
-    def from_values(self, values) -> "ScalarField":
-        return ScalarField(self, np.array(values, dtype=float))
 
     # -- grid shifts along the horizontal frame flows ------------------
 
@@ -309,11 +295,6 @@ def build_geometry(config: dict) -> ModelGeometry:
             periods=(1.0,),
             cell_volume_weight=ledger.sphere_kappa,
             background_curvature=calibrate_sphere_curvature(),
-            frame_normalization={
-                "c_s": ledger.sphere_cs,
-                "kappa": ledger.sphere_kappa,
-                "grid": "cell centers (i + 1/2)/n on (0, 1)",
-            },
         )
         geom.spacing = (1.0 / n,)
         geom.cell_coord_volume = 1.0 / n
@@ -347,11 +328,6 @@ def build_geometry(config: dict) -> ModelGeometry:
             periods=(px, py, t_fiber),
             cell_volume_weight=ledger.heisenberg_volume_weight,
             background_curvature=0.0,
-            frame_normalization={
-                "horizontal_factor": ledger.heisenberg_horizontal_factor,
-                "volume_weight": ledger.heisenberg_volume_weight,
-                "frame": "X = d/dx, Y = d/dy on the vertical-invariant sector",
-            },
         )
         geom.spacing = (px / nx, py / ny)
         geom.cell_coord_volume = (px / nx) * (py / ny) * t_fiber
@@ -383,11 +359,6 @@ def build_geometry(config: dict) -> ModelGeometry:
         periods=periods,
         cell_volume_weight=ledger.heisenberg_volume_weight,
         background_curvature=0.0,
-        frame_normalization={
-            "horizontal_factor": ledger.heisenberg_horizontal_factor,
-            "volume_weight": ledger.heisenberg_volume_weight,
-            "frame": "X = d/dx, Y = d/dy - 4x d/dtau (polarized coordinates)",
-        },
         t_wrap_shift=s_unit * nx,
     )
     geom.spacing = (dx, dy, dtau)

@@ -1,458 +1,97 @@
 """Acceptance gate: eleven structure-preservation criteria.
 
-Each criterion is one test that prints a single machine-readable
+Each criterion runs the entries of the invariant registry
+(``crflow.invariants``) that it covers, prints a single machine-readable
 ``[PASS]``/``[FAIL]`` line (to the real stdout, so it survives capture)
-and then asserts.  Reference scale: 32x32 sector, 64-cell sphere, 16^3
-lattice.  All expected values are either closed forms checked against
-the independent oracles in tests/oracles/ or structural identities; no
-tolerance here is looser than the contract it verifies.
+and then asserts.  The registry works at reference scale: 32x32 sector,
+64-cell sphere, 16^3 lattice.  All expected values are either closed
+forms checked against the independent oracles in tests/oracles/ or
+structural identities; no tolerance there is looser than the contract it
+verifies.
 """
 
-import json
-import math
+from crflow.invariants import REGISTRY, evaluate
 
-import numpy as np
-
-from crflow import (
-    DEFAULT_LEDGER,
-    HeisenbergPoint,
-    ScalarField,
-    build_geometry,
-    calibrate_sphere_curvature,
-    conformal_sublap,
-    energy,
-    flow_rhs,
-    gradient_check,
-    initial_data,
-    integrate,
-    invert,
-    jacobian_det,
-    pullback_residual,
-    run,
-    sample_points,
-    sphere_swap_check,
-    step_explicit,
-    sublap,
-    webster_curvature,
-    wnorm,
-    yamabe_apply,
-)
-from crflow.flow import make_state
-from crflow.cli import main
-
-
+ENTRIES = {f"{module}: {name}": fn for module, name, fn in REGISTRY}
 REPORT_LINES: list = []
 
 
-def report(number: int, name: str, ok: bool, detail: str) -> None:
-    line = f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {name} — {detail}"
+def report(number: int, title: str, *entries: str) -> None:
+    results = [(entry, *evaluate(ENTRIES[entry])) for entry in entries]
+    ok = all(passed for _, passed, _ in results)
+    detail = "; ".join(
+        f"{entry}{'' if passed else ' FAILED'} — {text}"
+        for entry, passed, text in results
+    )
+    line = f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {title} — {detail}"
     REPORT_LINES.append(line)
     print(line, flush=True)
     assert ok, line
 
 
-def sector(n, t_fiber=1.0):
-    return build_geometry(
-        {
-            "kind": "HeisenbergSector2D",
-            "resolution": [n, n],
-            "periods": [1.0, 1.0],
-            "t_fiber": t_fiber,
-        }
-    )
-
-
-def sphere(n=64):
-    return build_geometry(
-        {"kind": "SphereReduced1D", "resolution": [n], "periods": [1.0]}
-    )
-
-
-def lattice16():
-    return build_geometry(
-        {
-            "kind": "HeisenbergLattice3D",
-            "resolution": [16, 16, 16],
-            "periods": [1.0, 1.0, 0.25],
-        }
-    )
-
-
-def random_field(geom, seed, amplitude, cutoff):
-    return initial_data(
-        geom,
-        {"kind": "random", "seed": seed, "amplitude": amplitude,
-         "cutoff": cutoff},
-    )
-
-
-# Reference runs shared by criteria 1, 2 and 9: three seeds on each model,
-# using explicit RK4 at a step size inside its stability interval.
-SECTOR_PARAMS = {"amplitude": 0.1, "cutoff": 3, "dt": 1.8e-9}
-SPHERE_PARAMS = {"amplitude": 0.05, "cutoff": 16, "dt": 6e-11}
-SEEDS = (3, 4, 5)
-_RUN_CACHE: dict = {}
-
-
-def reference_run(kind: str, seed: int, halve: bool = False):
-    key = (kind, seed, halve)
-    if key not in _RUN_CACHE:
-        if kind == "sector":
-            geom, params = sector(32), SECTOR_PARAMS
-        else:
-            geom, params = sphere(64), SPHERE_PARAMS
-        dt = params["dt"] / (2.0 if halve else 1.0)
-        steps = 200 if halve else 100
-        lam0 = random_field(geom, seed, params["amplitude"], params["cutoff"])
-        _RUN_CACHE[key] = run(
-            geom, lam0, integrator="explicit", dt=dt, max_time=1.0,
-            max_steps=steps,
-        )
-    return _RUN_CACHE[key]
-
-
-# ---------------------------------------------------------------------------
-
-
 def test_criterion_01_volume_conservation():
-    worst_drift = 0.0
-    worst_ratio = math.inf
-    for kind in ("sector", "sphere"):
-        for seed in SEEDS:
-            full = reference_run(kind, seed)
-            half = reference_run(kind, seed, halve=True)
-            v0 = full.volumes[0]
-            drift = max(abs(v - v0) / abs(v0) for v in full.volumes)
-            drift_half = max(abs(v - v0) / abs(v0) for v in half.volumes)
-            worst_drift = max(worst_drift, drift)
-            worst_ratio = min(worst_ratio, drift / drift_half)
-    ok = worst_drift <= 1e-6 and worst_ratio >= 16.0
-    report(
-        1,
-        "volume conservation",
-        ok,
-        f"relative drift <= {worst_drift:.3e} over 100 RK4 steps, "
-        f"x2-step refinement ratio >= {worst_ratio:.1f} "
-        f"(need <= 1e-06 and >= 16)",
-    )
+    report(1, "volume conservation", "flow: volume-conservation")
 
 
 def test_criterion_02_energy_dissipation():
-    worst = 0.0
-    for kind in ("sector", "sphere"):
-        for seed in SEEDS:
-            es = reference_run(kind, seed).energies
-            for a, b in zip(es, es[1:]):
-                worst = max(worst, b / a)
-    ok = worst <= 1.0 + 1e-10
-    report(
-        2,
-        "energy dissipation",
-        ok,
-        f"max per-step energy ratio {worst:.15f} "
-        f"(need <= 1 + 1e-10 at every accepted step)",
-    )
+    report(2, "energy dissipation", "flow: energy-monotone")
 
 
 def test_criterion_03_gradient_identity():
-    worst = 0.0
-    for geom in (sector(32), sphere(64), lattice16()):
-        extra = {"cutoff_t": 2} if len(geom.resolution) == 3 else {}
-        for k in range(10):
-            lam = initial_data(
-                geom, {"kind": "random", "seed": 100 + k, "amplitude": 0.1,
-                       "cutoff": 2, **extra},
-            )
-            phi = initial_data(
-                geom, {"kind": "random", "seed": 200 + k, "amplitude": 0.1,
-                       "cutoff": 2, **extra},
-            )
-            worst = max(worst, gradient_check(lam, phi, h=1e-5))
-    ok = worst <= 1e-6
-    report(
-        3,
-        "gradient identity",
-        ok,
-        f"worst relative defect {worst:.3e} over 10 random pairs "
-        f"per model (need <= 1e-06)",
-    )
+    report(3, "gradient identity", "flow: gradient-consistency")
 
 
 def test_criterion_04_operator_structure():
-    worst_plain = worst_weighted = worst_mean = 0.0
-    constants_exact = True
-    for geom in (sector(32), sphere(64), lattice16()):
-        lam = random_field(geom, 11, 0.2, 2)
-        f = random_field(geom, 12, 1.0, 3)
-        g = random_field(geom, 13, 1.0, 3)
-        w4 = np.exp(4.0 * lam.values)
-
-        af, ag = sublap(f).values, sublap(g).values
-        num = abs(float((af * g.values).sum()) - float((f.values * ag).sum()))
-        den = abs(float((np.abs(af) * np.abs(g.values)).sum()))
-        worst_plain = max(worst_plain, num / den)
-
-        bf = conformal_sublap(lam, f).values
-        bg = conformal_sublap(lam, g).values
-        num = abs(float((bf * g.values * w4).sum())
-                  - float((f.values * bg * w4).sum()))
-        den = abs(float((np.abs(bf) * np.abs(g.values) * w4).sum()))
-        worst_weighted = max(worst_weighted, num / den)
-
-        ones = ScalarField(geom, np.ones(geom.resolution))
-        if not (np.all(sublap(ones).values == 0.0)
-                and np.all(conformal_sublap(lam, ones).values == 0.0)):
-            constants_exact = False
-
-        total = float(integrate(ScalarField(geom, bf * w4)))
-        scale = float(integrate(ScalarField(geom, np.abs(bf) * w4)))
-        worst_mean = max(worst_mean, abs(total) / scale)
-    ok = (worst_plain <= 1e-12 and worst_weighted <= 1e-12
-          and constants_exact and worst_mean <= 1e-12)
     report(
         4,
         "operator structure",
-        ok,
-        f"self-adjointness defects {worst_plain:.2e} (plain), "
-        f"{worst_weighted:.2e} (weighted); constants annihilated exactly: "
-        f"{constants_exact}; weighted mean of image {worst_mean:.2e} "
-        f"(all need <= 1e-12)",
+        "operators: self-adjointness",
+        "operators: constants-annihilated",
+        "operators: mean-zero-image",
     )
-
-
-def _covariance_residual(n: int) -> float:
-    geom = sector(n)
-    xs, ys = np.meshgrid(geom.axes()[0], geom.axes()[1], indexing="ij")
-    lam_v = 0.25 * np.sin(2 * np.pi * xs) * np.cos(2 * np.pi * ys)
-    phi_v = 0.40 * np.cos(2 * np.pi * xs) + 0.30 * np.sin(2 * np.pi * ys)
-    lam = ScalarField(geom, lam_v)
-    phi = ScalarField(geom, phi_v)
-    u = np.exp(lam_v)
-    lhs = yamabe_apply(lam, phi).values
-    rhs = np.exp(-3.0 * lam_v) * (
-        DEFAULT_LEDGER.yamabe_coefficient
-        * sublap(ScalarField(geom, u * phi_v)).values
-        + geom.background_curvature * u * phi_v
-    )
-    return float(np.sqrt(((lhs - rhs) ** 2).mean()))
 
 
 def test_criterion_05_conformal_covariance():
-    res = {n: _covariance_residual(n) for n in (16, 32, 64)}
-    s1 = math.log2(res[16] / res[32])
-    s2 = math.log2(res[32] / res[64])
-    ok = min(s1, s2) >= 1.9
-    report(
-        5,
-        "conformal covariance",
-        ok,
-        f"refinement slopes {s1:.3f} (16->32), {s2:.3f} (32->64) "
-        f"(need >= 1.9)",
-    )
+    report(5, "conformal covariance", "operators: conformal-covariance")
 
 
 def test_criterion_06_fixed_points_and_scale_invariance():
-    stationary = True
-    for geom in (sector(32), sphere(64), lattice16()):
-        for c in (0.0, 0.4, -0.9):
-            state = ScalarField(geom, np.full(geom.resolution, c))
-            if not np.all(flow_rhs(state).values == 0.0):
-                stationary = False
-
-    geom = sector(32)
-    lam = random_field(geom, 31, 0.2, 3)
-    e0 = energy(lam)
-    shift_defect = max(
-        abs(energy(ScalarField(geom, lam.values + c)) - e0) / abs(e0)
-        for c in (0.3, -0.7)
-    )
-
-    flat_zero = all(
-        energy(ScalarField(g, np.full(g.resolution, c))) == 0.0
-        for g in (sector(32), lattice16())
-        for c in (0.0, 0.5, -1.2)
-    )
-    ok = stationary and shift_defect <= 1e-13 and flat_zero
     report(
         6,
         "fixed points and scale invariance",
-        ok,
-        f"constant states exactly stationary: {stationary}; energy shift "
-        f"defect {shift_defect:.2e} (need <= 1e-13, f64 rounding floor); "
-        f"flat-model constant energy exactly zero: {flat_zero}",
+        "flow: fixed-points",
+        "flow: shift-invariance",
     )
 
 
 def test_criterion_07_sphere_calibration():
-    details: dict = {}
-    value = calibrate_sphere_curvature(details=details)
-    geom = sphere(64)
-    exact = True
-    for c in (0.0, 0.25, -0.5):
-        w = webster_curvature(ScalarField(geom, np.full(geom.resolution, c)))
-        if not np.all(w.values == math.exp(-2.0 * c) * geom.background_curvature):
-            exact = False
-    ok = (
-        value > 0.0
-        and details["rel_std"] <= 1e-3
-        and details["n_points"] >= 100
-        and exact
-    )
     report(
         7,
         "sphere calibration",
-        ok,
-        f"calibrated curvature {value!r} > 0, relative spread "
-        f"{details['rel_std']:.2e} over {details['n_points']} points "
-        f"(need <= 1e-03 over >= 100); constant-state curvature equals "
-        f"e^(-2c) times it exactly: {exact}",
+        "operators: calibration",
+        "operators: constants-annihilated",
     )
 
 
 def test_criterion_08_inversion_suite():
-    panel = sample_points(100, wnorm_min=0.1, wnorm_max=10.0, seed=41)
-    worst_pull = max(pullback_residual(p) * wnorm(p) ** 2 for p in panel)
-
-    wide = sample_points(200, wnorm_min=1e-3, wnorm_max=1e3, seed=43)
-    worst_recip = max(abs(invert(p).w * p.w + 1.0) for p in wide)
-    worst_invol = 0.0
-    all_positive = True
-    for p in wide:
-        q = invert(invert(p))
-        scale = max(abs(p.t), abs(p.x), abs(p.y))
-        worst_invol = max(
-            worst_invol,
-            max(abs(q.t - p.t), abs(q.x + p.x), abs(q.y + p.y)) / scale,
-        )
-        if not jacobian_det(p) > 0.0:
-            all_positive = False
-
-    radii = np.logspace(-3, 3, 25)
-    rng = np.random.default_rng(47)
-    logs = []
-    for r in radii:
-        phi = rng.uniform(0.0, math.pi)
-        p_t, p_s = r * math.cos(phi), r * math.sin(phi)
-        p = HeisenbergPoint(p_t, math.sqrt(p_s), 0.0)
-        logs.append((math.log(wnorm(p)), math.log(jacobian_det(p))))
-    slope = np.polyfit([a for a, _ in logs], [b for _, b in logs], 1)[0]
-
-    swaps = sphere_swap_check(2.0, n=100, seed=53, tol=1e-12) and \
-        sphere_swap_check(0.5, n=100, seed=59, tol=1e-12)
-
-    ok = (
-        worst_pull <= 1e-10
-        and worst_recip <= 1e-12
-        and worst_invol <= 1e-12
-        and all_positive
-        and abs(slope + 4.0) <= 0.01
-        and swaps
-    )
     report(
         8,
         "inversion suite",
-        ok,
-        f"pullback residual {worst_pull:.2e} (<= 1e-10 relative, 100 pts); "
-        f"w-reciprocity {worst_recip:.2e} and involution {worst_invol:.2e} "
-        f"(<= 1e-12); determinant positive: {all_positive}, gauge slope "
-        f"{slope:.4f} (need -4 +/- 0.01); gauge-2 <-> gauge-1/2 swap: {swaps}",
+        "inversion: pullback-identity",
+        "inversion: w-reciprocal",
+        "inversion: double-inversion",
+        "inversion: orientation",
+        "inversion: sphere-swap",
     )
 
 
 def test_criterion_09_blowup_taxonomy():
-    geom = sector(32)
-    probe = DEFAULT_LEDGER.replace(flow_sign=1.0)
-    lam0 = random_field(geom, 7, 0.15, 2)
-    traj = run(geom, lam0, dt=5e-10, max_time=1.0, max_steps=20000,
-               ledger=probe)
-    finite_trace = [
-        (loc, peak) for _, loc, peak in traj.argmax_trace if np.isfinite(peak)
-    ]
-    cells = {loc for loc, _ in finite_trace[-5:]}
-    blew_up = traj.outcome == "blowup" and len(traj.times) - 1 < 20000
-    localized = len(cells) <= 3
-
-    clean = True
-    outcomes = []
-    for kind in ("sector", "sphere"):
-        for seed in SEEDS:
-            t = reference_run(kind, seed)
-            outcomes.append(t.outcome)
-            if t.outcome not in ("plateau", "max_time"):
-                clean = False
-            if not all(
-                np.isfinite(d.energy) and np.isfinite(d.volume)
-                and not d.overflow_flag
-                for d in t.diagnostics
-            ):
-                clean = False
-    ok = blew_up and localized and clean
-    report(
-        9,
-        "blow-up taxonomy",
-        ok,
-        f"ascending probe: outcome {traj.outcome!r} after "
-        f"{len(traj.times) - 1} steps, final argmax cells {sorted(cells)}; "
-        f"standard runs: outcomes {outcomes}, NaN-free: {clean}",
-    )
+    report(9, "blow-up taxonomy", "flow: blowup-taxonomy")
 
 
 def test_criterion_10_sector_closure():
-    geom3 = lattice16()
-    geom2 = sector(16, t_fiber=0.25)
-    lam2 = random_field(geom2, 3, 0.1, 3)
-    lam3 = ScalarField(
-        geom3, np.repeat(lam2.values[:, :, None], 16, axis=2)
-    )
-    dt = 1e-9
-    s2 = make_state(lam2, 0.0, 0, dt)
-    s3 = make_state(lam3, 0.0, 0, dt)
-    worst = 0.0
-    for _ in range(50):
-        s2 = step_explicit(s2, dt)
-        s3 = step_explicit(s3, dt)
-        spread = float(np.max(s3.lam.values.max(axis=2)
-                              - s3.lam.values.min(axis=2)))
-        mismatch = float(np.max(np.abs(s3.lam.values[:, :, 0]
-                                       - s2.lam.values)))
-        worst = max(worst, spread, mismatch)
-    ok = worst <= 1e-12
-    report(
-        10,
-        "sector closure",
-        ok,
-        f"per-step 3D-lattice vs 2D-sector mismatch <= {worst:.2e} over "
-        f"50 steps (need <= 1e-12; vertical-invariance preserved)",
-    )
+    report(10, "sector closure", "flow: sector-closure")
 
 
-def test_criterion_11_determinism(tmp_path, capsys):
-    cfg = {
-        "geometry": {
-            "kind": "HeisenbergSector2D",
-            "resolution": [16, 16],
-            "periods": [1.0, 1.0],
-        },
-        "initial_data": {"kind": "random", "seed": 3, "amplitude": 0.1,
-                         "cutoff": 3},
-        "dt": 1.8e-9,
-        "max_steps": 25,
-        "output_dir": str(tmp_path / "run"),
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-
-    assert main(["run", str(cfg_path)]) == 0
-    first = (tmp_path / "run" / "diagnostics.csv").read_bytes()
-    assert main(["run", str(cfg_path)]) == 0
-    second = (tmp_path / "run" / "diagnostics.csv").read_bytes()
-    capsys.readouterr()
-
-    ok = first == second and len(first) > 0
-    report(
-        11,
-        "determinism",
-        ok,
-        f"repeated cmd_run produced byte-identical diagnostics "
-        f"({len(first)} bytes): {ok}",
-    )
+def test_criterion_11_determinism():
+    report(11, "determinism", "cli: determinism")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from crflow import build_geometry, initial_data
+from crflow import ScalarField, build_geometry, initial_data, invariants, operators
 from crflow.cli import (
     CALIBRATION_CACHE,
     EXIT_BLOWUP,
@@ -101,6 +101,10 @@ def test_config_must_be_an_object():
         {"output_dir": ""},
         {"conventions": ["flow_sign"]},
         {"conventions": {"no_such_convention": 1.0}},
+        {"max_steps": True},
+        {"snapshot_every": True},
+        {"max_time": True},
+        {"plateau_tol": True},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -297,6 +301,14 @@ def test_missing_config_file_exits_with_the_config_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_output_dir_naming_a_file_exits_with_the_config_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_path, _ = write_config(tmp_path, output_dir=str(taken))
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
     cfg_path, _ = write_config(
         tmp_path,
@@ -322,8 +334,16 @@ def test_check_passes_on_one_module(capsys):
     assert "[FAIL]" not in out
 
 
-def test_check_names_the_corrupted_stencil(capsys):
-    code = main(["check", "--only", "operators", "--defect", "stencil"])
+def test_check_names_the_corrupted_stencil(monkeypatch, capsys):
+    stencil = invariants.sublap
+
+    def lopsided(fld):
+        # a deliberately asymmetric corruption of the stencil
+        bad = np.roll(fld.values, 1, axis=0) / fld.geometry.spacing[0] ** 2
+        return ScalarField(fld.geometry, stencil(fld).values + bad)
+
+    monkeypatch.setattr(invariants, "sublap", lopsided)
+    code = main(["check", "--only", "operators"])
     captured = capsys.readouterr()
     assert code == EXIT_INVARIANT
     assert "[FAIL] operators: self-adjointness" in captured.out
@@ -367,8 +387,14 @@ def test_calibrate_defaults_to_the_output_root(monkeypatch, tmp_path, capsys):
     assert (tmp_path / CALIBRATION_CACHE).exists()
 
 
-def test_calibrate_rejects_a_warped_profile(capsys):
-    assert main(["calibrate", "--defect", "profile"]) == EXIT_INVARIANT
+def test_calibrate_rejects_a_warped_profile(monkeypatch, capsys):
+    profile = operators.extremal_profile
+
+    def warped(t, x, y):
+        return profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
+
+    monkeypatch.setattr(operators, "extremal_profile", warped)
+    assert main(["calibrate"]) == EXIT_INVARIANT
     assert "calibration failed" in capsys.readouterr().err
 
 
