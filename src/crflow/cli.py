@@ -42,14 +42,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import flow, inversion, operators
-from .conventions import DEFAULT_LEDGER, ConventionLedger
+from .conventions import DEFAULT_LEDGER, PLATEAU_TOL, PLATEAU_WINDOW, ConventionLedger
 from .manifold import GeometryError, build_geometry, initial_data
 
 __all__ = [
@@ -103,8 +102,9 @@ class RunConfig:
     """A fully serializable description of one flow run.
 
     ``dt`` is either the string ``"auto"`` or a positive step size.  The
-    ``conventions`` mapping holds expert-only overrides of ledger fields and
-    is empty in normal use.  Instances round-trip bit-exactly through JSON:
+    ``conventions`` mapping holds expert-only overrides of ``flow_sign`` and
+    ``cg_max_iter`` (the other conventions are fixed) and is empty in
+    normal use.  Instances round-trip bit-exactly through JSON:
     ``RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg``.
     """
 
@@ -148,25 +148,16 @@ class RunConfig:
             raise ConfigError(
                 f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
             )
-        if self.dt != "auto":
-            if not _is_number(self.dt):
-                raise ConfigError("dt must be 'auto' or a positive number")
-            if not (math.isfinite(self.dt) and self.dt > 0):
-                raise ConfigError("dt must be 'auto' or a positive number")
-        if not (
-            _is_number(self.max_time)
-            and math.isfinite(self.max_time)
-            and self.max_time > 0
-        ):
+        if self.dt != "auto" and not _is_positive(self.dt):
+            raise ConfigError("dt must be 'auto' or a positive number")
+        if not _is_positive(self.max_time):
             raise ConfigError("max_time must be a positive number")
         if self.max_steps is not None and (
             not _is_integer(self.max_steps) or self.max_steps < 1
         ):
             raise ConfigError("max_steps must be a positive integer or null")
-        if self.plateau_tol is not None and not (
-            _is_number(self.plateau_tol) and self.plateau_tol > 0
-        ):
-            raise ConfigError("plateau_tol must be positive or null")
+        if self.plateau_tol is not None and not _is_positive(self.plateau_tol):
+            raise ConfigError("plateau_tol must be a positive finite number or null")
         if self.plateau_window is not None and (
             not _is_integer(self.plateau_window) or self.plateau_window < 2
         ):
@@ -185,7 +176,7 @@ class RunConfig:
     def ledger(self) -> ConventionLedger:
         try:
             return DEFAULT_LEDGER.replace(**self.conventions)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad convention override: {exc}")
 
 
@@ -194,8 +185,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
+def _is_positive(value) -> bool:
+    """A finite positive JSON number (not a boolean)."""
+    return (
+        (_is_integer(value) or isinstance(value, float))
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 def resolve_output_dir(path: str) -> str:
@@ -228,16 +224,12 @@ def _json_safe(obj):
 
 
 def _dump_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _atomic_dump_json(payload: dict, path: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write sorted, indented ASCII JSON atomically: a reader sees the old
+    file or the whole new one, never a prefix.  The temporary file is
+    opened like any artifact, so it gets the usual umask-derived mode."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
             json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
@@ -305,6 +297,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    plateau_tol = PLATEAU_TOL if cfg.plateau_tol is None else cfg.plateau_tol
+    plateau_window = PLATEAU_WINDOW if cfg.plateau_window is None else cfg.plateau_window
     started = time.perf_counter()
     traj = flow.run(
         geom,
@@ -313,8 +307,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         dt=cfg.dt,
         max_time=cfg.max_time,
         max_steps=cfg.max_steps,
-        plateau_tol=cfg.plateau_tol,
-        plateau_window=cfg.plateau_window,
+        plateau_tol=plateau_tol,
+        plateau_window=plateau_window,
         snapshot_every=cfg.snapshot_every,
         ledger=ledger,
     )
@@ -327,14 +321,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": cfg.to_dict(),
         "resolved": {
             "dt": traj.dt,
-            "plateau_tol": (
-                ledger.plateau_tol if cfg.plateau_tol is None else cfg.plateau_tol
-            ),
-            "plateau_window": (
-                ledger.plateau_window
-                if cfg.plateau_window is None
-                else cfg.plateau_window
-            ),
+            "plateau_tol": plateau_tol,
+            "plateau_window": plateau_window,
             "output_dir": os.path.abspath(outdir),
         },
         "conventions": ledger.as_dict(),
@@ -410,7 +398,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     cache_dir = os.path.dirname(cache_path)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-    _atomic_dump_json(
+    _dump_json(
         {
             "sphere_background_curvature": value,
             "n_points": details.get("n_points"),

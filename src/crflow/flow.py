@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conventions import ConventionLedger, DEFAULT_LEDGER
+from .conventions import (BLOWUP_THRESHOLD, C_STAB, DEFAULT_LEDGER, PLATEAU_TOL,
+                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, ConventionLedger)
 from .manifold import ModelGeometry, ScalarField
 from .operators import (
     LinearSolveError,
@@ -136,20 +137,20 @@ def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
         return float(values.sum() * geom.cell_weight())
 
 
-def energy(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+def energy(lam: ScalarField) -> float:
     """Curvature energy integrate(W^2 e^{4 lambda}) of e^{2 lambda} theta-hat."""
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _curvature_values(lam, ledger)
+        w = _webster_core(lam.geometry, lam.values)[3]
         return _weighted_sum(lam.geometry, w * w * np.exp(4.0 * lam.values))
 
 
-def volume(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+def volume(lam: ScalarField) -> float:
     """Total volume integrate(e^{4 lambda}) of the rescaled structure."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _weighted_sum(lam.geometry, np.exp(4.0 * lam.values))
 
 
-def bondi(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+def bondi(lam: ScalarField) -> float:
     """Monitored quantity integrate(e^{5 lambda}).
 
     Its discrete time-derivative is recorded along runs and its running
@@ -163,11 +164,6 @@ def bondi(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
 # gradient flow right-hand side
 
 
-def _curvature_values(lam: ScalarField, ledger: ConventionLedger) -> np.ndarray:
-    _, _, _, w = _webster_core(lam.geometry, lam.values, ledger)
-    return w
-
-
 def _rhs_values(lam: ScalarField, ledger: ConventionLedger) -> np.ndarray:
     """sigma * grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2).
 
@@ -179,10 +175,9 @@ def _rhs_values(lam: ScalarField, ledger: ConventionLedger) -> np.ndarray:
     if not lam.is_finite():
         return np.full_like(lam.values, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, m2, em3, w = _webster_core(geom, lam.values, ledger)
+        u, m2, em3, w = _webster_core(geom, lam.values)
         uw = u * w
-        cov = em3 * (ledger.yamabe_coefficient
-                     * _div_form_values(geom, uw, None, ledger)) \
+        cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
             + (geom.background_curvature * m2) * w
         return ledger.flow_sign * 2.0 * (cov - w * w)
 
@@ -205,8 +200,8 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
     geom = lam.geometry
     rhs = _rhs_values(lam, ledger)
     lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
-    e_plus = energy(ScalarField(geom, lam.values + h * phi.values), ledger)
-    e_minus = energy(ScalarField(geom, lam.values - h * phi.values), ledger)
+    e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
+    e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
     d_h = (e_plus - e_minus) / (2.0 * h)
     return abs(lhs - d_h) / max(abs(d_h), 1e-30)
 
@@ -230,7 +225,7 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
     """Assemble a FlowState with freshly computed diagnostics."""
     geom = lam.geometry
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _curvature_values(lam, ledger)
+        w = _webster_core(geom, lam.values)[3]
         m4 = np.exp(4.0 * lam.values)
         vol = _weighted_sum(geom, m4)
         ene = _weighted_sum(geom, w * w * m4)
@@ -248,15 +243,14 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
                      diagnostics=diag)
 
 
-def detect_blowup(state: FlowState,
-                  ledger: ConventionLedger = DEFAULT_LEDGER) -> bool:
+def detect_blowup(state: FlowState) -> bool:
     """True iff the state is non-finite or |lambda| exceeds the
     classification threshold (chosen so e^{4 lambda} is still
     representable: classify before NaN contamination)."""
     v = state.lam.values
     if not np.isfinite(v).all():
         return True
-    return bool(np.abs(v).max() > ledger.blowup_threshold)
+    return bool(np.abs(v).max() > BLOWUP_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +281,7 @@ def step_imex(state: FlowState, dt: float,
         (I + dt c Delta-hat^2) lambda' = lambda + dt (rhs(lambda)
                                                       + c Delta-hat^2 lambda)
 
-    with c = c_stab.  The shifted operator is symmetric positive
+    with c = C_STAB.  The shifted operator is symmetric positive
     definite, so the conjugate-gradient solve is well posed at any dt.
     On the sector and the sphere it is preconditioned by the exact
     spectral inverse (``shifted_bilap_inverse``): one operator
@@ -302,11 +296,10 @@ def step_imex(state: FlowState, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     geom = state.lam.geometry
-    c = ledger.c_stab
+    c = C_STAB
 
     def bilap(v: np.ndarray) -> np.ndarray:
-        return _div_form_values(geom, _div_form_values(geom, v, None, ledger),
-                                None, ledger)
+        return _div_form_values(geom, _div_form_values(geom, v))
 
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,27 +313,25 @@ def step_imex(state: FlowState, dt: float,
     def shifted(v: np.ndarray) -> np.ndarray:
         return v + (dt * c) * bilap(v)
 
-    sol = linear_solve(shifted, ScalarField(geom, b), tol=ledger.cg_tol,
-                       max_iter=ledger.cg_max_iter, ledger=ledger,
-                       preconditioner=shifted_bilap_inverse(geom, dt * c, ledger))
-    v_old, v_new = state.diagnostics.volume, volume(sol, ledger)
+    sol = linear_solve(shifted, ScalarField(geom, b), max_iter=ledger.cg_max_iter,
+                       preconditioner=shifted_bilap_inverse(geom, dt * c))
+    v_old, v_new = state.diagnostics.volume, volume(sol)
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol = ScalarField(geom, sol.values + 0.25 * math.log(v_old / v_new))
     return make_state(sol, state.time + dt, state.step_index + 1, dt, ledger)
 
 
-def auto_dt(geom: ModelGeometry,
-            ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+def auto_dt(geom: ModelGeometry) -> float:
     """Conservative explicit step size from the linearized symbol.
 
     Around a flat state the right-hand side linearizes to
-    -(2b^2) Delta-hat^2 + lower order with 2b^2 = c_stab = 32, so the
-    stiffest rate is c_stab * sigma^2 (+ a curvature correction on the
+    -(2b^2) Delta-hat^2 + lower order with 2b^2 = C_STAB = 32, so the
+    stiffest rate is C_STAB * sigma^2 (+ a curvature correction on the
     sphere); the step keeps RK4 well inside its stability interval.
     """
-    sigma = stability_symbol_max(geom, ledger)
-    rate = ledger.c_stab * sigma * sigma \
-        + 4.0 * ledger.yamabe_coefficient * abs(geom.background_curvature) * sigma
+    sigma = stability_symbol_max(geom)
+    rate = C_STAB * sigma * sigma \
+        + 4.0 * YAMABE_COEFFICIENT * abs(geom.background_curvature) * sigma
     return 0.2 / rate
 
 
@@ -349,8 +340,8 @@ _PLATEAU_FLOOR = 1e-300
 
 def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
         dt: float | str = "auto", max_time: float = 1.0,
-        max_steps: int | None = None, plateau_tol: float | None = None,
-        plateau_window: int | None = None, snapshot_every: int = 0,
+        max_steps: int | None = None, plateau_tol: float = PLATEAU_TOL,
+        plateau_window: int = PLATEAU_WINDOW, snapshot_every: int = 0,
         ledger: ConventionLedger = DEFAULT_LEDGER) -> Trajectory:
     """March the flow to one of four outcomes.
 
@@ -368,10 +359,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
         raise ValueError(f"unknown integrator {integrator!r}")
     if lam0.geometry is not geom:
         raise ValueError("initial data not on the supplied geometry")
-    plateau_tol = ledger.plateau_tol if plateau_tol is None else float(plateau_tol)
-    plateau_window = (ledger.plateau_window if plateau_window is None
-                      else int(plateau_window))
-    dt_val = auto_dt(geom, ledger) if dt == "auto" else float(dt)
+    dt_val = auto_dt(geom) if dt == "auto" else float(dt)
     if dt_val <= 0:
         raise ValueError("dt must be positive")
     stepper = step_explicit if integrator == "explicit" else step_imex
@@ -403,7 +391,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     recent = [e_first]
 
     while True:
-        if detect_blowup(state, ledger):
+        if detect_blowup(state):
             traj.outcome = "blowup"
             break
         if len(recent) > plateau_window:

@@ -6,11 +6,12 @@ value against its bound.  ``crflow check`` runs the entries in order, and
 the acceptance gate (``tests/test_acceptance.py``) runs the entries that
 each of its eleven criteria covers.
 
-There is one scale: the 32x32 sector, the 64-cell sphere and the 16^3
-lattice, with the reference RK4 runs on data seeds 3-5 computed once per
-process.  The manifold checks and the positivity check keep their small
-geometries; their 8x8x16 lattice is the one whose x-wrap twist moves by
-half a tau period, where the 16^3 lattice's twist is a whole period.
+There is one scale: the 32x32 sector, the 64-cell sphere and the
+16x16x32 lattice (tau period 0.5), with the reference RK4 runs on data
+seeds 3-5 computed once per process.  The lattice's x-wrap twist moves
+by half a tau period, so every check on it exercises the twisted
+identification.  The manifold checks and the positivity check keep their
+small geometries, whose 8x8x16 lattice also twists by half a period.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import tempfile
 import numpy as np
 
 from . import cli, flow, inversion
-from .conventions import DEFAULT_LEDGER
+from .conventions import DEFAULT_LEDGER, SPHERE_KAPPA, YAMABE_COEFFICIENT
 from .manifold import (
     HEISENBERG_LATTICE,
     HEISENBERG_SECTOR,
@@ -66,7 +67,7 @@ def _sphere(n: int = 64):
     return build_geometry({"kind": SPHERE_REDUCED, "resolution": [n], "periods": [1.0]})
 
 
-def _lattice(resolution=(16, 16, 16), lt: float = 0.25):
+def _lattice(resolution=(16, 16, 32), lt: float = 0.5):
     return build_geometry(
         {
             "kind": HEISENBERG_LATTICE,
@@ -171,7 +172,7 @@ def _twisted_periodicity():
 def _sphere_measure():
     geom = _sphere(64)
     fine = _sphere(128)
-    kappa = DEFAULT_LEDGER.sphere_kappa
+    kappa = SPHERE_KAPPA
     s64 = geom.axes()[0]
     s128 = fine.axes()[0]
     const = abs(integrate(ScalarField(geom, np.ones(64))) - kappa)
@@ -285,7 +286,7 @@ def _covariance_residual(n: int) -> float:
     u = np.exp(lam_v)
     lhs = yamabe_apply(lam, phi).values
     uphi = ScalarField(geom, u * phi_v)
-    b = DEFAULT_LEDGER.yamabe_coefficient
+    b = YAMABE_COEFFICIENT
     rhs = np.exp(-3.0 * lam_v) * (
         b * sublap(uphi).values + geom.background_curvature * u * phi_v
     )
@@ -411,7 +412,7 @@ def _shift_invariance():
 
 def _sector_closure():
     geom3 = _lattice()
-    geom2 = _sector(16, t_fiber=0.25)
+    geom2 = _sector(16, t_fiber=0.5)
     lam2 = _smooth(geom2, 3, 0.1, 3)
     lam3 = ScalarField(
         geom3, np.repeat(lam2.values[:, :, None], geom3.resolution[2], axis=2)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .conventions import DEFAULT_LEDGER
+from .conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
 
 HEISENBERG_SECTOR = "HeisenbergSector2D"
 HEISENBERG_LATTICE = "HeisenbergLattice3D"
@@ -282,7 +282,6 @@ def build_geometry(config: dict) -> ModelGeometry:
     kind = config.get("kind")
     if kind not in KNOWN_KINDS:
         raise GeometryError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
-    ledger = DEFAULT_LEDGER
 
     if kind == SPHERE_REDUCED:
         (n,) = _as_int_tuple(config.get("resolution", 64), 1, "resolution")
@@ -293,7 +292,7 @@ def build_geometry(config: dict) -> ModelGeometry:
             kind=kind,
             resolution=(n,),
             periods=(1.0,),
-            cell_volume_weight=ledger.sphere_kappa,
+            cell_volume_weight=SPHERE_KAPPA,
             background_curvature=calibrate_sphere_curvature(),
         )
         geom.spacing = (1.0 / n,)
@@ -326,7 +325,7 @@ def build_geometry(config: dict) -> ModelGeometry:
             kind=kind,
             resolution=resolution,
             periods=(px, py, t_fiber),
-            cell_volume_weight=ledger.heisenberg_volume_weight,
+            cell_volume_weight=HEISENBERG_VOLUME_WEIGHT,
             background_curvature=0.0,
         )
         geom.spacing = (px / nx, py / ny)
@@ -357,7 +356,7 @@ def build_geometry(config: dict) -> ModelGeometry:
         kind=kind,
         resolution=resolution,
         periods=periods,
-        cell_volume_weight=ledger.heisenberg_volume_weight,
+        cell_volume_weight=HEISENBERG_VOLUME_WEIGHT,
         background_curvature=0.0,
         t_wrap_shift=s_unit * nx,
     )

@@ -12,7 +12,7 @@ exact discrete properties the whole scheme rests on:
   e^{4 lambda}-weighted mean (telescoping edge sums), which is what
   keeps the flow's volume conservation exact at the semi-discrete level.
 
-Conventions (see ``conventions.ConventionLedger``): the sublaplacian is
+Conventions (see ``crflow.conventions``): the sublaplacian is
 positive, -(X^2 + Y^2)/2 on the flat group and -c_s (s(1-s) f')' with
 c_s = 8 on the reduced sphere; the covariant second-order operator is
 L = 4 * sublap + W; curvature of a rescaled structure e^{2 lambda} is
@@ -30,7 +30,8 @@ import math
 
 import numpy as np
 
-from .conventions import ConventionLedger, DEFAULT_LEDGER
+from .conventions import (CG_MAX_ITER, CG_TOL, HEISENBERG_HORIZONTAL_FACTOR,
+                          SPHERE_CS, YAMABE_COEFFICIENT)
 from .manifold import (
     HEISENBERG_SECTOR,
     SPHERE_REDUCED,
@@ -40,7 +41,6 @@ from .manifold import (
 )
 
 __all__ = [
-    "ConventionLedger",
     "CalibrationError",
     "LinearSolveError",
     "horiz_derivs",
@@ -74,8 +74,7 @@ def _sphere_faces(n: int):
     return faces * (1.0 - faces)        # degenerate weight, 0 at both ends
 
 
-def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None,
-                     ledger: ConventionLedger = DEFAULT_LEDGER) -> np.ndarray:
+def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     """Apply the (possibly weighted) positive sublaplacian to raw values.
 
     ``g`` is the cell array of conformal weights e^{2 lambda}; ``None``
@@ -92,7 +91,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None,
             d = (0.5 * (g[1:] + g[:-1])) * d
         flux = np.zeros(n + 1)
         flux[1:-1] = mu[1:-1] * d / ds
-        return -ledger.sphere_cs * np.diff(flux) / ds
+        return -SPHERE_CS * np.diff(flux) / ds
 
     acc = np.zeros_like(v)
     for axis in (0, 1):
@@ -105,10 +104,10 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None,
             wp = 0.5 * (g + geom.shift(g, axis, 1))
             wm = 0.5 * (g + geom.shift(g, axis, -1))
             acc += (wp * (fp - v) - wm * (v - fm)) / (d * d)
-    return -ledger.heisenberg_horizontal_factor * acc
+    return -HEISENBERG_HORIZONTAL_FACTOR * acc
 
 
-def sublap(f: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+def sublap(f: ScalarField) -> ScalarField:
     """Positive background sublaplacian of f.
 
     Flat kinds: -(X^2 + Y^2)/2 through the frame-flow shifts (the plain
@@ -118,11 +117,10 @@ def sublap(f: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarF
     """
     if not f.is_finite():
         raise ValueError("sublap: non-finite field values")
-    return ScalarField(f.geometry, _div_form_values(f.geometry, f.values, None, ledger))
+    return ScalarField(f.geometry, _div_form_values(f.geometry, f.values))
 
 
-def conformal_sublap(lam: ScalarField, f: ScalarField,
-                     ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
     """Positive sublaplacian of the rescaled structure e^{2 lambda}.
 
     Weak form: the operator whose e^{4 lambda}-weighted pairing with g
@@ -136,7 +134,7 @@ def conformal_sublap(lam: ScalarField, f: ScalarField,
         raise GeometryError("conformal_sublap: fields on different geometries")
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * lam.values)
-        num = _div_form_values(f.geometry, f.values, g, ledger)
+        num = _div_form_values(f.geometry, f.values, g)
         out = num * np.exp(-4.0 * lam.values)
     return ScalarField(f.geometry, out)
 
@@ -165,8 +163,7 @@ def horiz_derivs(f: ScalarField):
 # curvature
 
 
-def _webster_core(geom: ModelGeometry, lam_values: np.ndarray,
-                  ledger: ConventionLedger):
+def _webster_core(geom: ModelGeometry, lam_values: np.ndarray):
     """Shared curvature assembly: returns (u, m2, em3, w) with u = e^lam,
     m2 = e^{-2 lam}, em3 = e^{-3 lam} and w the curvature values.
 
@@ -178,14 +175,12 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray,
         u = np.exp(lam_values)
         m2 = np.exp(-2.0 * lam_values)
         em3 = np.exp(-3.0 * lam_values)
-        w = em3 * (ledger.yamabe_coefficient
-                   * _div_form_values(geom, u, None, ledger)) \
+        w = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, u)) \
             + geom.background_curvature * m2
     return u, m2, em3, w
 
 
-def webster_curvature(lam: ScalarField,
-                      ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+def webster_curvature(lam: ScalarField) -> ScalarField:
     """Scalar curvature of the rescaled structure e^{2 lambda}.
 
     Conformal-change identity with u = e^lambda:
@@ -198,7 +193,7 @@ def webster_curvature(lam: ScalarField,
     """
     if not lam.is_finite():
         raise ValueError("webster_curvature: non-finite conformal exponent")
-    _, _, _, w = _webster_core(lam.geometry, lam.values, ledger)
+    _, _, _, w = _webster_core(lam.geometry, lam.values)
     return ScalarField(lam.geometry, w)
 
 
@@ -238,8 +233,8 @@ def webster_pointwise(u, p, h: float, order: int = 2) -> float:
         d2x = (-sx[3] + 16.0 * sx[2] - 30.0 * u0 + 16.0 * sx[1] - sx[0]) / (12.0 * h * h)
         d2y = (-sy[3] + 16.0 * sy[2] - 30.0 * u0 + 16.0 * sy[1] - sy[0]) / (12.0 * h * h)
 
-    sublap_u = -0.5 * (d2x + d2y)       # flat model: background term is zero
-    return 4.0 * sublap_u / u0**3
+    sublap_u = -HEISENBERG_HORIZONTAL_FACTOR * (d2x + d2y)   # flat: no background
+    return YAMABE_COEFFICIENT * sublap_u / u0**3
 
 
 def extremal_profile(t, x, y):
@@ -309,37 +304,33 @@ def calibrate_sphere_curvature(candidate=None, n_points: int = 128,
     return mean
 
 
-def yamabe_apply(lam: ScalarField, phi: ScalarField,
-                 ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
     """Covariant second-order operator of the rescaled structure:
     4 * conformal_sublap(lambda, phi) + W(lambda) * phi."""
     if lam.geometry is not phi.geometry:
         raise GeometryError("yamabe_apply: fields on different geometries")
-    w = webster_curvature(lam, ledger)
-    lap = conformal_sublap(lam, phi, ledger)
+    w = webster_curvature(lam)
+    lap = conformal_sublap(lam, phi)
     return ScalarField(phi.geometry,
-                       ledger.yamabe_coefficient * lap.values + w.values * phi.values)
+                       YAMABE_COEFFICIENT * lap.values + w.values * phi.values)
 
 
-def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
-                 max_iter: int | None = None,
-                 ledger: ConventionLedger = DEFAULT_LEDGER,
-                 preconditioner=None) -> ScalarField:
+def linear_solve(operator, rhs: ScalarField, tol: float = CG_TOL,
+                 max_iter: int = CG_MAX_ITER, preconditioner=None) -> ScalarField:
     """Conjugate-gradient solve of a symmetric positive (semi)definite
     grid operator; deterministic.
 
-    ``operator`` maps a value array to a value array.  ``preconditioner``,
-    if given, maps a residual array to an approximation of the operator's
-    inverse applied to it (symmetric positive definite), which makes this
-    preconditioned CG; with the exact inverse (``shifted_bilap_inverse``)
+    ``operator`` maps a value array to a value array.  ``preconditioner``
+    maps a residual array to an approximation of the operator's inverse
+    applied to it (symmetric positive definite); ``None`` is the identity,
+    which is plain CG.  With the exact inverse (``shifted_bilap_inverse``)
     the solve converges after one operator application.  Either way
     convergence is the true relative residual ||b - A x|| <= tol ||b||,
     so the preconditioner can never silently degrade a solve; failure
     raises ``LinearSolveError`` (an inconsistent right-hand side on a
     singular operator lands here).
     """
-    tol = ledger.cg_tol if tol is None else float(tol)
-    max_iter = ledger.cg_max_iter if max_iter is None else int(max_iter)
+    precondition = preconditioner or (lambda v: v)
     geom = rhs.geometry
     b = rhs.values
     bnorm = float(np.sqrt(np.vdot(b, b).real))
@@ -348,8 +339,8 @@ def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
     x = np.zeros_like(b)
     r = b.copy()
     rs = float(np.vdot(r, r).real)
-    z = r if preconditioner is None else preconditioner(r)
-    rz = rs if preconditioner is None else float(np.vdot(r, z).real)
+    z = precondition(r)
+    rz = float(np.vdot(r, z).real)
     p = z.copy()
     for _ in range(max_iter):
         ap = operator(p)
@@ -364,11 +355,8 @@ def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
         rs = float(np.vdot(r, r).real)
         if np.sqrt(rs) <= tol * bnorm:
             return ScalarField(geom, x)
-        if preconditioner is None:
-            z, rz_new = r, rs
-        else:
-            z = preconditioner(r)
-            rz_new = float(np.vdot(r, z).real)
+        z = precondition(r)
+        rz_new = float(np.vdot(r, z).real)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise LinearSolveError(
@@ -377,13 +365,13 @@ def linear_solve(operator, rhs: ScalarField, tol: float | None = None,
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_eigenbasis(n: int, ds: float, cs: float):
+def _sphere_eigenbasis(n: int, ds: float):
     """Eigenvalues and orthonormal eigenvectors of the background sphere
     sublaplacian, the symmetric tridiagonal matrix that
     ``_div_form_values`` applies (degenerate face weights, no boundary
     condition).  Cached per grid; read-only."""
     mu = _sphere_faces(n)
-    a = (cs / (ds * ds)) * (np.diag(mu[:-1] + mu[1:])
+    a = (SPHERE_CS / (ds * ds)) * (np.diag(mu[:-1] + mu[1:])
                             - np.diag(mu[1:-1], 1) - np.diag(mu[1:-1], -1))
     evals, evecs = np.linalg.eigh(a)
     evals.setflags(write=False)
@@ -391,8 +379,7 @@ def _sphere_eigenbasis(n: int, ds: float, cs: float):
     return evals, evecs
 
 
-def shifted_bilap_inverse(geom: ModelGeometry, s: float,
-                          ledger: ConventionLedger = DEFAULT_LEDGER):
+def shifted_bilap_inverse(geom: ModelGeometry, s: float):
     """Exact inverse of v -> v + s * sublap(sublap(v)) from the operator's
     structure, as a function of value arrays; ``None`` where no such
     structure is used.
@@ -409,7 +396,7 @@ def shifted_bilap_inverse(geom: ModelGeometry, s: float,
 
         nx, ny = geom.resolution
         dx, dy = geom.spacing
-        h = ledger.heisenberg_horizontal_factor
+        h = HEISENBERG_HORIZONTAL_FACTOR
         sx = np.sin(np.pi * np.arange(nx) / nx)[:, None]
         sy = np.sin(np.pi * np.arange(ny // 2 + 1) / ny)[None, :]   # rfft half
         sig = h * (4.0 * sx * sx / (dx * dx) + 4.0 * sy * sy / (dy * dy))
@@ -420,8 +407,7 @@ def shifted_bilap_inverse(geom: ModelGeometry, s: float,
 
         return solve
     if geom.kind == SPHERE_REDUCED:
-        evals, evecs = _sphere_eigenbasis(geom.resolution[0], geom.spacing[0],
-                                          ledger.sphere_cs)
+        evals, evecs = _sphere_eigenbasis(geom.resolution[0], geom.spacing[0])
         gain = 1.0 / (1.0 + s * evals * evals)
 
         def solve(v: np.ndarray) -> np.ndarray:
@@ -431,13 +417,14 @@ def shifted_bilap_inverse(geom: ModelGeometry, s: float,
     return None
 
 
-def stability_symbol_max(geom: ModelGeometry,
-                         ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+def stability_symbol_max(geom: ModelGeometry) -> float:
     """Sharp upper bound on the spectrum of the background sublaplacian
-    (used for explicit step-size control)."""
+    (used for explicit step-size control): on the flat kinds the symbol
+    h * sum_axis 4 sin^2(.) / d_a^2 at its largest."""
     if geom.kind == SPHERE_REDUCED:
         mu = _sphere_faces(geom.resolution[0])
         ds = geom.spacing[0]
-        return float(ledger.sphere_cs * (mu[:-1] + mu[1:]).max() / (ds * ds))
+        return float(SPHERE_CS * (mu[:-1] + mu[1:]).max() / (ds * ds))
     dx, dy = geom.spacing[0], geom.spacing[1]
-    return float(2.0 / (dx * dx) + 2.0 / (dy * dy))
+    h = HEISENBERG_HORIZONTAL_FACTOR
+    return float(4.0 * h / (dx * dx) + 4.0 * h / (dy * dy))

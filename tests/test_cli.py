@@ -105,6 +105,16 @@ def test_config_must_be_an_object():
         {"snapshot_every": True},
         {"max_time": True},
         {"plateau_tol": True},
+        {"plateau_tol": math.inf},
+        {"conventions": {"flow_sign": "up"}},
+        {"conventions": {"flow_sign": 2.0}},
+        {"conventions": {"flow_sign": True}},
+        {"conventions": {"cg_max_iter": "many"}},
+        {"conventions": {"cg_max_iter": 2.5}},
+        {"conventions": {"cg_max_iter": 0}},
+        {"conventions": {"cg_max_iter": True}},
+        {"conventions": {"sphere_kappa": 1.0}},
+        {"conventions": {"heisenberg_volume_weight": 8.0}},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):

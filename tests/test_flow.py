@@ -20,7 +20,14 @@ from crflow import (
     step_explicit,
     volume,
 )
-from crflow.conventions import DEFAULT_LEDGER
+from crflow.conventions import (
+    BLOWUP_THRESHOLD,
+    C_STAB,
+    DEFAULT_LEDGER,
+    PLATEAU_WINDOW,
+    SPHERE_KAPPA,
+    YAMABE_COEFFICIENT,
+)
 from crflow.flow import detect_blowup, make_state
 
 
@@ -68,7 +75,7 @@ def test_volume_closed_form_on_constants():
         4.0 * math.exp(4.0 * c), rel=1e-14
     )
     # sphere: total measure kappa
-    kappa = DEFAULT_LEDGER.sphere_kappa
+    kappa = SPHERE_KAPPA
     assert volume(constant(sphere(), c)) == pytest.approx(
         kappa * math.exp(4.0 * c), rel=1e-14
     )
@@ -89,7 +96,7 @@ def test_heisenberg_constant_energy_is_exactly_zero():
 
 def test_sphere_constant_energy_matches_background():
     geom = sphere()
-    kappa = DEFAULT_LEDGER.sphere_kappa
+    kappa = SPHERE_KAPPA
     w0 = geom.background_curvature
     for c in (0.0, 0.3):
         assert energy(constant(geom, c)) == pytest.approx(kappa * w0**2, rel=1e-13)
@@ -159,12 +166,11 @@ def test_rhs_flags_non_finite_states():
 
 
 def test_auto_dt_matches_the_symbol_formula():
-    ledger = DEFAULT_LEDGER
     for make in (sector, sphere, lattice):
         geom = make()
         sigma = stability_symbol_max(geom)
-        damping = ledger.c_stab * sigma**2 + (
-            ledger.yamabe_coefficient
+        damping = C_STAB * sigma**2 + (
+            YAMABE_COEFFICIENT
             * 4.0
             * abs(geom.background_curvature)
             * sigma
@@ -250,11 +256,11 @@ def test_solver_failure_ends_the_run_with_the_accepted_steps():
 
 def test_detect_blowup_on_threshold_crossing():
     geom = sector(8)
-    tall = constant(geom, DEFAULT_LEDGER.blowup_threshold + 1.0)
+    tall = constant(geom, BLOWUP_THRESHOLD + 1.0)
     state = make_state(tall, 0.0, 0, 1e-9, DEFAULT_LEDGER)
-    assert detect_blowup(state, DEFAULT_LEDGER)
+    assert detect_blowup(state)
     ok = make_state(constant(geom, 0.1), 0.0, 0, 1e-9, DEFAULT_LEDGER)
-    assert not detect_blowup(ok, DEFAULT_LEDGER)
+    assert not detect_blowup(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +272,7 @@ def test_zero_data_plateaus_at_the_window():
     lam0 = constant(geom, 0.0)
     traj = run(geom, lam0, dt=1e-9, max_time=1.0, max_steps=500)
     assert traj.outcome == "plateau"
-    assert len(traj.times) - 1 == DEFAULT_LEDGER.plateau_window
+    assert len(traj.times) - 1 == PLATEAU_WINDOW
     assert all(e == 0.0 for e in traj.energies)
 
 

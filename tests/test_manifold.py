@@ -14,7 +14,7 @@ from crflow import (
     lattice_mode,
     weighted_integral,
 )
-from crflow.conventions import DEFAULT_LEDGER
+from crflow.conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
 
 
 def sector(n=16, periods=(1.0, 1.0), t_fiber=1.0):
@@ -161,7 +161,7 @@ def test_weighted_integral_tolerates_overflowed_weights():
 
 
 def test_sphere_measure_constants_and_linears_exact():
-    kappa = DEFAULT_LEDGER.sphere_kappa
+    kappa = SPHERE_KAPPA
     geom = sphere(64)
     s = geom.axes()[0]
     assert integrate(ScalarField(geom, np.ones(64))) == pytest.approx(kappa, rel=1e-15)
@@ -170,7 +170,7 @@ def test_sphere_measure_constants_and_linears_exact():
 
 @pytest.mark.parametrize("power, exact_fraction", [(2, 1.0 / 3.0), (3, 1.0 / 4.0)])
 def test_sphere_measure_polynomials_refine_at_second_order(power, exact_fraction):
-    kappa = DEFAULT_LEDGER.sphere_kappa
+    kappa = SPHERE_KAPPA
     errs = {}
     for n in (64, 128):
         geom = sphere(n)
@@ -184,9 +184,7 @@ def test_heisenberg_volume_carries_fiber_and_weight():
     # volume element 4 * dx dy dt: a unit box with half fiber gives 4 * 1/2
     geom = sector(8, t_fiber=0.5)
     total = integrate(ScalarField(geom, np.ones((8, 8))))
-    assert total == pytest.approx(
-        DEFAULT_LEDGER.heisenberg_volume_weight * 0.5, rel=1e-15
-    )
+    assert total == pytest.approx(HEISENBERG_VOLUME_WEIGHT * 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from crflow import (
     webster_pointwise,
     yamabe_apply,
 )
-from crflow.conventions import DEFAULT_LEDGER
+from crflow.conventions import (
+    C_STAB,
+    HEISENBERG_HORIZONTAL_FACTOR,
+    SPHERE_CS,
+    YAMABE_COEFFICIENT,
+)
 from crflow.operators import _div_form_values, shifted_bilap_inverse
 
 
@@ -82,7 +87,7 @@ def test_sphere_stencil_exact_on_linear_profiles():
     geom = sphere(64)
     s = geom.axes()[0]
     out = sublap(ScalarField(geom, s)).values
-    c_s = DEFAULT_LEDGER.sphere_cs
+    c_s = SPHERE_CS
     expected = -c_s * (1.0 - 2.0 * s)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -94,7 +99,7 @@ def test_sphere_stencil_quadratic_defect_is_the_exact_grid_term():
     geom = sphere(n)
     s = geom.axes()[0]
     out = sublap(ScalarField(geom, s**2)).values
-    continuum = -DEFAULT_LEDGER.sphere_cs * (4.0 * s - 6.0 * s**2)
+    continuum = -SPHERE_CS * (4.0 * s - 6.0 * s**2)
     defect = out - continuum
     np.testing.assert_allclose(defect, 4.0 / n**2, rtol=1e-10)
 
@@ -285,7 +290,7 @@ def test_sphere_geometry_carries_the_calibrated_constant():
 
 
 def test_yamabe_apply_covariance_residual_refines_at_second_order():
-    b = DEFAULT_LEDGER.yamabe_coefficient
+    b = YAMABE_COEFFICIENT
     residuals = {}
     for n in (16, 32, 64):
         geom = sector(n)
@@ -379,7 +384,7 @@ def test_fourier_modes_diagonalize_the_sector_stencil(kx, ky):
     )
     nx, ny = geom.resolution
     dx, dy = geom.spacing
-    h = DEFAULT_LEDGER.heisenberg_horizontal_factor
+    h = HEISENBERG_HORIZONTAL_FACTOR
     i, j = np.indices((nx, ny))
     mode = np.exp(2j * np.pi * (kx * i / nx + ky * j / ny))
     sigma = h * (4.0 * math.sin(math.pi * kx / nx) ** 2 / dx**2
@@ -393,7 +398,7 @@ def test_fourier_modes_diagonalize_the_sector_stencil(kx, ky):
                          ids=["sector", "sphere"])
 def test_exact_preconditioner_solves_in_one_matvec(make, mult):
     geom = make()
-    s = mult * auto_dt(geom) * DEFAULT_LEDGER.c_stab
+    s = mult * auto_dt(geom) * C_STAB
     matvecs = []
 
     def operator(v):
