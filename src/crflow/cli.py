@@ -85,6 +85,8 @@ _CSV_COLUMNS = (
     "w_min",
     "w_max",
     "dissipation",
+    "lam_max",
+    "lam_argmax",
 )
 _INTEGRATORS = ("explicit", "imex")
 
@@ -254,6 +256,8 @@ def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
                     _fmt(diag.w_min),
                     _fmt(diag.w_max),
                     _fmt(diag.dissipation),
+                    _fmt(diag.lam_max),
+                    diag.lam_argmax,
                 ]
             )
 
@@ -329,10 +333,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "outcome": traj.outcome,
         "n_steps": len(traj.times) - 1,
         "final_time": traj.times[-1],
-        "final": final.as_dict(),
-        "argmax_lambda_trace": [
-            [step, list(loc), value] for step, loc, value in traj.argmax_trace
-        ],
+        "final": dataclasses.asdict(final),
         "bondi_sup_rate": traj.bondi_sup_rate,
         "wall_time_seconds": wall,
     }

@@ -66,7 +66,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-step scalar monitors of a flow state."""
+    """Per-step scalar monitors of a flow state.
+
+    ``lam_max`` is max |lambda| and ``lam_argmax`` its flat C-order cell
+    index; non-finite cells rank highest, so the record still localizes
+    an incipient singularity.
+    """
 
     volume: float
     energy: float
@@ -75,17 +80,8 @@ class Diagnostics:
     w_max: float
     dissipation: float
     overflow_flag: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "energy": self.energy,
-            "bondi": self.bondi,
-            "w_min": self.w_min,
-            "w_max": self.w_max,
-            "dissipation": self.dissipation,
-            "overflow_flag": self.overflow_flag,
-        }
+    lam_max: float
+    lam_argmax: int
 
 
 @dataclass
@@ -111,9 +107,7 @@ class Trajectory:
     dt: float
     times: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
-    argmax_trace: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    bondi_sup_rate: float = float("-inf")
     final_state: FlowState | None = None
     solver_error: str | None = None
 
@@ -124,6 +118,16 @@ class Trajectory:
     @property
     def volumes(self):
         return [d.volume for d in self.diagnostics]
+
+    @property
+    def bondi_sup_rate(self) -> float:
+        """Supremum of the per-step rate (bondi[k] - bondi[k-1]) / dt:
+        +inf once any rate is non-finite, -inf before the first step."""
+        b = [d.bondi for d in self.diagnostics]
+        rates = [(b1 - b0) / self.dt for b0, b1 in zip(b, b[1:])]
+        if not all(math.isfinite(r) for r in rates):
+            return float("inf")
+        return max(rates, default=float("-inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +214,6 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
 # states and diagnostics
 
 
-def _argmax_location(lam: ScalarField):
-    """Indices and value of the largest |lambda|; non-finite cells rank
-    highest, so the trace still localizes an incipient singularity."""
-    vals = np.abs(lam.values)
-    ranked = np.where(np.isnan(vals), np.inf, vals)  # NaN counts as blown
-    flat = int(np.argmax(ranked))
-    loc = tuple(int(c) for c in np.unravel_index(flat, vals.shape))
-    return loc, float(vals.reshape(-1)[flat])
-
-
 def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
                ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
     """Assemble a FlowState with freshly computed diagnostics."""
@@ -235,10 +229,13 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
         finite_w = np.isfinite(w)
         w_min = float(w.min()) if finite_w.all() else float("nan")
         w_max = float(w.max()) if finite_w.all() else float("nan")
+        abs_lam = np.abs(lam.values)
+        argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
     overflow = not (np.isfinite(vol) and np.isfinite(ene) and np.isfinite(bon)
                     and finite_w.all() and np.isfinite(rhs).all())
     diag = Diagnostics(volume=vol, energy=ene, bondi=bon, w_min=w_min,
-                       w_max=w_max, dissipation=dis, overflow_flag=overflow)
+                       w_max=w_max, dissipation=dis, overflow_flag=overflow,
+                       lam_max=float(abs_lam.flat[argmax]), lam_argmax=argmax)
     return FlowState(lam=lam, time=time, step_index=step_index, dt=dt,
                      diagnostics=diag)
 
@@ -246,11 +243,9 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
 def detect_blowup(state: FlowState) -> bool:
     """True iff the state is non-finite or |lambda| exceeds the
     classification threshold (chosen so e^{4 lambda} is still
-    representable: classify before NaN contamination)."""
-    v = state.lam.values
-    if not np.isfinite(v).all():
-        return True
-    return bool(np.abs(v).max() > BLOWUP_THRESHOLD)
+    representable: classify before NaN contamination).  Reads the
+    recorded max |lambda|, which is non-finite iff the state is."""
+    return not state.diagnostics.lam_max <= BLOWUP_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -368,44 +363,30 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
 
     state = make_state(lam0, 0.0, 0, dt_val, ledger)
     traj = Trajectory(outcome="max_time", dt=dt_val)
-    last_bondi = state.diagnostics.bondi
 
     def record(st: FlowState) -> None:
-        nonlocal last_bondi
         traj.times.append(st.time)
         traj.diagnostics.append(st.diagnostics)
-        loc, peak = _argmax_location(st.lam)
-        traj.argmax_trace.append((st.step_index, loc, peak))
-        if st.step_index > 0:
-            rate = (st.diagnostics.bondi - last_bondi) / st.dt
-            if np.isfinite(rate):
-                traj.bondi_sup_rate = max(traj.bondi_sup_rate, rate)
-            else:
-                traj.bondi_sup_rate = float("inf")
-        last_bondi = st.diagnostics.bondi
         if snapshot_every > 0 and st.step_index % snapshot_every == 0:
             traj.snapshots.append((st.step_index, st.lam.copy()))
 
     record(state)
     e_first = state.diagnostics.energy
-    recent = [e_first]
+    quiet = 0  # consecutive steps whose relative energy change is below tol
 
     while True:
         if detect_blowup(state):
             traj.outcome = "blowup"
             break
-        if len(recent) > plateau_window:
-            rel_steps = [abs(recent[i + 1] - recent[i])
-                         / max(abs(recent[i]), _PLATEAU_FLOOR)
-                         for i in range(len(recent) - 1)]
-            if max(rel_steps) < plateau_tol:
-                dropped = state.diagnostics.energy < 0.99 * e_first
-                traj.outcome = "converged" if dropped else "plateau"
-                break
+        if quiet >= plateau_window:
+            dropped = state.diagnostics.energy < 0.99 * e_first
+            traj.outcome = "converged" if dropped else "plateau"
+            break
         if (state.step_index >= max_steps
                 or state.time + dt_val > max_time * (1.0 + 1e-12)):
             traj.outcome = "max_time"
             break
+        e_old = state.diagnostics.energy
         try:
             state = stepper(state, dt_val, ledger)
         except LinearSolveError as exc:
@@ -413,9 +394,8 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
             traj.solver_error = str(exc)
             break
         record(state)
-        recent.append(state.diagnostics.energy)
-        if len(recent) > plateau_window + 1:
-            recent.pop(0)
+        rel = abs(state.diagnostics.energy - e_old) / max(abs(e_old), _PLATEAU_FLOOR)
+        quiet = quiet + 1 if rel < plateau_tol else 0  # a NaN change is never quiet
 
     if snapshot_every > 0 and (not traj.snapshots
                                or traj.snapshots[-1][0] != state.step_index):

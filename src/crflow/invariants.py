@@ -448,10 +448,8 @@ def _blowup_taxonomy():
         geom, _smooth(geom, 7, 0.15, 2), dt=5e-10, max_time=1.0,
         max_steps=20000, ledger=probe,
     )
-    finite_trace = [
-        (loc, peak) for _, loc, peak in traj.argmax_trace if np.isfinite(peak)
-    ]
-    cells = {loc for loc, _ in finite_trace[-5:]}
+    finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
+    cells = {d.lam_argmax for d in finite[-5:]}
     blew_up = traj.outcome == "blowup" and len(traj.times) - 1 < 20000
     localized = len(cells) <= 3
 

@@ -43,6 +43,9 @@ integrate exactly linearly.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -223,47 +226,41 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.geometry, self.values.copy())
 
-    def _coerce(self, other):
-        if isinstance(other, ScalarField):
-            if other.geometry is not self.geometry:
-                raise GeometryError("field arithmetic requires the identical geometry")
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return ScalarField(self.geometry, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ScalarField(self.geometry, self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return ScalarField(self.geometry, self._coerce(other) - self.values)
-
-    def __mul__(self, other):
-        return ScalarField(self.geometry, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.geometry, -self.values)
-
 
 # ---------------------------------------------------------------------------
 # construction
 
 
+def _as_int(value, what) -> int:
+    """An integer (or an integral float such as 3.0) from a JSON value."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)) \
+            or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise GeometryError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_int_tuple(value, n_axes, what):
-    if np.isscalar(value):
+    if not isinstance(value, (list, tuple, np.ndarray)):
         value = [value] * n_axes
-    try:
-        out = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise GeometryError(f"{what} must be integer(s)")
+    out = tuple(_as_int(v, what) for v in value)
     if len(out) != n_axes:
         raise GeometryError(f"{what} must have {n_axes} entries, got {len(out)}")
     return out
+
+
+def _as_finite(value, what) -> float:
+    """A finite real number from a JSON value (booleans and strings refused)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise GeometryError(f"{what} must be a finite number, got {value!r}")
+
+
+def _as_finite_tuple(value, n_axes, what):
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != n_axes:
+        raise GeometryError(f"{what} must be a list of {n_axes} numbers, got {value!r}")
+    return tuple(_as_finite(v, what) for v in value)
 
 
 def build_geometry(config: dict) -> ModelGeometry:
@@ -305,18 +302,12 @@ def build_geometry(config: dict) -> ModelGeometry:
         raise GeometryError(
             f"resolution too small: {resolution} (minimum {MIN_RESOLUTION} per axis)")
 
-    periods_in = config.get("periods", [1.0] * n_axes)
-    try:
-        periods = tuple(float(p) for p in periods_in)
-    except (TypeError, ValueError):
-        raise GeometryError("periods must be numbers")
-    if len(periods) != n_axes:
-        raise GeometryError(f"periods must have {n_axes} entries")
+    periods = _as_finite_tuple(config.get("periods", [1.0] * n_axes), n_axes, "periods")
     if min(periods) <= 0:
         raise GeometryError("periods must be positive")
 
     if kind == HEISENBERG_SECTOR:
-        t_fiber = float(config.get("t_fiber", 1.0))
+        t_fiber = _as_finite(config.get("t_fiber", 1.0), "t_fiber")
         if t_fiber <= 0:
             raise GeometryError("t_fiber must be positive")
         px, py = periods
@@ -382,16 +373,6 @@ def integrate(f: ScalarField) -> float:
     return float(f.values.sum()) * f.geometry.cell_weight()
 
 
-def weighted_integral(f: ScalarField, weights: np.ndarray) -> float:
-    """Integral of f against ``weights`` times the background volume form.
-
-    Used for the volume-form factors of a rescaled structure; unlike
-    ``integrate`` it tolerates non-finite weights (overflow is the
-    caller's blow-up signal, not an error here).
-    """
-    return float((f.values * weights).sum()) * f.geometry.cell_weight()
-
-
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -417,34 +398,34 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
     kind = spec["kind"]
 
     if kind == "constant":
-        value = float(spec.get("value", 0.0))
-        if not np.isfinite(value):
-            raise GeometryError("constant initial data must be finite")
-        return geom.constant(value)
+        return geom.constant(_as_finite(spec.get("value", 0.0), "constant value"))
 
     if kind == "random":
-        seed = int(spec.get("seed", 0))
-        amplitude = float(spec.get("amplitude", 0.1))
-        cutoff = int(spec.get("cutoff", 4))
-        if not np.isfinite(amplitude):
-            raise GeometryError("amplitude must be finite")
+        seed = _as_int(spec.get("seed", 0), "seed")
+        amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
+        cutoff = _as_int(spec.get("cutoff", 4), "cutoff")
         if cutoff < 1:
             raise GeometryError("cutoff frequency must be >= 1")
         if geom.kind == SPHERE_REDUCED:
             return ScalarField(geom, _random_sphere(geom, seed, amplitude, cutoff))
         if geom.kind == HEISENBERG_SECTOR:
             return ScalarField(geom, _random_planar(geom, seed, amplitude, cutoff))
-        cutoff_t = int(spec.get("cutoff_t", 0))
+        cutoff_t = _as_int(spec.get("cutoff_t", 0), "cutoff_t")
         xs = geom.axes()[0]
         return ScalarField(
             geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t, xs))
 
     if kind == "bump":
-        amplitude = float(spec.get("amplitude", 0.1))
-        width = float(spec.get("width", 0.15))
+        amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
+        width = _as_finite(spec.get("width", 0.15), "bump width")
         if width <= 0:
             raise GeometryError("bump width must be positive")
-        return ScalarField(geom, _bump(geom, spec, amplitude, width))
+        if geom.kind == SPHERE_REDUCED:
+            center = _as_finite_tuple(spec.get("center", [0.5]), 1, "bump center")
+        else:
+            default = [0.5 * geom.periods[0], 0.5 * geom.periods[1]]
+            center = _as_finite_tuple(spec.get("center", default), 2, "bump center")
+        return ScalarField(geom, _bump(geom, center, amplitude, width))
 
     raise GeometryError(f"unknown initial-data kind {kind!r}")
 
@@ -553,15 +534,12 @@ def _random_lattice(geom, seed, amplitude, cutoff, cutoff_t, xs):
     return out
 
 
-def _bump(geom, spec, amplitude, width):
+def _bump(geom, center, amplitude, width):
     if geom.kind == SPHERE_REDUCED:
         s = geom.axes()[0]
-        center = float(spec.get("center", [0.5])[0]) if "center" in spec else 0.5
-        return amplitude * np.exp(-((s - center) / width) ** 2)
+        return amplitude * np.exp(-((s - center[0]) / width) ** 2)
     px, py = geom.periods[0], geom.periods[1]
-    default_center = [0.5 * px, 0.5 * py]
-    center = spec.get("center", default_center)
-    cx, cy = float(center[0]), float(center[1])
+    cx, cy = center
     xs, ys = geom.axes()[0], geom.axes()[1]
     x, y = np.meshgrid(xs, ys, indexing="ij")
     # periodic-smooth localized profile

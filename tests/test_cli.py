@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crflow
 from crflow import ScalarField, build_geometry, initial_data, invariants, operators
 from crflow.cli import (
     CALIBRATION_CACHE,
@@ -153,7 +157,7 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
     rows = read_rows(outdir / "diagnostics.csv")
     assert rows[0] == list(
         ("step", "time", "volume", "energy", "bondi", "w_min", "w_max",
-         "dissipation")
+         "dissipation", "lam_max", "lam_argmax")
     )
     assert len(rows) == 1 + 13  # header + steps 0..12
     assert [r[0] for r in rows[1:]] == [str(k) for k in range(13)]
@@ -172,7 +176,13 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
     assert meta["n_steps"] == 12
     assert meta["resolved"]["dt"] == 1.8e-9
     assert meta["conventions"]["flow_sign"] == -1.0
-    assert len(meta["argmax_lambda_trace"]) == 13
+    assert set(meta) == {  # O(1) in the step count: no per-step entries
+        "config", "resolved", "conventions", "outcome", "n_steps",
+        "final_time", "final", "bondi_sup_rate", "wall_time_seconds",
+    }
+    assert all(0 <= int(row[9]) < 16 * 16 for row in rows[1:])
+    assert meta["final"]["lam_max"] == float(rows[-1][8])
+    assert meta["final"]["lam_argmax"] == int(rows[-1][9])
     assert isinstance(meta["wall_time_seconds"], float)
 
 
@@ -200,6 +210,25 @@ def test_run_snapshots_round_trip(tmp_path):
     geom = build_geometry(cfg["geometry"])
     lam0 = initial_data(geom, cfg["initial_data"])
     np.testing.assert_array_equal(stored, lam0.values)
+
+
+def test_lambda_columns_match_the_snapshots(tmp_path):
+    cfg_path, _ = write_config(tmp_path, snapshot_every=4, max_steps=12)
+    assert main(["run", str(cfg_path)]) == EXIT_OK
+
+    outdir = tmp_path / "out"
+    rows = read_rows(outdir / "diagnostics.csv")[1:]
+    for stem in sorted((outdir / "snapshots").glob("*.f64")):
+        step = int(stem.stem.split("_")[1])
+        lam = np.fromfile(stem, dtype="<f8")
+        assert float(rows[step][8]) == np.abs(lam).max()
+        assert int(rows[step][9]) == int(np.argmax(np.abs(lam)))
+
+    meta = json.loads((outdir / "meta.json").read_text())
+    bondi = [float(row[4]) for row in rows]
+    dt = meta["resolved"]["dt"]
+    rates = [(b1 - b0) / dt for b0, b1 in zip(bondi, bondi[1:])]
+    assert meta["bondi_sup_rate"] == max(rates)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
@@ -330,6 +359,22 @@ def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
     )
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     assert "wrap-shift" in capsys.readouterr().err
+
+
+def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
+    cfg_path, _ = write_config(
+        tmp_path,
+        geometry={"kind": "SphereReduced1D", "resolution": 16},
+        initial_data={"kind": "bump", "center": []},
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crflow.cli", "run", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Time integration: functionals, descent identity, steppers, outcomes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,11 +301,11 @@ def test_ascending_probe_blows_up_with_a_localized_trace():
     assert traj.outcome == "blowup"
     steps = len(traj.times) - 1
     assert steps < 20000
-    assert len(traj.argmax_trace) == steps + 1
-    finite = [(loc, peak) for _, loc, peak in traj.argmax_trace if np.isfinite(peak)]
-    peaks = [peak for _, peak in finite[-5:]]
+    assert len(traj.diagnostics) == steps + 1
+    finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
+    peaks = [d.lam_max for d in finite[-5:]]
     assert all(b > a for a, b in zip(peaks, peaks[1:]))
-    cells = {loc for loc, _ in finite[-5:]}
+    cells = {d.lam_argmax for d in finite[-5:]}
     assert len(cells) <= 3
 
 
@@ -334,7 +335,8 @@ def test_run_records_one_diagnostics_row_per_step():
     traj = run(geom, random_data(geom, 51), dt=1e-9, max_time=1.0, max_steps=7)
     assert len(traj.times) == 8
     assert len(traj.diagnostics) == 8
-    assert len(traj.argmax_trace) == 8
+    assert all(math.isfinite(d.lam_max) and 0 <= d.lam_argmax < 16 * 16
+               for d in traj.diagnostics)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(7e-9)
     assert math.isfinite(traj.bondi_sup_rate)
@@ -406,10 +408,10 @@ def test_t_independent_lattice_run_matches_the_sector_run():
 def test_diagnostics_record_is_serializable():
     geom = sector()
     state = make_state(random_data(geom, 56), 0.0, 0, 1e-9, DEFAULT_LEDGER)
-    record = state.diagnostics.as_dict()
+    record = dataclasses.asdict(state.diagnostics)
     assert set(record) == {
         "volume", "energy", "bondi", "w_min", "w_max", "dissipation",
-        "overflow_flag",
+        "overflow_flag", "lam_max", "lam_argmax",
     }
     assert isinstance(record["volume"], float)
     assert record["w_min"] <= record["w_max"]
