@@ -245,11 +245,11 @@ def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
-        for step, (tm, diag) in enumerate(zip(traj.times, traj.diagnostics)):
+        for step, diag in enumerate(traj.diagnostics):
             writer.writerow(
                 [
                     step,
-                    _fmt(tm),
+                    _fmt(diag.time),
                     _fmt(diag.volume),
                     _fmt(diag.energy),
                     _fmt(diag.bondi),
@@ -275,7 +275,7 @@ def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None
             "shape": list(lam.values.shape),
             "geometry": cfg.geometry,
             "step": step,
-            "time": traj.times[step] if step < len(traj.times) else None,
+            "time": traj.diagnostics[step].time,
             "order": "C",
         }
         _dump_json(sidecar, stem + ".json")
@@ -331,8 +331,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "conventions": ledger.as_dict(),
         "outcome": traj.outcome,
-        "n_steps": len(traj.times) - 1,
-        "final_time": traj.times[-1],
+        "n_steps": len(traj.diagnostics) - 1,
+        "final_time": final.time,
         "final": dataclasses.asdict(final),
         "bondi_sup_rate": traj.bondi_sup_rate,
         "wall_time_seconds": wall,
@@ -342,7 +342,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _dump_json(meta, os.path.join(outdir, "meta.json"))
 
     print(
-        f"outcome: {traj.outcome}  steps: {len(traj.times) - 1}  "
+        f"outcome: {traj.outcome}  steps: {len(traj.diagnostics) - 1}  "
         f"final energy: {_fmt(final.energy)}  artifacts: {outdir}"
     )
     if traj.solver_error is not None:

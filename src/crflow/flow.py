@@ -66,13 +66,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-step scalar monitors of a flow state.
+    """Per-step scalar monitors of a flow state at flow time ``time``.
 
     ``lam_max`` is max |lambda| and ``lam_argmax`` its flat C-order cell
     index; non-finite cells rank highest, so the record still localizes
     an incipient singularity.
     """
 
+    time: float
     volume: float
     energy: float
     bondi: float
@@ -86,13 +87,22 @@ class Diagnostics:
 
 @dataclass
 class FlowState:
-    """The conformal exponent and its bookkeeping at one time level."""
+    """The conformal exponent and its bookkeeping at one time level.
+
+    ``rhs`` is the flow right-hand side at ``lam``, computed once with
+    the diagnostics: the next explicit step reuses it as its first stage
+    (first same as last), the IMEX step as its explicit term.
+    """
 
     lam: ScalarField
-    time: float
+    rhs: np.ndarray
     step_index: int
     dt: float
     diagnostics: Diagnostics
+
+    @property
+    def time(self) -> float:
+        return self.diagnostics.time
 
 
 @dataclass
@@ -105,7 +115,6 @@ class Trajectory:
 
     outcome: str
     dt: float
-    times: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     final_state: FlowState | None = None
@@ -168,22 +177,25 @@ def bondi(lam: ScalarField) -> float:
 # gradient flow right-hand side
 
 
-def _rhs_values(lam: ScalarField, ledger: ConventionLedger) -> np.ndarray:
-    """sigma * grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2).
+def _rhs_values(lam: ScalarField,
+                ledger: ConventionLedger) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (rhs, w): sigma * grad E with grad E = 2 (u^{-3} L-hat(uW)
+    - W^2), and the curvature values w it was assembled from.
 
     The covariant term is assembled with the same background-term
     grouping as the curvature itself, so constant states cancel to
-    exactly zero, not merely to rounding.
+    exactly zero, not merely to rounding.  A non-finite state still gets
+    its curvature, and an all-NaN rhs.
     """
     geom = lam.geometry
-    if not lam.is_finite():
-        return np.full_like(lam.values, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         u, m2, em3, w = _webster_core(geom, lam.values)
+        if not lam.is_finite():
+            return np.full_like(lam.values, np.nan), w
         uw = u * w
         cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
             + (geom.background_curvature * m2) * w
-        return ledger.flow_sign * 2.0 * (cov - w * w)
+        return ledger.flow_sign * 2.0 * (cov - w * w), w
 
 
 def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
@@ -194,7 +206,7 @@ def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> Sca
     input produces an all-NaN output rather than an exception, so
     blow-up propagates to the detector.
     """
-    return ScalarField(lam.geometry, _rhs_values(lam, ledger))
+    return ScalarField(lam.geometry, _rhs_values(lam, ledger)[0])
 
 
 def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
@@ -202,7 +214,7 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
     """Relative defect between the weighted pairing of -rhs with phi and
     the central finite difference of the energy in direction phi."""
     geom = lam.geometry
-    rhs = _rhs_values(lam, ledger)
+    rhs = _rhs_values(lam, ledger)[0]
     lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
@@ -216,15 +228,15 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
 
 def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
                ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
-    """Assemble a FlowState with freshly computed diagnostics."""
+    """Assemble a FlowState with its right-hand side and freshly computed
+    diagnostics: one rhs and one curvature evaluation."""
     geom = lam.geometry
+    rhs, w = _rhs_values(lam, ledger)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _webster_core(geom, lam.values)[3]
         m4 = np.exp(4.0 * lam.values)
         vol = _weighted_sum(geom, m4)
         ene = _weighted_sum(geom, w * w * m4)
         bon = _weighted_sum(geom, np.exp(5.0 * lam.values))
-        rhs = _rhs_values(lam, ledger)
         dis = ledger.flow_sign * _weighted_sum(geom, rhs * rhs * m4)
         finite_w = np.isfinite(w)
         w_min = float(w.min()) if finite_w.all() else float("nan")
@@ -233,10 +245,11 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
         argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
     overflow = not (np.isfinite(vol) and np.isfinite(ene) and np.isfinite(bon)
                     and finite_w.all() and np.isfinite(rhs).all())
-    diag = Diagnostics(volume=vol, energy=ene, bondi=bon, w_min=w_min,
-                       w_max=w_max, dissipation=dis, overflow_flag=overflow,
+    diag = Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
+                       w_min=w_min, w_max=w_max, dissipation=dis,
+                       overflow_flag=overflow,
                        lam_max=float(abs_lam.flat[argmax]), lam_argmax=argmax)
-    return FlowState(lam=lam, time=time, step_index=step_index, dt=dt,
+    return FlowState(lam=lam, rhs=rhs, step_index=step_index, dt=dt,
                      diagnostics=diag)
 
 
@@ -254,16 +267,20 @@ def detect_blowup(state: FlowState) -> bool:
 
 def step_explicit(state: FlowState, dt: float,
                   ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
-    """One classical four-stage Runge-Kutta step of the semi-discrete flow."""
+    """One classical four-stage Runge-Kutta step of the semi-discrete flow.
+
+    The first stage is the state's stored rhs (first same as last), so a
+    step makes three stage evaluations plus the one in ``make_state``.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     geom = state.lam.geometry
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs_values(ScalarField(geom, y), ledger)
-        k2 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k1), ledger)
-        k3 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k2), ledger)
-        k4 = _rhs_values(ScalarField(geom, y + dt * k3), ledger)
+        k1 = state.rhs
+        k2 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k1), ledger)[0]
+        k3 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k2), ledger)[0]
+        k4 = _rhs_values(ScalarField(geom, y + dt * k3), ledger)[0]
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return make_state(ScalarField(geom, y_new), state.time + dt,
                       state.step_index + 1, dt, ledger)
@@ -298,8 +315,7 @@ def step_imex(state: FlowState, dt: float,
 
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(state.lam, ledger)
-        b = y + dt * (rhs + c * bilap(y))
+        b = y + dt * (state.rhs + c * bilap(y))
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
         return make_state(ScalarField(geom, np.full_like(y, np.nan)),
@@ -365,7 +381,6 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     traj = Trajectory(outcome="max_time", dt=dt_val)
 
     def record(st: FlowState) -> None:
-        traj.times.append(st.time)
         traj.diagnostics.append(st.diagnostics)
         if snapshot_every > 0 and st.step_index % snapshot_every == 0:
             traj.snapshots.append((st.step_index, st.lam.copy()))

@@ -450,7 +450,7 @@ def _blowup_taxonomy():
     )
     finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
     cells = {d.lam_argmax for d in finite[-5:]}
-    blew_up = traj.outcome == "blowup" and len(traj.times) - 1 < 20000
+    blew_up = traj.outcome == "blowup" and len(traj.diagnostics) - 1 < 20000
     localized = len(cells) <= 3
 
     clean = True
@@ -466,7 +466,7 @@ def _blowup_taxonomy():
             clean = False
     return blew_up and localized and clean, (
         f"ascending probe: outcome {traj.outcome!r} after "
-        f"{len(traj.times) - 1} steps, final argmax cells {sorted(cells)}; "
+        f"{len(traj.diagnostics) - 1} steps, final argmax cells {sorted(cells)}; "
         f"standard runs: outcomes {outcomes}, NaN-free: {clean}"
     )
 

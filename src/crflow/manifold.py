@@ -134,15 +134,22 @@ class ModelGeometry:
         ``shift(v, axis, +1)[p] = v[S_axis(p)]`` where S_axis moves one
         grid cell along the X (axis 0) or Y (axis 1) flow, or one cell
         along the vertical direction (axis 2, lattice only).  On the 2D
-        sector these are plain periodic shifts; on the 3D lattice the
-        gathers include the tau-offsets that make the shifts commute
-        exactly with the deck transformations.
+        sector these are plain periodic shifts (``np.roll(values, -step,
+        axis)``, done as two slice copies); on the 3D lattice the gathers
+        are precomputed flat indices that include the tau-offsets making
+        the shifts commute exactly with the deck transformations.
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")
         if self.kind == HEISENBERG_SECTOR:
-            return np.roll(values, -step, axis=axis)
-        return values[self._gather[(axis, step)]]
+            out = np.empty_like(values)
+            src, dst = np.swapaxes(values, 0, axis), np.swapaxes(out, 0, axis)
+            n = len(src)
+            k = step % n
+            dst[:n - k] = src[k:]
+            dst[n - k:] = src[:k]
+            return out
+        return values.take(self._gather[(axis, step)])
 
     def reduce_index(self, i, j, k):
         """Deck-reduce arbitrary integer cell indices into the stored domain.
@@ -192,18 +199,24 @@ class ModelGeometry:
         nx, ny, nt = self.resolution
         s_unit = self.shift_unit
         i, j, k = np.indices((nx, ny, nt))
-        # X flow: (x, y, tau) -> (x +- dx, y, tau) — plain in polarized
-        # coordinates; crossing the seam applies the deck twist via
-        # reduce_index.
-        self._gather[(0, 1)] = self.reduce_index(i + 1, j, k)
-        self._gather[(0, -1)] = self.reduce_index(i - 1, j, k)
-        # Y flow: (x, y, tau) -> (x, y +- dy, tau -+ 4 x dy); the tau
-        # offset is i*s_unit cells, exact by the grid constraint.
-        self._gather[(1, 1)] = self.reduce_index(i, j + 1, k - i * s_unit)
-        self._gather[(1, -1)] = self.reduce_index(i, j - 1, k + i * s_unit)
-        # vertical direction: plain periodic shift
-        self._gather[(2, 1)] = self.reduce_index(i, j, k + 1)
-        self._gather[(2, -1)] = self.reduce_index(i, j, k - 1)
+        offsets = {
+            # X flow: (x, y, tau) -> (x +- dx, y, tau) — plain in polarized
+            # coordinates; crossing the seam applies the deck twist via
+            # reduce_index.
+            (0, 1): (i + 1, j, k),
+            (0, -1): (i - 1, j, k),
+            # Y flow: (x, y, tau) -> (x, y +- dy, tau -+ 4 x dy); the tau
+            # offset is i*s_unit cells, exact by the grid constraint.
+            (1, 1): (i, j + 1, k - i * s_unit),
+            (1, -1): (i, j - 1, k + i * s_unit),
+            # vertical direction: plain periodic shift
+            (2, 1): (i, j, k + 1),
+            (2, -1): (i, j, k - 1),
+        }
+        for key, idx in offsets.items():
+            flat = np.ravel_multi_index(self.reduce_index(*idx), self.resolution)
+            flat.setflags(write=False)
+            self._gather[key] = flat
 
 
 @dataclass

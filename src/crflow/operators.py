@@ -43,7 +43,6 @@ from .manifold import (
 __all__ = [
     "CalibrationError",
     "LinearSolveError",
-    "horiz_derivs",
     "sublap",
     "conformal_sublap",
     "webster_curvature",
@@ -69,9 +68,14 @@ class LinearSolveError(RuntimeError):
 # divergence-form assembly
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_faces(n: int):
+    """Face weights s(1 - s) of the n-cell sphere grid, 0 at both ends.
+    Cached per grid; read-only."""
     faces = np.arange(n + 1) / n        # exact 0.0 and 1.0 endpoints
-    return faces * (1.0 - faces)        # degenerate weight, 0 at both ends
+    mu = faces * (1.0 - faces)          # degenerate weight, 0 at both ends
+    mu.setflags(write=False)
+    return mu
 
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
@@ -137,26 +141,6 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
         num = _div_form_values(f.geometry, f.values, g)
         out = num * np.exp(-4.0 * lam.values)
     return ScalarField(f.geometry, out)
-
-
-def horiz_derivs(f: ScalarField):
-    """Centered discrete derivatives along the horizontal frame flows.
-
-    Returns (Xf, Yf).  On the vertical-invariant sector these reduce to
-    centered d/dx and d/dy; on the 3D lattice the gathers follow the
-    twisted identification exactly.
-    """
-    geom = f.geometry
-    if geom.kind == SPHERE_REDUCED:
-        raise GeometryError(
-            "horiz_derivs is undefined on the sphere kind (1D reduced model)")
-    v = f.values
-    out = []
-    for axis in (0, 1):
-        d = geom.spacing[axis]
-        out.append(ScalarField(
-            geom, (geom.shift(v, axis, 1) - geom.shift(v, axis, -1)) / (2.0 * d)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,7 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
     assert all(0 <= int(row[9]) < 16 * 16 for row in rows[1:])
     assert meta["final"]["lam_max"] == float(rows[-1][8])
     assert meta["final"]["lam_argmax"] == int(rows[-1][9])
+    assert meta["final"]["time"] == meta["final_time"] == float(rows[-1][1])
     assert isinstance(meta["wall_time_seconds"], float)
 
 

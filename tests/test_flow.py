@@ -19,7 +19,9 @@ from crflow import (
     run,
     stability_symbol_max,
     step_explicit,
+    step_imex,
     volume,
+    webster_curvature,
 )
 from crflow.conventions import (
     BLOWUP_THRESHOLD,
@@ -29,7 +31,8 @@ from crflow.conventions import (
     SPHERE_KAPPA,
     YAMABE_COEFFICIENT,
 )
-from crflow.flow import detect_blowup, make_state
+from crflow import flow
+from crflow.flow import _rhs_values, _weighted_sum, detect_blowup, make_state
 
 
 def sector(n=16):
@@ -54,10 +57,11 @@ def lattice():
     )
 
 
-def random_data(geom, seed, amplitude=0.1, cutoff=2):
+def random_data(geom, seed, amplitude=0.1, cutoff=2, **extra):
     return initial_data(
         geom,
-        {"kind": "random", "seed": seed, "amplitude": amplitude, "cutoff": cutoff},
+        {"kind": "random", "seed": seed, "amplitude": amplitude, "cutoff": cutoff,
+         **extra},
     )
 
 
@@ -199,6 +203,107 @@ def test_explicit_step_is_deterministic():
     np.testing.assert_array_equal(a.lam.values, b.lam.values)
 
 
+# The three kinds, the lattice with a non-trivial x-wrap twist (8 of 16
+# tau-cells) and twisted vertical modes in its data.
+FSAL_CASES = [
+    (lambda: sector(16), {}),
+    (lambda: sphere(64), {"amplitude": 0.05, "cutoff": 16}),
+    (lambda: lattice(), {"cutoff_t": 2}),
+]
+
+
+def fsal_case(make, data):
+    geom = make()
+    if geom.t_wrap_shift:
+        assert geom.t_wrap_shift % geom.resolution[2] != 0
+    return geom, random_data(geom, 3, **data)
+
+
+def assert_same_diagnostics(a, b):
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def reference_diagnostics(lam, time):
+    """The Diagnostics record computed from the public functionals and a
+    fresh right-hand side, independently of ``make_state``."""
+    geom = lam.geometry
+    rhs = _rhs_values(lam, DEFAULT_LEDGER)[0]
+    w = webster_curvature(lam).values
+    abs_lam = np.abs(lam.values)
+    argmax = int(np.argmax(abs_lam))
+    return flow.Diagnostics(
+        time=time, volume=volume(lam), energy=energy(lam), bondi=bondi(lam),
+        w_min=float(w.min()), w_max=float(w.max()),
+        dissipation=DEFAULT_LEDGER.flow_sign * _weighted_sum(
+            geom, rhs * rhs * np.exp(4.0 * lam.values)),
+        overflow_flag=False, lam_max=float(abs_lam.flat[argmax]),
+        lam_argmax=argmax)
+
+
+@pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
+def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
+    geom, lam0 = fsal_case(make, data)
+    dt = auto_dt(geom)
+
+    def f(v):
+        return _rhs_values(ScalarField(geom, v), DEFAULT_LEDGER)[0]
+
+    state = make_state(lam0, 0.0, 0, dt, DEFAULT_LEDGER)
+    y, t = lam0.values, 0.0
+    for _ in range(24):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + dt
+        state = step_explicit(state, dt, DEFAULT_LEDGER)
+        assert np.array_equal(state.lam.values, y)
+        assert np.array_equal(state.rhs, f(y))
+        assert_same_diagnostics(state.diagnostics,
+                                reference_diagnostics(ScalarField(geom, y), t))
+
+
+@pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
+def test_imex_step_is_the_same_with_a_fresh_rhs(make, data):
+    geom, lam0 = fsal_case(make, data)
+    dt = 10.0 * auto_dt(geom)
+    state = make_state(lam0, 0.0, 0, dt, DEFAULT_LEDGER)
+    for _ in range(5):
+        fresh = dataclasses.replace(
+            state, rhs=_rhs_values(state.lam, DEFAULT_LEDGER)[0])
+        a = step_imex(state, dt, DEFAULT_LEDGER)
+        b = step_imex(fresh, dt, DEFAULT_LEDGER)
+        assert np.array_equal(a.lam.values, b.lam.values)
+        assert np.array_equal(a.rhs, b.rhs)
+        assert_same_diagnostics(a.diagnostics, b.diagnostics)
+        state = a
+
+
+@pytest.mark.parametrize("integrator, per_step", [("explicit", 4), ("imex", 1)])
+def test_right_hand_side_and_curvature_evaluations_per_step(
+    monkeypatch, integrator, per_step
+):
+    counts = dict.fromkeys(("_rhs_values", "_webster_core"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(flow, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(flow, name, counted)
+    geom = sector()
+    lam0 = random_data(geom, 58)
+    dt = auto_dt(geom) * (1.0 if integrator == "explicit" else 10.0)
+    for steps in (1, 3):
+        counts.update(dict.fromkeys(counts, 0))
+        traj = run(geom, lam0, integrator=integrator, dt=dt, max_time=1.0,
+                   max_steps=steps)
+        assert len(traj.diagnostics) - 1 == steps
+        # the initial state's one of each, then per_step of each per step
+        assert counts == dict.fromkeys(counts, 1 + per_step * steps)
+
+
 @pytest.mark.parametrize(
     "make, amplitude, cutoff",
     [(lambda: sector(32), 0.1, 3), (lambda: sphere(64), 0.05, 16)],
@@ -237,7 +342,7 @@ def test_imex_restores_volume_and_descends_at_a_thousand_times_the_edge(
     traj = run(geom, lam0, integrator="imex", dt=dt, max_time=40.5 * dt,
                max_steps=40)
     assert traj.outcome == "max_time"
-    assert len(traj.times) - 1 == 40
+    assert len(traj.diagnostics) - 1 == 40
     vols, es = traj.volumes, traj.energies
     assert max(abs(v - vols[0]) for v in vols) <= 1e-13 * vols[0]
     assert all(es[k + 1] <= es[k] * (1.0 + 1e-10) for k in range(len(es) - 1))
@@ -251,7 +356,7 @@ def test_solver_failure_ends_the_run_with_the_accepted_steps():
                max_time=1.0, max_steps=3, ledger=starved)
     assert traj.outcome == "solver_failure"
     assert "no convergence" in traj.solver_error
-    assert len(traj.times) == len(traj.diagnostics) == 1
+    assert len(traj.diagnostics) == 1
     assert traj.final_state.step_index == 0
 
 
@@ -273,7 +378,7 @@ def test_zero_data_plateaus_at_the_window():
     lam0 = constant(geom, 0.0)
     traj = run(geom, lam0, dt=1e-9, max_time=1.0, max_steps=500)
     assert traj.outcome == "plateau"
-    assert len(traj.times) - 1 == PLATEAU_WINDOW
+    assert len(traj.diagnostics) - 1 == PLATEAU_WINDOW
     assert all(e == 0.0 for e in traj.energies)
 
 
@@ -299,9 +404,7 @@ def test_ascending_probe_blows_up_with_a_localized_trace():
     )
     traj = run(geom, lam0, dt=5e-10, max_time=1.0, max_steps=20000, ledger=probe)
     assert traj.outcome == "blowup"
-    steps = len(traj.times) - 1
-    assert steps < 20000
-    assert len(traj.diagnostics) == steps + 1
+    assert len(traj.diagnostics) - 1 < 20000
     finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
     peaks = [d.lam_max for d in finite[-5:]]
     assert all(b > a for a, b in zip(peaks, peaks[1:]))
@@ -333,12 +436,11 @@ def test_converged_outcome_after_a_real_drop():
 def test_run_records_one_diagnostics_row_per_step():
     geom = sector()
     traj = run(geom, random_data(geom, 51), dt=1e-9, max_time=1.0, max_steps=7)
-    assert len(traj.times) == 8
     assert len(traj.diagnostics) == 8
     assert all(math.isfinite(d.lam_max) and 0 <= d.lam_argmax < 16 * 16
                for d in traj.diagnostics)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(7e-9)
+    assert traj.diagnostics[0].time == 0.0
+    assert traj.diagnostics[-1].time == pytest.approx(7e-9)
     assert math.isfinite(traj.bondi_sup_rate)
 
 
@@ -360,7 +462,7 @@ def test_run_honors_the_time_budget():
     geom = sector()
     traj = run(geom, random_data(geom, 53), dt=1e-3, max_time=5e-3)
     assert traj.outcome in ("max_time", "blowup")
-    assert traj.times[-1] <= 5e-3 * (1.0 + 1e-9)
+    assert traj.diagnostics[-1].time <= 5e-3 * (1.0 + 1e-9)
 
 
 def test_run_validates_inputs():
@@ -410,7 +512,7 @@ def test_diagnostics_record_is_serializable():
     state = make_state(random_data(geom, 56), 0.0, 0, 1e-9, DEFAULT_LEDGER)
     record = dataclasses.asdict(state.diagnostics)
     assert set(record) == {
-        "volume", "energy", "bondi", "w_min", "w_max", "dissipation",
+        "time", "volume", "energy", "bondi", "w_min", "w_max", "dissipation",
         "overflow_flag", "lam_max", "lam_argmax",
     }
     assert isinstance(record["volume"], float)

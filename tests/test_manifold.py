@@ -284,6 +284,48 @@ def test_lattice_mode_sampled_on_grid_matches_twisted_wrap():
 
 
 # ---------------------------------------------------------------------------
+# grid shifts against their reference definitions
+
+
+@pytest.mark.parametrize("shape", [(12, 20), (7, 9)], ids=["even", "odd"])
+def test_sector_shift_is_the_periodic_roll(shape):
+    geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": list(shape)})
+    values = np.random.default_rng(13).standard_normal(shape)
+    for axis in (0, 1):
+        for step in (1, -1, 2, -3, shape[axis]):
+            got = geom.shift(values, axis, step)
+            assert got.shape == values.shape
+            assert np.array_equal(got, np.roll(values, -step, axis=axis))
+
+
+@pytest.mark.parametrize("resolution, lt", [((8, 8, 16), 1.0), ((16, 16, 32), 0.5)],
+                         ids=["8x8x16", "16x16x32"])
+def test_lattice_shift_is_the_twisted_gather(resolution, lt):
+    geom = lattice(*resolution, lt=lt)
+    nt = resolution[2]
+    assert geom.t_wrap_shift % nt != 0           # a non-trivial x-wrap twist
+    values = np.random.default_rng(17).standard_normal(resolution)
+    i, j, k = np.indices(resolution)
+    s = geom.shift_unit
+    offsets = {
+        (0, 1): (i + 1, j, k),
+        (0, -1): (i - 1, j, k),
+        (1, 1): (i, j + 1, k - i * s),
+        (1, -1): (i, j - 1, k + i * s),
+        (2, 1): (i, j, k + 1),
+        (2, -1): (i, j, k - 1),
+    }
+    for (axis, step), idx in offsets.items():
+        reference = values[geom.reduce_index(*idx)]
+        assert np.array_equal(geom.shift(values, axis, step), reference)
+
+
+def test_shift_is_not_defined_on_the_sphere_kind():
+    with pytest.raises(GeometryError, match="not defined on the sphere"):
+        sphere(8).shift(np.zeros(8), 0, 1)
+
+
+# ---------------------------------------------------------------------------
 # initial data
 
 

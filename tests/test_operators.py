@@ -15,7 +15,6 @@ from crflow import (
     calibrate_sphere_curvature,
     conformal_sublap,
     extremal_profile,
-    horiz_derivs,
     integrate,
     linear_solve,
     stability_symbol_max,
@@ -175,28 +174,6 @@ def test_conformal_sublap_annihilates_constants_exactly():
     lam = rand_field(geom, 10, amplitude=0.3)
     const = ScalarField(geom, np.full(geom.resolution, -0.8))
     assert np.all(conformal_sublap(lam, const).values == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# horizontal derivatives
-
-
-def test_horiz_derivs_second_order_on_plane_waves():
-    errs = {}
-    for n in (32, 64):
-        geom = sector(n)
-        xs = geom.axes()[0]
-        mode = np.sin(2 * np.pi * xs)[:, None] * np.ones((1, n))
-        dx, dy = horiz_derivs(ScalarField(geom, mode))
-        exact = 2 * np.pi * np.cos(2 * np.pi * xs)[:, None] * np.ones((1, n))
-        errs[n] = float(np.max(np.abs(dx.values - exact)))
-        assert np.max(np.abs(dy.values)) == 0.0
-    assert errs[32] / errs[64] == pytest.approx(4.0, rel=0.05)
-
-
-def test_horiz_derivs_not_defined_on_the_sphere_kind():
-    with pytest.raises(GeometryError):
-        horiz_derivs(ScalarField(sphere(8), np.zeros(8)))
 
 
 # ---------------------------------------------------------------------------
