@@ -36,7 +36,6 @@ sorted keys — except the single ``wall_time_seconds`` field of ``meta.json``.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -88,6 +87,9 @@ _CSV_COLUMNS = (
     "lam_max",
     "lam_argmax",
 )
+# One diagnostics.csv row: the bytes csv.writer gives for these cells
+# (none needs quoting) with every float as _fmt writes it.
+_CSV_ROW = "%d," + "%.17g," * 8 + "%d\r\n"
 _INTEGRATORS = ("explicit", "imex")
 
 
@@ -243,23 +245,11 @@ def _dump_json(payload: dict, path: str) -> None:
 
 def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for step, diag in enumerate(traj.diagnostics):
-            writer.writerow(
-                [
-                    step,
-                    _fmt(diag.time),
-                    _fmt(diag.volume),
-                    _fmt(diag.energy),
-                    _fmt(diag.bondi),
-                    _fmt(diag.w_min),
-                    _fmt(diag.w_max),
-                    _fmt(diag.dissipation),
-                    _fmt(diag.lam_max),
-                    diag.lam_argmax,
-                ]
-            )
+        fh.write(",".join(_CSV_COLUMNS) + "\r\n")
+        fh.writelines(
+            _CSV_ROW % (step, d.time, d.volume, d.energy, d.bondi, d.w_min,
+                        d.w_max, d.dissipation, d.lam_max, d.lam_argmax)
+            for step, d in enumerate(traj.diagnostics))
 
 
 def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None:

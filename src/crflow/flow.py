@@ -143,11 +143,16 @@ class Trajectory:
 # functionals
 
 
+# Overflow of e^{k lambda} is the blow-up signal, never a warning: each
+# public entry point sets np.errstate(over="ignore", invalid="ignore")
+# once, and the kernels it calls (_weighted_sum, _rhs_values,
+# _webster_core) set none of their own.
+
+
 def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
     """Riemann sum against the geometric volume element; non-finite
     summands pass through as the blow-up signal."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(values.sum() * geom.cell_weight())
+    return float(values.sum() * geom.cell_weight())
 
 
 def energy(lam: ScalarField) -> float:
@@ -177,25 +182,24 @@ def bondi(lam: ScalarField) -> float:
 # gradient flow right-hand side
 
 
-def _rhs_values(lam: ScalarField,
+def _rhs_values(geom: ModelGeometry, values: np.ndarray,
                 ledger: ConventionLedger) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (rhs, w): sigma * grad E with grad E = 2 (u^{-3} L-hat(uW)
-    - W^2), and the curvature values w it was assembled from.
+    """Returns (rhs, w) at the conformal exponent ``values``: sigma *
+    grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2), and the curvature
+    values w it was assembled from.
 
     The covariant term is assembled with the same background-term
     grouping as the curvature itself, so constant states cancel to
     exactly zero, not merely to rounding.  A non-finite state still gets
     its curvature, and an all-NaN rhs.
     """
-    geom = lam.geometry
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, m2, em3, w = _webster_core(geom, lam.values)
-        if not lam.is_finite():
-            return np.full_like(lam.values, np.nan), w
-        uw = u * w
-        cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
-            + (geom.background_curvature * m2) * w
-        return ledger.flow_sign * 2.0 * (cov - w * w), w
+    u, m2, em3, w = _webster_core(geom, values)
+    if not np.isfinite(values).all():
+        return np.full_like(values, np.nan), w
+    uw = u * w
+    cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
+        + (geom.background_curvature * m2) * w
+    return ledger.flow_sign * 2.0 * (cov - w * w), w
 
 
 def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
@@ -206,7 +210,9 @@ def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> Sca
     input produces an all-NaN output rather than an exception, so
     blow-up propagates to the detector.
     """
-    return ScalarField(lam.geometry, _rhs_values(lam, ledger)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ScalarField(lam.geometry,
+                           _rhs_values(lam.geometry, lam.values, ledger)[0])
 
 
 def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
@@ -214,8 +220,9 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
     """Relative defect between the weighted pairing of -rhs with phi and
     the central finite difference of the energy in direction phi."""
     geom = lam.geometry
-    rhs = _rhs_values(lam, ledger)[0]
-    lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = _rhs_values(geom, lam.values, ledger)[0]
+        lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
     d_h = (e_plus - e_minus) / (2.0 * h)
@@ -231,20 +238,23 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
     """Assemble a FlowState with its right-hand side and freshly computed
     diagnostics: one rhs and one curvature evaluation."""
     geom = lam.geometry
-    rhs, w = _rhs_values(lam, ledger)
+    values = lam.values
     with np.errstate(over="ignore", invalid="ignore"):
-        m4 = np.exp(4.0 * lam.values)
+        rhs, w = _rhs_values(geom, values, ledger)
+        m4 = np.exp(4.0 * values)
         vol = _weighted_sum(geom, m4)
         ene = _weighted_sum(geom, w * w * m4)
-        bon = _weighted_sum(geom, np.exp(5.0 * lam.values))
+        bon = _weighted_sum(geom, np.exp(5.0 * values))
         dis = ledger.flow_sign * _weighted_sum(geom, rhs * rhs * m4)
-        finite_w = np.isfinite(w)
-        w_min = float(w.min()) if finite_w.all() else float("nan")
-        w_max = float(w.max()) if finite_w.all() else float("nan")
-        abs_lam = np.abs(lam.values)
+    finite_w = bool(np.isfinite(w).all())
+    w_min = float(w.min()) if finite_w else float("nan")
+    w_max = float(w.max()) if finite_w else float("nan")
+    abs_lam = np.abs(values)
+    argmax = int(np.argmax(abs_lam))    # the first NaN, if there is one
+    if np.isnan(abs_lam.flat[argmax]):  # rank NaN like inf: first of either
         argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
-    overflow = not (np.isfinite(vol) and np.isfinite(ene) and np.isfinite(bon)
-                    and finite_w.all() and np.isfinite(rhs).all())
+    overflow = not (finite_w and np.isfinite(vol) and np.isfinite(ene)
+                    and np.isfinite(bon) and np.isfinite(rhs).all())
     diag = Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
                        w_min=w_min, w_max=w_max, dissipation=dis,
                        overflow_flag=overflow,
@@ -278,9 +288,9 @@ def step_explicit(state: FlowState, dt: float,
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = state.rhs
-        k2 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k1), ledger)[0]
-        k3 = _rhs_values(ScalarField(geom, y + 0.5 * dt * k2), ledger)[0]
-        k4 = _rhs_values(ScalarField(geom, y + dt * k3), ledger)[0]
+        k2 = _rhs_values(geom, y + 0.5 * dt * k1, ledger)[0]
+        k3 = _rhs_values(geom, y + 0.5 * dt * k2, ledger)[0]
+        k4 = _rhs_values(geom, y + dt * k3, ledger)[0]
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return make_state(ScalarField(geom, y_new), state.time + dt,
                       state.step_index + 1, dt, ledger)

@@ -102,7 +102,8 @@ class ModelGeometry:
     cell_coord_volume: float = 0.0
     shift_unit: int = 0          # lattice: tau-cells a Y-step moves per x-cell
     lattice_degree: int = 0      # lattice: 4 Px Py / Lt
-    _gather: dict = dataclass_field(default_factory=dict, repr=False)
+    # derived from the fields above, so left out of == (arrays have no truth value)
+    _gather: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     # -- basic helpers -------------------------------------------------
 

@@ -85,29 +85,31 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     means the background operator.  Edge weights are arithmetic means of
     the two adjacent cells, so the weighted operator with g = 1 runs the
     identical floating-point operations as the background one.
+
+    Flux form: each edge difference e = v[S p] - v[p] (weighted by the
+    edge mean of g) is computed once and read back at the cell behind,
+    e[S^-1 p] = v[p] - v[S^-1 p], so the result is bitwise the three-point
+    ((v[S p] - v) - (v - v[S^-1 p])) and its weighted counterpart.
     """
     if geom.kind == SPHERE_REDUCED:
         n = geom.resolution[0]
         ds = geom.spacing[0]
         mu = _sphere_faces(n)
-        d = np.diff(v)
+        d = v[1:] - v[:-1]
         if g is not None:
             d = (0.5 * (g[1:] + g[:-1])) * d
         flux = np.zeros(n + 1)
         flux[1:-1] = mu[1:-1] * d / ds
-        return -SPHERE_CS * np.diff(flux) / ds
+        return -SPHERE_CS * (flux[1:] - flux[:-1]) / ds
 
+    shift = geom.shift
     acc = np.zeros_like(v)
     for axis in (0, 1):
         d = geom.spacing[axis]
-        fp = geom.shift(v, axis, 1)
-        fm = geom.shift(v, axis, -1)
-        if g is None:
-            acc += ((fp - v) - (v - fm)) / (d * d)
-        else:
-            wp = 0.5 * (g + geom.shift(g, axis, 1))
-            wm = 0.5 * (g + geom.shift(g, axis, -1))
-            acc += (wp * (fp - v) - wm * (v - fm)) / (d * d)
+        e = shift(v, axis, 1) - v
+        if g is not None:
+            e = (0.5 * (g + shift(g, axis, 1))) * e
+        acc += (e - shift(e, axis, -1)) / (d * d)
     return -HEISENBERG_HORIZONTAL_FACTOR * acc
 
 
@@ -154,13 +156,15 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray):
     The background term is taken as What * m2 (not em3 * What * u), so a
     constant lambda = c yields w bitwise equal to e^{-2c} * What, and the
     flow right-hand side of constant states cancels to exactly zero.
+
+    A kernel: overflow is the caller's blow-up signal, so callers run it
+    under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(lam_values)
-        m2 = np.exp(-2.0 * lam_values)
-        em3 = np.exp(-3.0 * lam_values)
-        w = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, u)) \
-            + geom.background_curvature * m2
+    u = np.exp(lam_values)
+    m2 = np.exp(-2.0 * lam_values)
+    em3 = np.exp(-3.0 * lam_values)
+    w = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, u)) \
+        + geom.background_curvature * m2
     return u, m2, em3, w
 
 
@@ -177,7 +181,8 @@ def webster_curvature(lam: ScalarField) -> ScalarField:
     """
     if not lam.is_finite():
         raise ValueError("webster_curvature: non-finite conformal exponent")
-    _, _, _, w = _webster_core(lam.geometry, lam.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _webster_core(lam.geometry, lam.values)[3]
     return ScalarField(lam.geometry, w)
 
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow import ScalarField, build_geometry, initial_data, invariants, operators
+from crflow import ScalarField, build_geometry, flow, initial_data, invariants, operators
 from crflow.cli import (
+    _CSV_COLUMNS,
     CALIBRATION_CACHE,
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -22,9 +23,12 @@ from crflow.cli import (
     OUTPUT_ROOT_ENV,
     ConfigError,
     RunConfig,
+    _fmt,
+    _write_diagnostics,
     main,
     resolve_output_dir,
 )
+from crflow.conventions import DEFAULT_LEDGER
 
 
 def base_config(outdir, **overrides):
@@ -247,6 +251,44 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     first_meta.pop("wall_time_seconds")
     second_meta.pop("wall_time_seconds")
     assert first_meta == second_meta
+
+
+def csv_writer_reference(path, traj):
+    """diagnostics.csv as csv.writer writes it, every float through _fmt."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_COLUMNS)
+        for step, d in enumerate(traj.diagnostics):
+            writer.writerow([step] + [_fmt(x) for x in (
+                d.time, d.volume, d.energy, d.bondi, d.w_min, d.w_max,
+                d.dissipation, d.lam_max)] + [d.lam_argmax])
+
+
+def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    odd = [
+        (0.0, -0.0, 1e-300, 5e-324, -inf, inf, nan, 0.1, 0),
+        (1.5e-12, nan, inf, -inf, -0.0, 1.0 / 3.0, -2.5e300, nan, 7),
+        (2.0, 123456789.0, -1e-17, 0.0, nan, nan, 0.0, inf, 4095),
+    ]
+    synthetic = flow.Trajectory(outcome="blowup", dt=1.0, diagnostics=[
+        flow.Diagnostics(time=t, volume=v, energy=e, bondi=b, w_min=lo,
+                         w_max=hi, dissipation=dis, overflow_flag=True,
+                         lam_max=lm, lam_argmax=am)
+        for t, v, e, b, lo, hi, dis, lm, am in odd])
+    geom = build_geometry(
+        {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]})
+    lam0 = initial_data(geom, {"kind": "random", "seed": 7, "amplitude": 0.15,
+                               "cutoff": 2})
+    probe = flow.run(geom, lam0, dt=5e-10, max_steps=20000,
+                     ledger=DEFAULT_LEDGER.replace(flow_sign=1.0))
+    assert probe.outcome == "blowup"
+    assert not math.isfinite(probe.diagnostics[-1].energy)
+    for name, traj in (("synthetic", synthetic), ("probe", probe)):
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        _write_diagnostics(str(got), traj)
+        csv_writer_reference(str(want), traj)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_run_honors_the_output_dir_flag(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,29 @@ def test_rhs_flags_non_finite_states():
     assert np.all(np.isnan(flow_rhs(bad).values))
 
 
+@pytest.mark.parametrize("make", [sector, sphere, lattice])
+@pytest.mark.parametrize("level", [400.0, -400.0])
+def test_public_entry_points_signal_overflow_without_warnings(make, level):
+    # e^{4 lambda}, e^{5 lambda} overflow at +400 and e^{-2 lambda},
+    # e^{-3 lambda} at -400: each entry point returns the non-finite
+    # signal and warns of nothing
+    geom = make()
+    lam = ScalarField(geom, level + random_data(geom, 41).values)
+    phi = random_data(geom, 42)
+    dt = auto_dt(geom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for functional in (energy, volume, bondi):
+            functional(lam)
+        webster_curvature(lam)
+        flow_rhs(lam)
+        gradient_check(lam, phi)
+        state = make_state(lam, 0.0, 0, dt, DEFAULT_LEDGER)
+        assert state.diagnostics.overflow_flag
+        step_explicit(state, dt, DEFAULT_LEDGER)
+        step_imex(state, 10.0 * dt, DEFAULT_LEDGER)
+
+
 # ---------------------------------------------------------------------------
 # step control
 
@@ -228,7 +252,7 @@ def reference_diagnostics(lam, time):
     """The Diagnostics record computed from the public functionals and a
     fresh right-hand side, independently of ``make_state``."""
     geom = lam.geometry
-    rhs = _rhs_values(lam, DEFAULT_LEDGER)[0]
+    rhs = _rhs_values(geom, lam.values, DEFAULT_LEDGER)[0]
     w = webster_curvature(lam).values
     abs_lam = np.abs(lam.values)
     argmax = int(np.argmax(abs_lam))
@@ -247,7 +271,7 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
     dt = auto_dt(geom)
 
     def f(v):
-        return _rhs_values(ScalarField(geom, v), DEFAULT_LEDGER)[0]
+        return _rhs_values(geom, v, DEFAULT_LEDGER)[0]
 
     state = make_state(lam0, 0.0, 0, dt, DEFAULT_LEDGER)
     y, t = lam0.values, 0.0
@@ -272,7 +296,7 @@ def test_imex_step_is_the_same_with_a_fresh_rhs(make, data):
     state = make_state(lam0, 0.0, 0, dt, DEFAULT_LEDGER)
     for _ in range(5):
         fresh = dataclasses.replace(
-            state, rhs=_rhs_values(state.lam, DEFAULT_LEDGER)[0])
+            state, rhs=_rhs_values(geom, state.lam.values, DEFAULT_LEDGER)[0])
         a = step_imex(state, dt, DEFAULT_LEDGER)
         b = step_imex(fresh, dt, DEFAULT_LEDGER)
         assert np.array_equal(a.lam.values, b.lam.values)

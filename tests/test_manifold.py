@@ -125,6 +125,14 @@ def test_reference_lattice_sixteen_cubed():
     assert geom.lattice_degree == 16
 
 
+def test_lattice_geometries_compare_by_their_description():
+    # the precomputed gathers are arrays; equality must not touch them
+    assert lattice() == lattice()
+    assert lattice(16, 16, 32, lt=0.5) == lattice(16, 16, 32, lt=0.5)
+    assert lattice() != lattice(lt=0.5)
+    assert lattice(16, 16, 32, lt=0.5) != lattice(16, 16, 32, lt=0.25)
+
+
 def test_spacing_and_cell_volume():
     geom = sector(8, periods=(2.0, 4.0), t_fiber=0.5)
     assert geom.spacing == pytest.approx((0.25, 0.5))

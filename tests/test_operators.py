@@ -177,6 +177,66 @@ def test_conformal_sublap_annihilates_constants_exactly():
 
 
 # ---------------------------------------------------------------------------
+# flux form against the three-point formulas
+
+
+def three_point_div_form(geom, v, g=None):
+    """The stencil as first written: both neighbour differences per cell,
+    face weights from both sides, ``np.diff`` on the sphere."""
+    if geom.kind == "SphereReduced1D":
+        n, ds = geom.resolution[0], geom.spacing[0]
+        faces = np.arange(n + 1) / n
+        mu = faces * (1.0 - faces)
+        d = np.diff(v)
+        if g is not None:
+            d = (0.5 * (g[1:] + g[:-1])) * d
+        flux = np.zeros(n + 1)
+        flux[1:-1] = mu[1:-1] * d / ds
+        return -SPHERE_CS * np.diff(flux) / ds
+    acc = np.zeros_like(v)
+    for axis in (0, 1):
+        d = geom.spacing[axis]
+        fp = geom.shift(v, axis, 1)
+        fm = geom.shift(v, axis, -1)
+        if g is None:
+            acc += ((fp - v) - (v - fm)) / (d * d)
+        else:
+            wp = 0.5 * (g + geom.shift(g, axis, 1))
+            wm = 0.5 * (g + geom.shift(g, axis, -1))
+            acc += (wp * (fp - v) - wm * (v - fm)) / (d * d)
+    return -HEISENBERG_HORIZONTAL_FACTOR * acc
+
+
+STENCIL_GEOMETRIES = {
+    "sector12x20": {"kind": "HeisenbergSector2D", "resolution": [12, 20]},
+    "sector7x9": {"kind": "HeisenbergSector2D", "resolution": [7, 9]},
+    "lattice8x8x16": {"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
+                      "periods": [1.0, 1.0, 1.0]},
+    "lattice16x16x32": {"kind": "HeisenbergLattice3D", "resolution": [16, 16, 32],
+                        "periods": [1.0, 1.0, 0.5]},
+    "sphere64": {"kind": "SphereReduced1D", "resolution": [64]},
+}
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GEOMETRIES))
+def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
+    geom = build_geometry(STENCIL_GEOMETRIES[name])
+    v = rand_field(geom, 21).values
+    g = np.exp(2.0 * rand_field(geom, 22, amplitude=0.3).values)
+    for weight in (None, g):
+        assert np.array_equal(_div_form_values(geom, v, weight),
+                              three_point_div_form(geom, v, weight))
+    if geom.kind == "HeisenbergLattice3D":
+        # the flux form reads e[S^-1 p]: the -1 gather must invert the +1
+        cells = np.arange(v.size).reshape(geom.resolution)
+        for axis in (0, 1, 2):
+            there = geom.shift(cells, axis, 1)
+            assert np.array_equal(geom.shift(there, axis, -1), cells)
+            assert np.array_equal(geom.shift(geom.shift(cells, axis, -1), axis, 1),
+                                  cells)
+
+
+# ---------------------------------------------------------------------------
 # curvature
 
 
