@@ -9,8 +9,8 @@ Subcommands
     into the configured output directory.  Exit 0 for the scientific
     outcomes ``converged``/``plateau``/``max_time``, exit 3 for ``blowup``
     (a labeled result, not a failure), exit 4 for ``solver_failure`` (an
-    implicit solve did not converge; the artifacts cover the steps
-    accepted before it), exit 1 for configuration errors.
+    implicit solve missed its residual tolerance; the artifacts cover the
+    steps accepted before it), exit 1 for configuration errors.
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -106,9 +106,9 @@ class RunConfig:
     """A fully serializable description of one flow run.
 
     ``dt`` is either the string ``"auto"`` or a positive step size.  The
-    ``conventions`` mapping holds expert-only overrides of ``flow_sign`` and
-    ``cg_max_iter`` (the other conventions are fixed) and is empty in
-    normal use.  Instances round-trip bit-exactly through JSON:
+    ``conventions`` mapping holds the expert-only override of ``flow_sign``
+    (the other conventions are fixed) and is empty in normal use.
+    Instances round-trip bit-exactly through JSON:
     ``RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg``.
     """
 
@@ -322,7 +322,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "conventions": ledger.as_dict(),
         "outcome": traj.outcome,
         "n_steps": len(traj.diagnostics) - 1,
-        "final_time": final.time,
         "final": dataclasses.asdict(final),
         "bondi_sup_rate": traj.bondi_sup_rate,
         "wall_time_seconds": wall,

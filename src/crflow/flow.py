@@ -97,7 +97,6 @@ class FlowState:
     lam: ScalarField
     rhs: np.ndarray
     step_index: int
-    dt: float
     diagnostics: Diagnostics
 
     @property
@@ -233,7 +232,7 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
 # states and diagnostics
 
 
-def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
+def make_state(lam: ScalarField, time: float, step_index: int,
                ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
     diagnostics: one rhs and one curvature evaluation."""
@@ -259,8 +258,7 @@ def make_state(lam: ScalarField, time: float, step_index: int, dt: float,
                        w_min=w_min, w_max=w_max, dissipation=dis,
                        overflow_flag=overflow,
                        lam_max=float(abs_lam.flat[argmax]), lam_argmax=argmax)
-    return FlowState(lam=lam, rhs=rhs, step_index=step_index, dt=dt,
-                     diagnostics=diag)
+    return FlowState(lam=lam, rhs=rhs, step_index=step_index, diagnostics=diag)
 
 
 def detect_blowup(state: FlowState) -> bool:
@@ -293,7 +291,7 @@ def step_explicit(state: FlowState, dt: float,
         k4 = _rhs_values(geom, y + dt * k3, ledger)[0]
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return make_state(ScalarField(geom, y_new), state.time + dt,
-                      state.step_index + 1, dt, ledger)
+                      state.step_index + 1, ledger)
 
 
 def step_imex(state: FlowState, dt: float,
@@ -304,11 +302,9 @@ def step_imex(state: FlowState, dt: float,
                                                       + c Delta-hat^2 lambda)
 
     with c = C_STAB.  The shifted operator is symmetric positive
-    definite, so the conjugate-gradient solve is well posed at any dt.
-    On the sector and the sphere it is preconditioned by the exact
-    spectral inverse (``shifted_bilap_inverse``): one operator
-    application per step whatever dt, still checked against the CG
-    residual tolerance.  The lattice keeps plain CG.
+    definite, so the solve is well posed at any dt.  On every kind it is
+    the exact spectral inverse (``shifted_bilap_inverse``), checked by one
+    operator application against the residual tolerance whatever dt.
 
     The step then restores the volume of the incoming state exactly, by
     the constant shift lambda' += log(V / V') / 4.  The energy is
@@ -329,17 +325,16 @@ def step_imex(state: FlowState, dt: float,
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
         return make_state(ScalarField(geom, np.full_like(y, np.nan)),
-                          state.time + dt, state.step_index + 1, dt, ledger)
+                          state.time + dt, state.step_index + 1, ledger)
 
     def shifted(v: np.ndarray) -> np.ndarray:
         return v + (dt * c) * bilap(v)
 
-    sol = linear_solve(shifted, ScalarField(geom, b), max_iter=ledger.cg_max_iter,
-                       preconditioner=shifted_bilap_inverse(geom, dt * c))
+    sol = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, dt * c))
     v_old, v_new = state.diagnostics.volume, volume(sol)
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol = ScalarField(geom, sol.values + 0.25 * math.log(v_old / v_new))
-    return make_state(sol, state.time + dt, state.step_index + 1, dt, ledger)
+    return make_state(sol, state.time + dt, state.step_index + 1, ledger)
 
 
 def auto_dt(geom: ModelGeometry) -> float:
@@ -387,7 +382,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     if max_steps is None:
         max_steps = int(np.ceil(max_time / dt_val)) + 1
 
-    state = make_state(lam0, 0.0, 0, dt_val, ledger)
+    state = make_state(lam0, 0.0, 0, ledger)
     traj = Trajectory(outcome="max_time", dt=dt_val)
 
     def record(st: FlowState) -> None:

@@ -418,8 +418,8 @@ def _sector_closure():
         geom3, np.repeat(lam2.values[:, :, None], geom3.resolution[2], axis=2)
     )
     dt = 1e-9
-    s2 = flow.make_state(lam2, 0.0, 0, dt)
-    s3 = flow.make_state(lam3, 0.0, 0, dt)
+    s2 = flow.make_state(lam2, 0.0, 0)
+    s3 = flow.make_state(lam3, 0.0, 0)
     spread = mismatch = 0.0
     for _ in range(50):
         s2 = flow.step_explicit(s2, dt)

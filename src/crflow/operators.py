@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .conventions import (CG_MAX_ITER, CG_TOL, HEISENBERG_HORIZONTAL_FACTOR,
-                          SPHERE_CS, YAMABE_COEFFICIENT)
+from .conventions import (HEISENBERG_HORIZONTAL_FACTOR, SOLVE_TOL, SPHERE_CS,
+                          YAMABE_COEFFICIENT)
 from .manifold import (
     HEISENBERG_SECTOR,
     SPHERE_REDUCED,
@@ -51,6 +51,7 @@ __all__ = [
     "calibrate_sphere_curvature",
     "yamabe_apply",
     "linear_solve",
+    "spectral_basis",
     "shifted_bilap_inverse",
     "stability_symbol_max",
 ]
@@ -61,7 +62,7 @@ class CalibrationError(RuntimeError):
 
 
 class LinearSolveError(RuntimeError):
-    """The iterative solver failed to reach the requested residual."""
+    """A linear solve missed the residual tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,39 +187,32 @@ def webster_curvature(lam: ScalarField) -> ScalarField:
     return ScalarField(lam.geometry, w)
 
 
-def webster_pointwise(u, p, h: float, order: int = 2) -> float:
-    """Curvature of the rescaling u^2 of the flat structure at one point.
+def webster_pointwise(u, p, h: float, order: int = 2):
+    """Curvature of the rescaling u^2 of the flat structure at points p.
 
     Mesh-free: second differences along the exact flows of the frame
     fields X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt of the full group,
-    evaluated on the callable ``u(t, x, y)``.  Error O(h^2), or O(h^4)
-    with ``order=4`` (wide five-point second differences).
+    evaluated on the callable ``u(t, x, y)``.  ``p = (t, x, y)`` may hold
+    arrays of points, broadcast together; ``u`` must then accept arrays.
+    Error O(h^2), or O(h^4) with ``order=4`` (wide five-point second
+    differences).
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    t0, x0, y0 = (float(c) for c in p)
+    t0, x0, y0 = (np.asarray(c, dtype=float) for c in p)
     if h <= 0:
         raise ValueError("step h must be positive")
 
-    def along_x(s):
-        return float(u(t0 + 2.0 * y0 * s, x0 + s, y0))
-
-    def along_y(s):
-        return float(u(t0 - 2.0 * x0 * s, x0, y0 + s))
-
-    u0 = float(u(t0, x0, y0))
+    steps = [k * h for k in ((-1, 1) if order == 2 else (-2, -1, 1, 2))]
+    u0 = np.asarray(u(t0, x0, y0), dtype=float)
+    sx = [np.asarray(u(t0 + 2.0 * y0 * s, x0 + s, y0), dtype=float) for s in steps]
+    sy = [np.asarray(u(t0 - 2.0 * x0 * s, x0, y0 + s), dtype=float) for s in steps]
+    if min(v.min() for v in (u0, *sx, *sy)) <= 0.0:
+        raise ValueError("u must be positive near p")
     if order == 2:
-        sx = [along_x(-h), u0, along_x(h)]
-        sy = [along_y(-h), u0, along_y(h)]
-        if min(min(sx), min(sy)) <= 0.0:
-            raise ValueError("u must be positive near p")
-        d2x = (sx[2] - 2.0 * u0 + sx[0]) / (h * h)
-        d2y = (sy[2] - 2.0 * u0 + sy[0]) / (h * h)
+        d2x = (sx[1] - 2.0 * u0 + sx[0]) / (h * h)
+        d2y = (sy[1] - 2.0 * u0 + sy[0]) / (h * h)
     else:
-        sx = [along_x(k * h) for k in (-2, -1, 1, 2)]
-        sy = [along_y(k * h) for k in (-2, -1, 1, 2)]
-        if min(min(sx), min(sy), u0) <= 0.0:
-            raise ValueError("u must be positive near p")
         d2x = (-sx[3] + 16.0 * sx[2] - 30.0 * u0 + 16.0 * sx[1] - sx[0]) / (12.0 * h * h)
         d2y = (-sy[3] + 16.0 * sy[2] - 30.0 * u0 + 16.0 * sy[1] - sy[0]) / (12.0 * h * h)
 
@@ -260,16 +254,9 @@ def calibrate_sphere_curvature(candidate=None, n_points: int = 128,
 
     fn = extremal_profile if candidate is None else candidate
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(-2.0, 2.0, n_points)
-    xs = rng.uniform(-1.5, 1.5, n_points)
-    ys = rng.uniform(-1.5, 1.5, n_points)
-
-    values = np.empty(n_points)
-    for i in range(n_points):
-        p = (ts[i], xs[i], ys[i])
-        w_h = webster_pointwise(fn, p, h)
-        w_h2 = webster_pointwise(fn, p, 0.5 * h)
-        values[i] = (4.0 * w_h2 - w_h) / 3.0   # eliminate the O(h^2) term
+    points = tuple(rng.uniform(-a, a, n_points) for a in (2.0, 1.5, 1.5))   # t, x, y
+    w_h, w_h2 = (webster_pointwise(fn, points, step) for step in (h, 0.5 * h))
+    values = (4.0 * w_h2 - w_h) / 3.0   # eliminate the O(h^2) term
 
     mean = float(values.mean())
     if not np.isfinite(values).all() or not np.isfinite(mean):
@@ -304,106 +291,133 @@ def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
                        YAMABE_COEFFICIENT * lap.values + w.values * phi.values)
 
 
-def linear_solve(operator, rhs: ScalarField, tol: float = CG_TOL,
-                 max_iter: int = CG_MAX_ITER, preconditioner=None) -> ScalarField:
-    """Conjugate-gradient solve of a symmetric positive (semi)definite
-    grid operator; deterministic.
-
-    ``operator`` maps a value array to a value array.  ``preconditioner``
-    maps a residual array to an approximation of the operator's inverse
-    applied to it (symmetric positive definite); ``None`` is the identity,
-    which is plain CG.  With the exact inverse (``shifted_bilap_inverse``)
-    the solve converges after one operator application.  Either way
-    convergence is the true relative residual ||b - A x|| <= tol ||b||,
-    so the preconditioner can never silently degrade a solve; failure
-    raises ``LinearSolveError`` (an inconsistent right-hand side on a
-    singular operator lands here).
+def linear_solve(operator, rhs: ScalarField, inverse) -> ScalarField:
+    """Solve operator(x) = b as x = inverse(b), checked by one operator
+    application: the true relative residual ||b - operator(x)|| must be
+    <= SOLVE_TOL ||b||, so a wrong or ill-conditioned inverse never
+    silently degrades a solve; a non-finite or larger residual raises
+    ``LinearSolveError``.  A zero right-hand side returns zeros unsolved.
+    ``operator`` and ``inverse`` map value arrays to value arrays.
     """
-    precondition = preconditioner or (lambda v: v)
-    geom = rhs.geometry
     b = rhs.values
-    bnorm = float(np.sqrt(np.vdot(b, b).real))
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return geom.zeros()
-    x = np.zeros_like(b)
-    r = b.copy()
-    rs = float(np.vdot(r, r).real)
-    z = precondition(r)
-    rz = float(np.vdot(r, z).real)
-    p = z.copy()
-    for _ in range(max_iter):
-        ap = operator(p)
-        pap = float(np.vdot(p, ap).real)
-        if pap <= 0.0 or not np.isfinite(pap):
-            raise LinearSolveError(
-                "conjugate gradient breakdown: operator is not positive "
-                "definite on the Krylov space")
-        alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs = float(np.vdot(r, r).real)
-        if np.sqrt(rs) <= tol * bnorm:
-            return ScalarField(geom, x)
-        z = precondition(r)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise LinearSolveError(
-        f"no convergence in {max_iter} iterations "
-        f"(relative residual {np.sqrt(rs) / bnorm:.3e})")
+        return rhs.geometry.zeros()
+    x = inverse(b)
+    res = float(np.linalg.norm(b - operator(x)))
+    if not res <= SOLVE_TOL * bnorm:
+        raise LinearSolveError(
+            f"relative residual {res / bnorm:.3e} of the exact inverse exceeds "
+            f"the {SOLVE_TOL:.0e} tolerance")
+    return ScalarField(rhs.geometry, x)
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_eigenbasis(n: int, ds: float):
-    """Eigenvalues and orthonormal eigenvectors of the background sphere
-    sublaplacian, the symmetric tridiagonal matrix that
-    ``_div_form_values`` applies (degenerate face weights, no boundary
-    condition).  Cached per grid; read-only."""
+def _sector_basis(resolution: tuple, spacing: tuple):
+    from numpy import fft    # loaded only on this path, never at import
+
+    nx, ny = resolution
+    dx, dy = spacing
+    h = HEISENBERG_HORIZONTAL_FACTOR
+    sx = np.sin(np.pi * np.arange(nx) / nx)[:, None]
+    sy = np.sin(np.pi * np.arange(ny // 2 + 1) / ny)[None, :]   # rfft half
+    sigma = h * (4.0 * sx * sx / (dx * dx) + 4.0 * sy * sy / (dy * dy))
+    sigma.setflags(write=False)
+    return fft.rfft2, functools.partial(fft.irfft2, s=resolution), sigma
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_basis(n: int, ds: float):
     mu = _sphere_faces(n)
     a = (SPHERE_CS / (ds * ds)) * (np.diag(mu[:-1] + mu[1:])
-                            - np.diag(mu[1:-1], 1) - np.diag(mu[1:-1], -1))
-    evals, evecs = np.linalg.eigh(a)
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
+                                   - np.diag(mu[1:-1], 1) - np.diag(mu[1:-1], -1))
+    sigma, vecs = np.linalg.eigh(a)
+    for arr in (sigma, vecs):
+        arr.setflags(write=False)
+    return (lambda v: vecs.T @ v), (lambda c: vecs @ c), sigma
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_basis(resolution: tuple, spacing: tuple, shift_unit: int, degree: int):
+    from numpy import fft    # loaded only on this path, never at import
+
+    nx, ny, nt = resolution
+    dx, dy = spacing[0], spacing[1]
+    h = HEISENBERG_HORIZONTAL_FACTOR
+    nl = nt // 2 + 1                           # rfft half of the tau modes
+    ells = np.arange(nl)
+    steps = ells * degree % ny                 # y-mode drop of one x-wrap
+    orders = ny // np.gcd(ny, steps)           # x-wraps until a chain closes
+    perm, sigma, blocks = [], [], []
+    start = 0
+    for order in np.unique(orders):
+        ell = ells[orders == order][:, None, None]
+        step = steps[orders == order][:, None, None]
+        q0 = np.arange(ny // order)[None, :, None]   # one chain per coset
+        n = nx * order
+        pos = np.arange(n)
+        i, r = pos % nx, pos // nx
+        q = (q0 - r * step) % ny                      # (ells, chains, n)
+        phase = 2.0 * np.pi * (q / ny - ell * i * shift_unit / nt)
+        diag = h * (2.0 / (dx * dx) + (2.0 - 2.0 * np.cos(phase)) / (dy * dy))
+        link = np.roll(np.eye(n), 1, axis=1)          # cell p to cell p + 1
+        mats = diag[..., None] * np.eye(n) - (h / (dx * dx)) * (link + link.T)
+        w, vecs = np.linalg.eigh(mats.reshape(-1, n, n))
+        perm.append(((i * ny + q) * nl + ell).ravel())
+        sigma.append(w.ravel())
+        vecs.setflags(write=False)
+        blocks.append((slice(start, start + w.size), vecs))
+        start += w.size
+    perm = np.concatenate(perm)
+    sigma = np.concatenate(sigma)[:, None]    # broadcasts over (re, im) pairs
+    for arr in (perm, sigma):
+        arr.setflags(write=False)
+
+    def forward(v: np.ndarray) -> np.ndarray:
+        vh = fft.fft(fft.rfft(v, axis=2), axis=1).ravel()[perm]
+        x = vh.view(np.float64).reshape(-1, 2)            # (re, im) pairs
+        c = np.empty_like(x)
+        for sl, q in blocks:    # q: a stack of orthonormal eigenvector columns
+            c[sl] = (q.transpose(0, 2, 1) @ x[sl].reshape(len(q), -1, 2)).reshape(-1, 2)
+        return c
+
+    def inverse(c: np.ndarray) -> np.ndarray:
+        x = np.empty_like(c)
+        for sl, q in blocks:
+            x[sl] = (q @ c[sl].reshape(len(q), -1, 2)).reshape(-1, 2)
+        vh = np.empty(nx * ny * nl, dtype=complex)
+        vh[perm] = x.view(complex).ravel()
+        return fft.irfft(fft.ifft(vh.reshape(nx, ny, nl), axis=1), n=nt, axis=2)
+
+    return forward, inverse, sigma
+
+
+def spectral_basis(geom: ModelGeometry):
+    """(forward, inverse, sigma) with inverse(sigma * forward(v)) the
+    background sublaplacian ``_div_form_values`` of the value array v.
+    Built on first use and cached per grid; read-only.
+
+    Sector: ``rfft2`` and the five-point symbol h * sum_axis
+    4 sin^2(pi k_a / n_a) / d_a^2.  Sphere: ``eigh`` of the tridiagonal
+    operator.  Lattice: an ``rfft`` along tau and an ``fft`` along y make
+    the Y shift a phase; the twisted x-wrap then links the x-cells of
+    tau-mode l at y-mode q to y-mode q - l * degree, so the operator falls
+    apart into real symmetric cyclic tridiagonal chains, each ``eigh``-ed.
+    """
+    if geom.kind == SPHERE_REDUCED:
+        return _sphere_basis(geom.resolution[0], geom.spacing[0])
+    if geom.kind == HEISENBERG_SECTOR:
+        return _sector_basis(geom.resolution, geom.spacing)
+    return _lattice_basis(geom.resolution, geom.spacing, geom.shift_unit,
+                          geom.lattice_degree)
 
 
 def shifted_bilap_inverse(geom: ModelGeometry, s: float):
-    """Exact inverse of v -> v + s * sublap(sublap(v)) from the operator's
-    structure, as a function of value arrays; ``None`` where no such
-    structure is used.
-
-    Sector: the five-point stencil is diagonal in Fourier space with
-    symbol sigma(k) = h * sum_axis 4 sin^2(pi k_a / n_a) / d_a^2, so the
-    inverse is an ``rfft2``, a division by 1 + s sigma^2 and an
-    ``irfft2``.  Sphere: one eigendecomposition of the tridiagonal
-    operator per grid, independent of s.  Lattice: ``None`` (the twisted
-    gathers couple the vertical Fourier modes of different x-cells).
-    """
-    if geom.kind == HEISENBERG_SECTOR:
-        from numpy import fft    # loaded only on this path, never at import
-
-        nx, ny = geom.resolution
-        dx, dy = geom.spacing
-        h = HEISENBERG_HORIZONTAL_FACTOR
-        sx = np.sin(np.pi * np.arange(nx) / nx)[:, None]
-        sy = np.sin(np.pi * np.arange(ny // 2 + 1) / ny)[None, :]   # rfft half
-        sig = h * (4.0 * sx * sx / (dx * dx) + 4.0 * sy * sy / (dy * dy))
-        denom = 1.0 + s * sig * sig
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            return fft.irfft2(fft.rfft2(v) / denom, s=v.shape)
-
-        return solve
-    if geom.kind == SPHERE_REDUCED:
-        evals, evecs = _sphere_eigenbasis(geom.resolution[0], geom.spacing[0])
-        gain = 1.0 / (1.0 + s * evals * evals)
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            return evecs @ (gain * (evecs.T @ v))
-
-        return solve
-    return None
+    """Exact inverse of v -> v + s * sublap(sublap(v)), as a function of
+    value arrays: a division by 1 + s sigma^2 in the spectral basis."""
+    forward, inverse, sigma = spectral_basis(geom)
+    denom = 1.0 + s * sigma * sigma
+    return lambda v: inverse(forward(v) / denom)
 
 
 def stability_symbol_max(geom: ModelGeometry) -> float:

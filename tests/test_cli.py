@@ -28,7 +28,7 @@ from crflow.cli import (
     main,
     resolve_output_dir,
 )
-from crflow.conventions import DEFAULT_LEDGER
+from crflow.conventions import DEFAULT_LEDGER, PLATEAU_TOL, PLATEAU_WINDOW
 
 
 def base_config(outdir, **overrides):
@@ -123,6 +123,8 @@ def test_config_must_be_an_object():
         {"conventions": {"cg_max_iter": True}},
         {"conventions": {"sphere_kappa": 1.0}},
         {"conventions": {"heisenberg_volume_weight": 8.0}},
+        {"conventions": {"cg_max_iter": 100}},
+        {"conventions": {"plateau_tol": 5e-4}},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -182,13 +184,40 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
     assert meta["conventions"]["flow_sign"] == -1.0
     assert set(meta) == {  # O(1) in the step count: no per-step entries
         "config", "resolved", "conventions", "outcome", "n_steps",
-        "final_time", "final", "bondi_sup_rate", "wall_time_seconds",
+        "final", "bondi_sup_rate", "wall_time_seconds",
     }
     assert all(0 <= int(row[9]) < 16 * 16 for row in rows[1:])
     assert meta["final"]["lam_max"] == float(rows[-1][8])
     assert meta["final"]["lam_argmax"] == int(rows[-1][9])
-    assert meta["final"]["time"] == meta["final_time"] == float(rows[-1][1])
+    assert meta["final"]["time"] == float(rows[-1][1])
     assert isinstance(meta["wall_time_seconds"], float)
+
+
+def plateau_entries(obj, path=()):
+    """(path, value) of every plateau key in a meta.json tree."""
+    out = []
+    for key, value in obj.items():
+        if key in ("plateau_tol", "plateau_window"):
+            out.append((path + (key,), value))
+        elif isinstance(value, dict):
+            out.extend(plateau_entries(value, path + (key,)))
+    return out
+
+
+@pytest.mark.parametrize("overrides, used", [
+    ({}, {"plateau_tol": PLATEAU_TOL, "plateau_window": PLATEAU_WINDOW}),
+    ({"plateau_tol": 5e-4, "plateau_window": 10},
+     {"plateau_tol": 5e-4, "plateau_window": 10}),
+])
+def test_meta_states_each_plateau_value_once(tmp_path, overrides, used):
+    cfg_path, cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg_path)]) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    # the config echo holds the input as given; the run's values appear once
+    entries = [(p, v) for p, v in plateau_entries(meta) if p[0] != "config"]
+    assert sorted(entries) == [(("resolved", k), v) for k, v in sorted(used.items())]
+    assert {k: v for k, v in meta["config"].items() if k.startswith("plateau")} \
+        == {k: cfg.get(k) for k in ("plateau_tol", "plateau_window")}
 
 
 def test_run_snapshots_round_trip(tmp_path):
@@ -341,7 +370,7 @@ def test_ascending_probe_exits_with_the_blowup_code(tmp_path, capsys):
     assert meta["n_steps"] < 20000
 
 
-def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys):
+def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys, monkeypatch):
     cfg_path, cfg = write_config(
         tmp_path,
         geometry={
@@ -354,19 +383,30 @@ def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys):
         dt=1e-7,
         max_time=1e-6,
         max_steps=None,
-        conventions={"cg_max_iter": 5},
     )
+    calls = []
+    solve = flow.linear_solve
+    message = "relative residual 1.0e+00 of the exact inverse exceeds the tolerance"
+
+    def failing(operator, rhs, inverse):   # the third solve misses
+        calls.append(1)
+        if len(calls) == 3:
+            raise operators.LinearSolveError(message)
+        return solve(operator, rhs, inverse)
+
+    monkeypatch.setattr(flow, "linear_solve", failing)
     assert main(["run", str(cfg_path)]) == EXIT_SOLVER
     captured = capsys.readouterr()
     assert "outcome: solver_failure" in captured.out
-    assert "no convergence in 5 iterations" in captured.err
+    assert message in captured.err
 
     outdir = tmp_path / "out"
     rows = read_rows(outdir / "diagnostics.csv")
     meta = json.loads((outdir / "meta.json").read_text())
     assert RunConfig.from_dict(meta["config"]) == RunConfig.from_dict(cfg)
     assert meta["outcome"] == "solver_failure"
-    assert "no convergence" in meta["solver_error"]
+    assert meta["solver_error"] == message
+    assert meta["n_steps"] == 2
     assert len(rows) == 1 + 1 + meta["n_steps"]
     assert int(rows[-1][0]) == meta["n_steps"]
     assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)

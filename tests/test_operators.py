@@ -15,8 +15,10 @@ from crflow import (
     calibrate_sphere_curvature,
     conformal_sublap,
     extremal_profile,
+    initial_data,
     integrate,
     linear_solve,
+    run,
     stability_symbol_max,
     sublap,
     webster_curvature,
@@ -26,10 +28,12 @@ from crflow import (
 from crflow.conventions import (
     C_STAB,
     HEISENBERG_HORIZONTAL_FACTOR,
+    SOLVE_TOL,
     SPHERE_CS,
     YAMABE_COEFFICIENT,
 )
-from crflow.operators import _div_form_values, shifted_bilap_inverse
+from crflow import operators
+from crflow.operators import _div_form_values, shifted_bilap_inverse, spectral_basis
 
 
 def sector(n=16, periods=(1.0, 1.0)):
@@ -306,15 +310,36 @@ def test_calibration_flat_profile_reads_zero():
 def test_calibration_scales_as_minus_two_conformal_weights():
     base = calibrate_sphere_curvature()
     c = 0.25
-    scaled = lambda t, x, y: math.exp(c) * extremal_profile(t, x, y)
+    scaled = lambda t, x, y: np.exp(c) * extremal_profile(t, x, y)
     value = calibrate_sphere_curvature(candidate=scaled, n_points=64)
     assert value == pytest.approx(math.exp(-2.0 * c) * base, rel=1e-6)
 
 
 def test_calibration_rejects_non_constant_candidates():
-    warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + 0.05 * math.tanh(t))
+    warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
     with pytest.raises(CalibrationError):
         calibrate_sphere_curvature(candidate=warped, n_points=64)
+
+
+def test_calibration_is_bitwise_the_per_point_loop():
+    # one broadcast evaluation per step size, exactly a loop over points
+    n_points, h = 128, 0.02
+    rng = np.random.default_rng(20210818)
+    ts = rng.uniform(-2.0, 2.0, n_points)
+    xs = rng.uniform(-1.5, 1.5, n_points)
+    ys = rng.uniform(-1.5, 1.5, n_points)
+    values = np.empty(n_points)
+    for i in range(n_points):
+        p = (ts[i], xs[i], ys[i])
+        w_h = webster_pointwise(extremal_profile, p, h)
+        w_h2 = webster_pointwise(extremal_profile, p, 0.5 * h)
+        values[i] = (4.0 * w_h2 - w_h) / 3.0
+    assert calibrate_sphere_curvature() == float(values.mean())
+    for order in (2, 4):
+        batch = webster_pointwise(extremal_profile, (ts, xs, ys), h, order)
+        loop = [webster_pointwise(extremal_profile, (ts[i], xs[i], ys[i]), h, order)
+                for i in range(n_points)]
+        assert np.array_equal(batch, loop)
 
 
 def test_sphere_geometry_carries_the_calibrated_constant():
@@ -376,7 +401,7 @@ def test_linear_solve_resolvent_amplitude_on_an_eigenmode():
         inner = sublap(ScalarField(geom, values)).values
         return values + alpha * sublap(ScalarField(geom, inner)).values
 
-    x = linear_solve(operator, v, tol=1e-12)
+    x = linear_solve(operator, v, shifted_bilap_inverse(geom, alpha))
     np.testing.assert_allclose(
         x.values, mode / 2.0, rtol=0, atol=1e-9 * np.max(np.abs(mode))
     )
@@ -385,18 +410,26 @@ def test_linear_solve_resolvent_amplitude_on_an_eigenmode():
 def test_linear_solve_zero_rhs_returns_zeros():
     geom = sector(8)
     rhs = ScalarField(geom, np.zeros((8, 8)))
-    out = linear_solve(lambda v: v + sublap(ScalarField(geom, v)).values, rhs)
+
+    def never(v):
+        raise AssertionError("a zero right-hand side needs no solve")
+
+    out = linear_solve(never, rhs, never)
     np.testing.assert_array_equal(out.values, np.zeros((8, 8)))
 
 
 def test_linear_solve_reports_breakdown_on_indefinite_systems():
+    # an indefinite operator is no shifted biharmonic: its residual is 2 ||b||
     geom = sector(8)
     rhs = ScalarField(geom, np.ones((8, 8)))
     with pytest.raises(LinearSolveError):
-        linear_solve(lambda v: -v, rhs)
+        linear_solve(lambda v: -v, rhs, lambda v: v)
+    with pytest.raises(LinearSolveError):   # a non-finite residual never passes
+        linear_solve(lambda v: v, rhs, lambda v: np.full_like(v, np.nan))
 
 
 def test_linear_solve_reports_non_convergence():
+    # the inverse of another shift misses the residual tolerance
     geom = sector(8)
 
     def stiff(values):
@@ -405,11 +438,11 @@ def test_linear_solve_reports_non_convergence():
 
     rhs = rand_field(geom, 13)
     with pytest.raises(LinearSolveError):
-        linear_solve(stiff, rhs, tol=1e-14, max_iter=2)
+        linear_solve(stiff, rhs, shifted_bilap_inverse(geom, 10.0 * (1.0 + 1e-6)))
 
 
 # ---------------------------------------------------------------------------
-# exact spectral inverse of the IMEX operator
+# the spectral basis of each geometry and the exact IMEX inverse
 
 
 @pytest.mark.parametrize("kx, ky", [(0, 1), (3, 0), (5, 7), (6, 10), (11, 19)])
@@ -430,10 +463,80 @@ def test_fourier_modes_diagonalize_the_sector_stencil(kx, ky):
     assert np.max(np.abs(out - sigma * mode)) <= 1e-12 * sigma
 
 
+def lattice_geometry(resolution, periods):
+    return build_geometry({"kind": "HeisenbergLattice3D", "resolution": resolution,
+                           "periods": periods})
+
+
+def chain_order(geom):
+    """Longest chain of the lattice basis, in x-wraps: the order of
+    l * degree in the y-modes, over the tau-modes l."""
+    nx, ny, nt = geom.resolution
+    return max(ny // math.gcd(ny, ell * geom.lattice_degree % ny)
+               for ell in range(nt // 2 + 1))
+
+
+BASIS_GEOMETRIES = {
+    "sector12x20": lambda: build_geometry(
+        {"kind": "HeisenbergSector2D", "resolution": [12, 20], "periods": [1.0, 1.7]}),
+    "sphere64": lambda: sphere(64),
+    "lattice8x8x16": lambda: lattice_geometry([8, 8, 16], [1.0, 1.0, 1.0]),
+    "lattice16x16x32": lambda: lattice_geometry([16, 16, 32], [1.0, 1.0, 0.5]),
+    "lattice8x8x32": lambda: lattice_geometry([8, 8, 32], [1.0, 1.0, 2.0]),
+    "lattice8x8x64": lambda: lattice_geometry([8, 8, 64], [1.0, 1.0, 4.0]),
+    "lattice32x32x32": lambda: lattice_geometry([32, 32, 32], [1.0, 1.0, 0.125]),
+}
+
+
+@pytest.mark.parametrize("name", list(BASIS_GEOMETRIES))
+def test_spectral_basis_diagonalizes_the_stencil(name):
+    geom = BASIS_GEOMETRIES[name]()
+    if name in ("lattice8x8x16", "lattice16x16x32"):
+        assert chain_order(geom) == 2       # twisted: chains cross x-wraps
+    if name in ("lattice8x8x32", "lattice8x8x64"):
+        assert chain_order(geom) >= 4
+    forward, inverse, sigma = spectral_basis(geom)
+    v = rand_field(geom, 31).values
+    lv = _div_form_values(geom, v)
+    scale = np.max(np.abs(lv))
+    assert np.max(np.abs(inverse(sigma * forward(v)) - lv)) <= 1e-12 * scale
+    c, cl = forward(v), forward(lv)
+    assert np.max(np.abs(cl - sigma * c)) <= 1e-12 * np.max(np.abs(cl))
+    assert np.max(np.abs(inverse(c) - v)) <= 1e-13 * np.max(np.abs(v))
+    assert spectral_basis(geom) is spectral_basis(BASIS_GEOMETRIES[name]())
+
+
+def dense_stencil(geom):
+    """The matrix of _div_form_values, column by column."""
+    n = int(np.prod(geom.resolution))
+    cols = [_div_form_values(geom, e.reshape(geom.resolution)).ravel()
+            for e in np.eye(n)]
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("mult", [10.0, 1e4])
+@pytest.mark.parametrize("make", [
+    lambda: build_geometry({"kind": "HeisenbergSector2D", "resolution": [12, 20]}),
+    lambda: sphere(32),
+    lattice,
+], ids=["sector12x20", "sphere32", "lattice8x8x16"])
+def test_shifted_bilap_inverse_matches_a_dense_solve(make, mult):
+    geom = make()
+    s = mult * auto_dt(geom) * C_STAB
+    lap = dense_stencil(geom)
+    a = np.eye(len(lap)) + s * lap @ lap
+    b = rand_field(geom, 23).values
+    ref = np.linalg.solve(a, b.ravel()).reshape(geom.resolution)
+    x = shifted_bilap_inverse(geom, s)(b)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("mult", [10.0, 1e3, 1e4])
-@pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64)],
-                         ids=["sector", "sphere"])
+@pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64), lattice],
+                         ids=["sector", "sphere", "lattice"])
 def test_exact_preconditioner_solves_in_one_matvec(make, mult):
+    # the exact spectral inverse: one operator application checks the
+    # solve, whatever the step size
     geom = make()
     s = mult * auto_dt(geom) * C_STAB
     matvecs = []
@@ -443,17 +546,22 @@ def test_exact_preconditioner_solves_in_one_matvec(make, mult):
         return v + s * _div_form_values(geom, _div_form_values(geom, v))
 
     b = rand_field(geom, 21)
-    plain = linear_solve(operator, b)
-    assert len(matvecs) > 1
-    matvecs.clear()
-    pcg = linear_solve(operator, b, preconditioner=shifted_bilap_inverse(geom, s))
+    x = linear_solve(operator, b, shifted_bilap_inverse(geom, s))
     assert len(matvecs) == 1
-    scale = np.max(np.abs(plain.values))
-    assert np.max(np.abs(pcg.values - plain.values)) <= 1e-9 * scale
+    residual = b.values - (x.values + s * _div_form_values(
+        geom, _div_form_values(geom, x.values)))
+    assert np.linalg.norm(residual) <= SOLVE_TOL * np.linalg.norm(b.values)
 
 
-def test_lattice_has_no_spectral_inverse():
-    assert shifted_bilap_inverse(lattice(), 1.0) is None
+def test_explicit_runs_build_no_spectral_basis():
+    builders = (operators._sector_basis, operators._sphere_basis,
+                operators._lattice_basis)
+    before = [f.cache_info().misses for f in builders]
+    for geom in (build_geometry({"kind": "HeisenbergSector2D", "resolution": [9, 11]}),
+                 sphere(24), lattice_geometry([8, 8, 32], [1.0, 1.0, 2.0])):
+        lam = initial_data(geom, {"kind": "random", "seed": 3})
+        run(geom, lam, max_steps=2)
+    assert [f.cache_info().misses for f in builders] == before
 
 
 # ---------------------------------------------------------------------------
