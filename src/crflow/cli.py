@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow, inversion, operators
-from .conventions import DEFAULT_LEDGER, PLATEAU_TOL, PLATEAU_WINDOW, ConventionLedger
+from .conventions import (DESCENT, PLATEAU_TOL, PLATEAU_WINDOW, check_flow_sign,
+                          conventions_record)
 from .manifold import GeometryError, build_geometry, initial_data
 
 __all__ = [
@@ -90,7 +91,6 @@ _CSV_COLUMNS = (
 # One diagnostics.csv row: the bytes csv.writer gives for these cells
 # (none needs quoting) with every float as _fmt writes it.
 _CSV_ROW = "%d," + "%.17g," * 8 + "%d\r\n"
-_INTEGRATORS = ("explicit", "imex")
 
 
 class ConfigError(ValueError):
@@ -148,9 +148,9 @@ class RunConfig:
             raise ConfigError("'geometry' must be an object")
         if not isinstance(self.initial_data, dict):
             raise ConfigError("'initial_data' must be an object")
-        if self.integrator not in _INTEGRATORS:
+        if self.integrator not in flow.INTEGRATORS:
             raise ConfigError(
-                f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
+                f"integrator must be one of {flow.INTEGRATORS}, got {self.integrator!r}"
             )
         if self.dt != "auto" and not _is_positive(self.dt):
             raise ConfigError("dt must be 'auto' or a positive number")
@@ -172,16 +172,21 @@ class RunConfig:
             raise ConfigError("output_dir must be a nonempty string")
         if not isinstance(self.conventions, dict):
             raise ConfigError("'conventions' must be an object")
-        self.ledger()
+        fixed = sorted(set(self.conventions) - {"flow_sign"})
+        if fixed:
+            raise ConfigError(
+                f"bad convention override: only flow_sign may be set, not {fixed}")
+        try:
+            check_flow_sign(self.flow_sign)
+        except ValueError as exc:
+            raise ConfigError(f"bad convention override: {exc}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-    def ledger(self) -> ConventionLedger:
-        try:
-            return DEFAULT_LEDGER.replace(**self.conventions)
-        except ValueError as exc:
-            raise ConfigError(f"bad convention override: {exc}")
+    @property
+    def flow_sign(self) -> float:
+        return self.conventions.get("flow_sign", DESCENT)
 
 
 def _is_integer(value) -> bool:
@@ -282,7 +287,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = RunConfig.from_dict(raw)
         if args.output_dir:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-        ledger = cfg.ledger()
         geom = build_geometry(cfg.geometry)
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = resolve_output_dir(cfg.output_dir)
@@ -304,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         plateau_tol=plateau_tol,
         plateau_window=plateau_window,
         snapshot_every=cfg.snapshot_every,
-        ledger=ledger,
+        flow_sign=cfg.flow_sign,
     )
     wall = time.perf_counter() - started
 
@@ -319,7 +323,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "plateau_window": plateau_window,
             "output_dir": os.path.abspath(outdir),
         },
-        "conventions": ledger.as_dict(),
+        "conventions": conventions_record(cfg.flow_sign),
         "outcome": traj.outcome,
         "n_steps": len(traj.diagnostics) - 1,
         "final": dataclasses.asdict(final),

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conventions import (BLOWUP_THRESHOLD, C_STAB, DEFAULT_LEDGER, PLATEAU_TOL,
-                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, ConventionLedger)
+from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
+                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, check_flow_sign)
 from .manifold import ModelGeometry, ScalarField
 from .operators import (
     LinearSolveError,
@@ -60,8 +60,11 @@ __all__ = [
     "step_imex",
     "detect_blowup",
     "auto_dt",
+    "INTEGRATORS",
     "run",
 ]
+
+INTEGRATORS = ("explicit", "imex")   # stepped by step_explicit, step_imex
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def bondi(lam: ScalarField) -> float:
 
 
 def _rhs_values(geom: ModelGeometry, values: np.ndarray,
-                ledger: ConventionLedger) -> tuple[np.ndarray, np.ndarray]:
+                flow_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """Returns (rhs, w) at the conformal exponent ``values``: sigma *
     grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2), and the curvature
     values w it was assembled from.
@@ -198,10 +201,10 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray,
     uw = u * w
     cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
         + (geom.background_curvature * m2) * w
-    return ledger.flow_sign * 2.0 * (cov - w * w), w
+    return flow_sign * 2.0 * (cov - w * w), w
 
 
-def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> ScalarField:
+def flow_rhs(lam: ScalarField, flow_sign: float = DESCENT) -> ScalarField:
     """Right-hand side of the volume-preserving downward energy flow.
 
     Exactly annihilates constants and has exactly zero e^{4 lambda}-
@@ -211,16 +214,16 @@ def flow_rhs(lam: ScalarField, ledger: ConventionLedger = DEFAULT_LEDGER) -> Sca
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return ScalarField(lam.geometry,
-                           _rhs_values(lam.geometry, lam.values, ledger)[0])
+                           _rhs_values(lam.geometry, lam.values, flow_sign)[0])
 
 
 def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
-                   ledger: ConventionLedger = DEFAULT_LEDGER) -> float:
+                   flow_sign: float = DESCENT) -> float:
     """Relative defect between the weighted pairing of -rhs with phi and
     the central finite difference of the energy in direction phi."""
     geom = lam.geometry
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(geom, lam.values, ledger)[0]
+        rhs = _rhs_values(geom, lam.values, flow_sign)[0]
         lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
@@ -233,18 +236,18 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
 
 
 def make_state(lam: ScalarField, time: float, step_index: int,
-               ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
+               flow_sign: float = DESCENT) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
     diagnostics: one rhs and one curvature evaluation."""
     geom = lam.geometry
     values = lam.values
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs, w = _rhs_values(geom, values, ledger)
+        rhs, w = _rhs_values(geom, values, flow_sign)
         m4 = np.exp(4.0 * values)
         vol = _weighted_sum(geom, m4)
         ene = _weighted_sum(geom, w * w * m4)
         bon = _weighted_sum(geom, np.exp(5.0 * values))
-        dis = ledger.flow_sign * _weighted_sum(geom, rhs * rhs * m4)
+        dis = flow_sign * _weighted_sum(geom, rhs * rhs * m4)
     finite_w = bool(np.isfinite(w).all())
     w_min = float(w.min()) if finite_w else float("nan")
     w_max = float(w.max()) if finite_w else float("nan")
@@ -274,7 +277,7 @@ def detect_blowup(state: FlowState) -> bool:
 
 
 def step_explicit(state: FlowState, dt: float,
-                  ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
+                  flow_sign: float = DESCENT) -> FlowState:
     """One classical four-stage Runge-Kutta step of the semi-discrete flow.
 
     The first stage is the state's stored rhs (first same as last), so a
@@ -286,25 +289,28 @@ def step_explicit(state: FlowState, dt: float,
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = state.rhs
-        k2 = _rhs_values(geom, y + 0.5 * dt * k1, ledger)[0]
-        k3 = _rhs_values(geom, y + 0.5 * dt * k2, ledger)[0]
-        k4 = _rhs_values(geom, y + dt * k3, ledger)[0]
+        k2 = _rhs_values(geom, y + 0.5 * dt * k1, flow_sign)[0]
+        k3 = _rhs_values(geom, y + 0.5 * dt * k2, flow_sign)[0]
+        k4 = _rhs_values(geom, y + dt * k3, flow_sign)[0]
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return make_state(ScalarField(geom, y_new), state.time + dt,
-                      state.step_index + 1, ledger)
+                      state.step_index + 1, flow_sign)
 
 
 def step_imex(state: FlowState, dt: float,
-              ledger: ConventionLedger = DEFAULT_LEDGER) -> FlowState:
-    """One implicit-explicit Euler step with biharmonic stabilization:
+              flow_sign: float = DESCENT) -> FlowState:
+    """One implicit-explicit Euler step with biharmonic stabilization,
+    solved for the increment:
 
-        (I + dt c Delta-hat^2) lambda' = lambda + dt (rhs(lambda)
-                                                      + c Delta-hat^2 lambda)
+        (I + dt c Delta-hat^2) (lambda' - lambda) = dt rhs(lambda)
 
-    with c = C_STAB.  The shifted operator is symmetric positive
-    definite, so the solve is well posed at any dt.  On every kind it is
-    the exact spectral inverse (``shifted_bilap_inverse``), checked by one
-    operator application against the residual tolerance whatever dt.
+    with c = C_STAB: in exact arithmetic the step (I + dt c Delta-hat^2)
+    lambda' = lambda + dt (rhs + c Delta-hat^2 lambda), but a zero rhs
+    gives a zero increment, so constant states stay fixed to the last bit
+    on every kind.  The shifted operator is symmetric positive definite,
+    so the solve is well posed at any dt.  On every kind it is the exact
+    spectral inverse (``shifted_bilap_inverse``), checked by one operator
+    application against the residual tolerance whatever dt.
 
     The step then restores the volume of the incoming state exactly, by
     the constant shift lambda' += log(V / V') / 4.  The energy is
@@ -314,27 +320,24 @@ def step_imex(state: FlowState, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     geom = state.lam.geometry
-    c = C_STAB
-
-    def bilap(v: np.ndarray) -> np.ndarray:
-        return _div_form_values(geom, _div_form_values(geom, v))
-
+    s = dt * C_STAB
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
-        b = y + dt * (state.rhs + c * bilap(y))
+        b = dt * state.rhs
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
         return make_state(ScalarField(geom, np.full_like(y, np.nan)),
-                          state.time + dt, state.step_index + 1, ledger)
+                          state.time + dt, state.step_index + 1, flow_sign)
 
     def shifted(v: np.ndarray) -> np.ndarray:
-        return v + (dt * c) * bilap(v)
+        return v + s * _div_form_values(geom, _div_form_values(geom, v))
 
-    sol = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, dt * c))
+    inc = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, s))
+    sol = ScalarField(geom, y + inc.values)
     v_old, v_new = state.diagnostics.volume, volume(sol)
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol = ScalarField(geom, sol.values + 0.25 * math.log(v_old / v_new))
-    return make_state(sol, state.time + dt, state.step_index + 1, ledger)
+    return make_state(sol, state.time + dt, state.step_index + 1, flow_sign)
 
 
 def auto_dt(geom: ModelGeometry) -> float:
@@ -358,7 +361,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
         dt: float | str = "auto", max_time: float = 1.0,
         max_steps: int | None = None, plateau_tol: float = PLATEAU_TOL,
         plateau_window: int = PLATEAU_WINDOW, snapshot_every: int = 0,
-        ledger: ConventionLedger = DEFAULT_LEDGER) -> Trajectory:
+        flow_sign: float = DESCENT) -> Trajectory:
     """March the flow to one of four outcomes.
 
     Outcomes: ``blowup`` (non-finite state or |lambda| past threshold),
@@ -371,18 +374,20 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
     """
-    if integrator not in ("explicit", "imex"):
+    if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
+    check_flow_sign(flow_sign)
     if lam0.geometry is not geom:
         raise ValueError("initial data not on the supplied geometry")
     dt_val = auto_dt(geom) if dt == "auto" else float(dt)
     if dt_val <= 0:
         raise ValueError("dt must be positive")
+    # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:
         max_steps = int(np.ceil(max_time / dt_val)) + 1
 
-    state = make_state(lam0, 0.0, 0, ledger)
+    state = make_state(lam0, 0.0, 0, flow_sign)
     traj = Trajectory(outcome="max_time", dt=dt_val)
 
     def record(st: FlowState) -> None:
@@ -408,7 +413,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
             break
         e_old = state.diagnostics.energy
         try:
-            state = stepper(state, dt_val, ledger)
+            state = stepper(state, dt_val, flow_sign)
         except LinearSolveError as exc:
             traj.outcome = "solver_failure"
             traj.solver_error = str(exc)

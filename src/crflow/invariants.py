@@ -27,7 +27,7 @@ import tempfile
 import numpy as np
 
 from . import cli, flow, inversion
-from .conventions import DEFAULT_LEDGER, SPHERE_KAPPA, YAMABE_COEFFICIENT
+from .conventions import SPHERE_KAPPA, YAMABE_COEFFICIENT
 from .manifold import (
     HEISENBERG_LATTICE,
     HEISENBERG_SECTOR,
@@ -369,10 +369,14 @@ def _gradient_consistency():
 
 def _fixed_points():
     models = _models()
-    stationary = all(
-        np.all(flow.flow_rhs(ScalarField(g, np.full(g.resolution, c))).values == 0.0)
-        for g in models
-        for c in (0.0, 0.4, -0.9)
+    constants = [ScalarField(g, np.full(g.resolution, c))
+                 for g in models for c in (0.0, 0.4, -0.9)]
+    stationary = all(np.all(flow.flow_rhs(lam).values == 0.0) for lam in constants)
+    fixed = all(
+        np.array_equal(step(flow.make_state(lam, 0.0, 0), dt).lam.values, lam.values)
+        for lam in constants
+        for step, dt in ((flow.step_explicit, flow.auto_dt(lam.geometry)),
+                         (flow.step_imex, 10.0 * flow.auto_dt(lam.geometry)))
     )
     flat_zero = all(
         flow.energy(ScalarField(g, np.full(g.resolution, c))) == 0.0
@@ -380,8 +384,9 @@ def _fixed_points():
         if g.kind != SPHERE_REDUCED
         for c in (0.0, 0.5, -1.2)
     )
-    return stationary and flat_zero, (
+    return stationary and fixed and flat_zero, (
         f"constant states exactly stationary: {stationary}; "
+        f"one RK4 and one 10x-auto IMEX step leave them bitwise fixed: {fixed}; "
         f"flat-model constant energy exactly zero: {flat_zero}"
     )
 
@@ -442,11 +447,10 @@ def _bondi_reported():
 
 
 def _blowup_taxonomy():
-    probe = DEFAULT_LEDGER.replace(flow_sign=1.0)
     geom = _sector(32)
     traj = flow.run(
         geom, _smooth(geom, 7, 0.15, 2), dt=5e-10, max_time=1.0,
-        max_steps=20000, ledger=probe,
+        max_steps=20000, flow_sign=1.0,
     )
     finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
     cells = {d.lam_argmax for d in finite[-5:]}
@@ -599,7 +603,7 @@ def _self_description():
     has = all(k in meta for k in ("config", "conventions", "outcome"))
     round_trip = cli.RunConfig.from_dict(meta["config"]) == cli.RunConfig.from_dict(cfg)
     return has and round_trip, (
-        f"meta carries config and ledger snapshot: {has}; "
+        f"meta carries config and conventions record: {has}; "
         f"config round-trips: {round_trip}"
     )
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ from crflow.cli import (
     main,
     resolve_output_dir,
 )
-from crflow.conventions import DEFAULT_LEDGER, PLATEAU_TOL, PLATEAU_WINDOW
+from crflow.conventions import PLATEAU_TOL, PLATEAU_WINDOW
 
 
 def base_config(outdir, **overrides):
@@ -136,7 +137,19 @@ def test_config_accepts_convention_overrides(tmp_path):
     cfg = RunConfig.from_dict(
         base_config(tmp_path, conventions={"flow_sign": 1.0})
     )
-    assert cfg.ledger().flow_sign == 1.0
+    assert cfg.flow_sign == 1.0
+    assert RunConfig.from_dict(base_config(tmp_path)).flow_sign == -1.0
+
+
+def test_config_errors_name_the_refused_convention(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad convention override: only flow_sign may be set, not "
+            "['c_stab', 'sphere_kappa']")):
+        RunConfig.from_dict(base_config(
+            tmp_path, conventions={"sphere_kappa": 1.0, "c_stab": 1.0}))
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad convention override: flow_sign must be -1.0 or 1.0, got True")):
+        RunConfig.from_dict(base_config(tmp_path, conventions={"flow_sign": True}))
 
 
 def test_output_root_reroots_relative_paths(monkeypatch, tmp_path):
@@ -309,8 +322,7 @@ def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
         {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]})
     lam0 = initial_data(geom, {"kind": "random", "seed": 7, "amplitude": 0.15,
                                "cutoff": 2})
-    probe = flow.run(geom, lam0, dt=5e-10, max_steps=20000,
-                     ledger=DEFAULT_LEDGER.replace(flow_sign=1.0))
+    probe = flow.run(geom, lam0, dt=5e-10, max_steps=20000, flow_sign=1.0)
     assert probe.outcome == "blowup"
     assert not math.isfinite(probe.diagnostics[-1].energy)
     for name, traj in (("synthetic", synthetic), ("probe", probe)):

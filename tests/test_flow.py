@@ -27,7 +27,7 @@ from crflow import (
 from crflow.conventions import (
     BLOWUP_THRESHOLD,
     C_STAB,
-    DEFAULT_LEDGER,
+    DESCENT,
     PLATEAU_WINDOW,
     SPHERE_KAPPA,
     YAMABE_COEFFICIENT,
@@ -122,9 +122,19 @@ def test_energy_is_shift_invariant_to_machine_precision():
 
 @pytest.mark.parametrize("make", [sector, sphere, lattice])
 def test_constant_states_are_exactly_stationary(make):
+    # the rhs vanishes exactly, and so every integrator leaves a constant
+    # state bitwise fixed: RK4 at the auto step, IMEX far beyond it
     geom = make()
+    dt = auto_dt(geom)
     for c in (0.0, 0.5, -0.7):
-        assert np.all(flow_rhs(constant(geom, c)).values == 0.0)
+        lam = constant(geom, c)
+        assert np.all(flow_rhs(lam).values == 0.0)
+        for integrator, scale in (("explicit", 1.0), ("imex", 10.0), ("imex", 1e3)):
+            traj = run(geom, lam, integrator=integrator, dt=scale * dt,
+                       max_time=1.0, max_steps=20, plateau_window=21)
+            assert traj.outcome != "blowup"
+            assert len(traj.diagnostics) - 1 == 20
+            assert np.array_equal(traj.final_state.lam.values, lam.values)
 
 
 def test_rhs_has_exact_weighted_mean_zero():
@@ -184,10 +194,10 @@ def test_public_entry_points_signal_overflow_without_warnings(make, level):
         webster_curvature(lam)
         flow_rhs(lam)
         gradient_check(lam, phi)
-        state = make_state(lam, 0.0, 0, DEFAULT_LEDGER)
+        state = make_state(lam, 0.0, 0)
         assert state.diagnostics.overflow_flag
-        step_explicit(state, dt, DEFAULT_LEDGER)
-        step_imex(state, 10.0 * dt, DEFAULT_LEDGER)
+        step_explicit(state, dt)
+        step_imex(state, 10.0 * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +220,8 @@ def test_auto_dt_matches_the_symbol_formula():
 
 def test_explicit_step_advances_bookkeeping():
     geom = sector()
-    state = make_state(random_data(geom, 41), 0.0, 0, DEFAULT_LEDGER)
-    nxt = step_explicit(state, 1e-9, DEFAULT_LEDGER)
+    state = make_state(random_data(geom, 41), 0.0, 0)
+    nxt = step_explicit(state, 1e-9)
     assert nxt.step_index == 1
     assert nxt.time == pytest.approx(1e-9)
     assert nxt.lam.is_finite()
@@ -220,10 +230,10 @@ def test_explicit_step_advances_bookkeeping():
 
 def test_explicit_step_is_deterministic():
     geom = sector()
-    a = step_explicit(make_state(random_data(geom, 42), 0.0, 0, DEFAULT_LEDGER),
-                      1e-9, DEFAULT_LEDGER)
-    b = step_explicit(make_state(random_data(geom, 42), 0.0, 0, DEFAULT_LEDGER),
-                      1e-9, DEFAULT_LEDGER)
+    a = step_explicit(make_state(random_data(geom, 42), 0.0, 0),
+                      1e-9)
+    b = step_explicit(make_state(random_data(geom, 42), 0.0, 0),
+                      1e-9)
     np.testing.assert_array_equal(a.lam.values, b.lam.values)
 
 
@@ -252,14 +262,14 @@ def reference_diagnostics(lam, time):
     """The Diagnostics record computed from the public functionals and a
     fresh right-hand side, independently of ``make_state``."""
     geom = lam.geometry
-    rhs = _rhs_values(geom, lam.values, DEFAULT_LEDGER)[0]
+    rhs = _rhs_values(geom, lam.values, DESCENT)[0]
     w = webster_curvature(lam).values
     abs_lam = np.abs(lam.values)
     argmax = int(np.argmax(abs_lam))
     return flow.Diagnostics(
         time=time, volume=volume(lam), energy=energy(lam), bondi=bondi(lam),
         w_min=float(w.min()), w_max=float(w.max()),
-        dissipation=DEFAULT_LEDGER.flow_sign * _weighted_sum(
+        dissipation=DESCENT * _weighted_sum(
             geom, rhs * rhs * np.exp(4.0 * lam.values)),
         overflow_flag=False, lam_max=float(abs_lam.flat[argmax]),
         lam_argmax=argmax)
@@ -271,9 +281,9 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
     dt = auto_dt(geom)
 
     def f(v):
-        return _rhs_values(geom, v, DEFAULT_LEDGER)[0]
+        return _rhs_values(geom, v, DESCENT)[0]
 
-    state = make_state(lam0, 0.0, 0, DEFAULT_LEDGER)
+    state = make_state(lam0, 0.0, 0)
     y, t = lam0.values, 0.0
     for _ in range(24):
         k1 = f(y)
@@ -282,7 +292,7 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + dt
-        state = step_explicit(state, dt, DEFAULT_LEDGER)
+        state = step_explicit(state, dt)
         assert np.array_equal(state.lam.values, y)
         assert np.array_equal(state.rhs, f(y))
         assert_same_diagnostics(state.diagnostics,
@@ -293,12 +303,12 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
 def test_imex_step_is_the_same_with_a_fresh_rhs(make, data):
     geom, lam0 = fsal_case(make, data)
     dt = 10.0 * auto_dt(geom)
-    state = make_state(lam0, 0.0, 0, DEFAULT_LEDGER)
+    state = make_state(lam0, 0.0, 0)
     for _ in range(5):
         fresh = dataclasses.replace(
-            state, rhs=_rhs_values(geom, state.lam.values, DEFAULT_LEDGER)[0])
-        a = step_imex(state, dt, DEFAULT_LEDGER)
-        b = step_imex(fresh, dt, DEFAULT_LEDGER)
+            state, rhs=_rhs_values(geom, state.lam.values, DESCENT)[0])
+        a = step_imex(state, dt)
+        b = step_imex(fresh, dt)
         assert np.array_equal(a.lam.values, b.lam.values)
         assert np.array_equal(a.rhs, b.rhs)
         assert_same_diagnostics(a.diagnostics, b.diagnostics)
@@ -410,9 +420,9 @@ def test_solver_failure_ends_the_run_with_the_accepted_steps(monkeypatch):
 def test_detect_blowup_on_threshold_crossing():
     geom = sector(8)
     tall = constant(geom, BLOWUP_THRESHOLD + 1.0)
-    state = make_state(tall, 0.0, 0, DEFAULT_LEDGER)
+    state = make_state(tall, 0.0, 0)
     assert detect_blowup(state)
-    ok = make_state(constant(geom, 0.1), 0.0, 0, DEFAULT_LEDGER)
+    ok = make_state(constant(geom, 0.1), 0.0, 0)
     assert not detect_blowup(ok)
 
 
@@ -445,11 +455,10 @@ def test_ascending_probe_blows_up_with_a_localized_trace():
     geom = build_geometry(
         {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]}
     )
-    probe = DEFAULT_LEDGER.replace(flow_sign=1.0)
     lam0 = initial_data(
         geom, {"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2}
     )
-    traj = run(geom, lam0, dt=5e-10, max_time=1.0, max_steps=20000, ledger=probe)
+    traj = run(geom, lam0, dt=5e-10, max_time=1.0, max_steps=20000, flow_sign=1.0)
     assert traj.outcome == "blowup"
     assert len(traj.diagnostics) - 1 < 20000
     finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
@@ -524,6 +533,16 @@ def test_run_validates_inputs():
         run(other, lam)
 
 
+def test_run_refuses_a_bad_flow_sign():
+    geom = sector()
+    lam = random_data(geom, 54)
+    for bad in (2.0, True, 0.0, "up"):
+        with pytest.raises(ValueError, match="flow_sign"):
+            run(geom, lam, flow_sign=bad, max_steps=1)
+    for good in (-1.0, 1.0):
+        assert len(run(geom, lam, flow_sign=good, max_steps=1).diagnostics) == 2
+
+
 def test_dt_auto_resolves_to_the_formula_value():
     geom = sector()
     traj = run(geom, random_data(geom, 55), dt="auto", max_time=1.0, max_steps=2)
@@ -542,12 +561,11 @@ def test_t_independent_lattice_run_matches_the_sector_run():
         geom3, np.repeat(lam2.values[:, :, None], geom3.resolution[2], axis=2)
     )
     dt = 1e-9
-    ledger = DEFAULT_LEDGER
-    s2 = make_state(lam2, 0.0, 0, ledger)
-    s3 = make_state(lam3, 0.0, 0, ledger)
+    s2 = make_state(lam2, 0.0, 0)
+    s3 = make_state(lam3, 0.0, 0)
     for _ in range(10):
-        s2 = step_explicit(s2, dt, ledger)
-        s3 = step_explicit(s3, dt, ledger)
+        s2 = step_explicit(s2, dt)
+        s3 = step_explicit(s3, dt)
         spread = float(np.max(s3.lam.values.max(axis=2) - s3.lam.values.min(axis=2)))
         mismatch = float(np.max(np.abs(s3.lam.values[:, :, 0] - s2.lam.values)))
         assert spread <= 1e-13
@@ -556,7 +574,7 @@ def test_t_independent_lattice_run_matches_the_sector_run():
 
 def test_diagnostics_record_is_serializable():
     geom = sector()
-    state = make_state(random_data(geom, 56), 0.0, 0, DEFAULT_LEDGER)
+    state = make_state(random_data(geom, 56), 0.0, 0)
     record = dataclasses.asdict(state.diagnostics)
     assert set(record) == {
         "time", "volume", "energy", "bondi", "w_min", "w_max", "dissipation",
@@ -568,5 +586,5 @@ def test_diagnostics_record_is_serializable():
 
 def test_dissipation_is_nonpositive_for_the_descent_sign():
     geom = sector()
-    state = make_state(random_data(geom, 57, amplitude=0.2), 0.0, 0, DEFAULT_LEDGER)
+    state = make_state(random_data(geom, 57, amplitude=0.2), 0.0, 0)
     assert state.diagnostics.dissipation <= 0.0
