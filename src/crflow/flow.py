@@ -148,7 +148,8 @@ class Trajectory:
 # Overflow of e^{k lambda} is the blow-up signal, never a warning: each
 # public entry point sets np.errstate(over="ignore", invalid="ignore")
 # once, and the kernels it calls (_weighted_sum, _rhs_values,
-# _webster_core) set none of their own.
+# _webster_core) set none of their own.  Their in-place ufuncs (out=,
+# *=, +=) run under that same single errstate.
 
 
 def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
@@ -194,14 +195,26 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray,
     grouping as the curvature itself, so constant states cancel to
     exactly zero, not merely to rounding.  A non-finite state still gets
     its curvature, and an all-NaN rhs.
+
+    Both arrays are fresh and ``values`` is never written.  The scratch
+    of ``_webster_core`` is reused in place, each product and sum with
+    the operands and grouping of
+
+        flow_sign * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
     """
     u, m2, em3, w = _webster_core(geom, values)
     if not np.isfinite(values).all():
         return np.full_like(values, np.nan), w
-    uw = u * w
-    cov = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, uw)) \
-        + (geom.background_curvature * m2) * w
-    return flow_sign * 2.0 * (cov - w * w), w
+    u *= w
+    cov = _div_form_values(geom, u)
+    cov *= YAMABE_COEFFICIENT
+    cov *= em3
+    m2 *= geom.background_curvature
+    m2 *= w
+    cov += m2
+    cov -= np.multiply(w, w, out=m2)
+    cov *= flow_sign * 2.0
+    return cov, w
 
 
 def flow_rhs(lam: ScalarField, flow_sign: float = DESCENT) -> ScalarField:
@@ -238,20 +251,29 @@ def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
 def make_state(lam: ScalarField, time: float, step_index: int,
                flow_sign: float = DESCENT) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
-    diagnostics: one rhs and one curvature evaluation."""
+    diagnostics: one rhs and one curvature evaluation.
+
+    ``lam`` is kept, never written; the integrands share one scratch
+    array."""
     geom = lam.geometry
     values = lam.values
     with np.errstate(over="ignore", invalid="ignore"):
         rhs, w = _rhs_values(geom, values, flow_sign)
-        m4 = np.exp(4.0 * values)
+        m4 = np.multiply(values, 4.0)
+        np.exp(m4, out=m4)
         vol = _weighted_sum(geom, m4)
-        ene = _weighted_sum(geom, w * w * m4)
-        bon = _weighted_sum(geom, np.exp(5.0 * values))
-        dis = flow_sign * _weighted_sum(geom, rhs * rhs * m4)
+        scratch = np.multiply(w, w)
+        scratch *= m4
+        ene = _weighted_sum(geom, scratch)
+        np.multiply(values, 5.0, out=scratch)
+        bon = _weighted_sum(geom, np.exp(scratch, out=scratch))
+        np.multiply(rhs, rhs, out=scratch)
+        scratch *= m4
+        dis = flow_sign * _weighted_sum(geom, scratch)
     finite_w = bool(np.isfinite(w).all())
     w_min = float(w.min()) if finite_w else float("nan")
     w_max = float(w.max()) if finite_w else float("nan")
-    abs_lam = np.abs(values)
+    abs_lam = np.abs(values, out=scratch)
     argmax = int(np.argmax(abs_lam))    # the first NaN, if there is one
     if np.isnan(abs_lam.flat[argmax]):  # rank NaN like inf: first of either
         argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
@@ -282,6 +304,11 @@ def step_explicit(state: FlowState, dt: float,
 
     The first stage is the state's stored rhs (first same as last), so a
     step makes three stage evaluations plus the one in ``make_state``.
+
+    The stage inputs share one buffer and the update accumulates into
+    k2, in place and with the grouping of
+    y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4); the state's ``lam`` and
+    ``rhs`` are never written.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -289,11 +316,23 @@ def step_explicit(state: FlowState, dt: float,
     y = state.lam.values
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = state.rhs
-        k2 = _rhs_values(geom, y + 0.5 * dt * k1, flow_sign)[0]
-        k3 = _rhs_values(geom, y + 0.5 * dt * k2, flow_sign)[0]
-        k4 = _rhs_values(geom, y + dt * k3, flow_sign)[0]
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return make_state(ScalarField(geom, y_new), state.time + dt,
+        stage = np.multiply(k1, 0.5 * dt)
+        stage += y
+        k2 = _rhs_values(geom, stage, flow_sign)[0]
+        np.multiply(k2, 0.5 * dt, out=stage)
+        stage += y
+        k3 = _rhs_values(geom, stage, flow_sign)[0]
+        np.multiply(k3, dt, out=stage)
+        stage += y
+        k4 = _rhs_values(geom, stage, flow_sign)[0]
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += y
+    return make_state(ScalarField(geom, k2), state.time + dt,
                       state.step_index + 1, flow_sign)
 
 
@@ -330,13 +369,18 @@ def step_imex(state: FlowState, dt: float,
                           state.time + dt, state.step_index + 1, flow_sign)
 
     def shifted(v: np.ndarray) -> np.ndarray:
-        return v + s * _div_form_values(geom, _div_form_values(geom, v))
+        out = _div_form_values(geom, _div_form_values(geom, v))
+        out *= s
+        out += v
+        return out
 
-    inc = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, s))
-    sol = ScalarField(geom, y + inc.values)
+    # the solved increment is fresh: lambda' and its volume shift are
+    # added into it in place
+    sol = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, s))
+    sol.values += y
     v_old, v_new = state.diagnostics.volume, volume(sol)
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
-        sol = ScalarField(geom, sol.values + 0.25 * math.log(v_old / v_new))
+        sol.values += 0.25 * math.log(v_old / v_new)
     return make_state(sol, state.time + dt, state.step_index + 1, flow_sign)
 
 

@@ -138,7 +138,8 @@ class ModelGeometry:
         sector these are plain periodic shifts (``np.roll(values, -step,
         axis)``, done as two slice copies); on the 3D lattice the gathers
         are precomputed flat indices that include the tau-offsets making
-        the shifts commute exactly with the deck transformations.
+        the shifts commute exactly with the deck transformations.  The
+        result is always a fresh array, which callers may write in place.
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")

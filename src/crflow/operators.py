@@ -91,6 +91,12 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     edge mean of g) is computed once and read back at the cell behind,
     e[S^-1 p] = v[p] - v[S^-1 p], so the result is bitwise the three-point
     ((v[S p] - v) - (v - v[S^-1 p])) and its weighted counterpart.
+
+    Never writes ``v`` or ``g`` and always returns a fresh float array;
+    integer ``v`` and ``g`` are accepted.  The flat kinds work in place
+    on the fresh arrays ``shift`` returns, commuting operands but never
+    regrouping them, so each cell sees the expression form's operations
+    in its order: (0.0 + t_x) + t_y, times -1/2.
     """
     if geom.kind == SPHERE_REDUCED:
         n = geom.resolution[0]
@@ -104,14 +110,29 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
         return -SPHERE_CS * (flux[1:] - flux[:-1]) / ds
 
     shift = geom.shift
-    acc = np.zeros_like(v)
+    v = np.asarray(v, dtype=float)
+    if g is not None:
+        g = np.asarray(g, dtype=float)
+    acc = None
     for axis in (0, 1):
         d = geom.spacing[axis]
-        e = shift(v, axis, 1) - v
+        e = shift(v, axis, 1)
+        e -= v
         if g is not None:
-            e = (0.5 * (g + shift(g, axis, 1))) * e
-        acc += (e - shift(e, axis, -1)) / (d * d)
-    return -HEISENBERG_HORIZONTAL_FACTOR * acc
+            edge = shift(g, axis, 1)
+            edge += g
+            edge *= 0.5
+            edge *= e
+            e = edge
+        e -= shift(e, axis, -1)
+        e /= d * d
+        if acc is None:
+            acc = e
+            acc += 0.0      # a sum started at 0.0: -0.0 becomes +0.0
+        else:
+            acc += e
+    acc *= -HEISENBERG_HORIZONTAL_FACTOR
+    return acc
 
 
 def sublap(f: ScalarField) -> ScalarField:
@@ -159,13 +180,19 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray):
     flow right-hand side of constant states cancels to exactly zero.
 
     A kernel: overflow is the caller's blow-up signal, so callers run it
-    under ``np.errstate(over="ignore", invalid="ignore")``.
+    under ``np.errstate(over="ignore", invalid="ignore")``.  All four
+    arrays are fresh and ``lam_values`` is never written; the caller owns
+    u, m2 and em3 as scratch.
     """
     u = np.exp(lam_values)
-    m2 = np.exp(-2.0 * lam_values)
-    em3 = np.exp(-3.0 * lam_values)
-    w = em3 * (YAMABE_COEFFICIENT * _div_form_values(geom, u)) \
-        + geom.background_curvature * m2
+    m2 = np.multiply(lam_values, -2.0)
+    np.exp(m2, out=m2)
+    em3 = np.multiply(lam_values, -3.0)
+    np.exp(em3, out=em3)
+    w = _div_form_values(geom, u)
+    w *= YAMABE_COEFFICIENT
+    w *= em3
+    w += np.multiply(m2, geom.background_curvature)
     return u, m2, em3, w
 
 
@@ -297,7 +324,8 @@ def linear_solve(operator, rhs: ScalarField, inverse) -> ScalarField:
     <= SOLVE_TOL ||b||, so a wrong or ill-conditioned inverse never
     silently degrades a solve; a non-finite or larger residual raises
     ``LinearSolveError``.  A zero right-hand side returns zeros unsolved.
-    ``operator`` and ``inverse`` map value arrays to value arrays.
+    ``operator`` and ``inverse`` map value arrays to value arrays, and
+    ``inverse`` returns a fresh one: the caller owns the solution's values.
     """
     b = rhs.values
     bnorm = float(np.linalg.norm(b))

@@ -34,6 +34,9 @@ from crflow.conventions import (
 )
 from crflow import flow
 from crflow.flow import _rhs_values, _weighted_sum, detect_blowup, make_state
+from crflow.operators import _div_form_values, shifted_bilap_inverse
+
+from tests.test_operators import STENCIL_GEOMETRIES, three_point_div_form
 
 
 def sector(n=16):
@@ -313,6 +316,191 @@ def test_imex_step_is_the_same_with_a_fresh_rhs(make, data):
         assert np.array_equal(a.rhs, b.rhs)
         assert_same_diagnostics(a.diagnostics, b.diagnostics)
         state = a
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the expression form
+
+
+def expression_webster_core(geom, lam_values):
+    u = np.exp(lam_values)
+    m2 = np.exp(-2.0 * lam_values)
+    em3 = np.exp(-3.0 * lam_values)
+    w = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, u)) \
+        + geom.background_curvature * m2
+    return u, m2, em3, w
+
+
+def expression_rhs_values(geom, values, flow_sign):
+    u, m2, em3, w = expression_webster_core(geom, values)
+    if not np.isfinite(values).all():
+        return np.full_like(values, np.nan), w
+    uw = u * w
+    cov = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, uw)) \
+        + (geom.background_curvature * m2) * w
+    return flow_sign * 2.0 * (cov - w * w), w
+
+
+def expression_state(geom, values, time, flow_sign):
+    """(rhs, w, Diagnostics) of ``values``, as make_state assembled them
+    with one whole-array temporary per operation."""
+    rhs, w = expression_rhs_values(geom, values, flow_sign)
+    m4 = np.exp(4.0 * values)
+    vol = _weighted_sum(geom, m4)
+    ene = _weighted_sum(geom, w * w * m4)
+    bon = _weighted_sum(geom, np.exp(5.0 * values))
+    dis = flow_sign * _weighted_sum(geom, rhs * rhs * m4)
+    finite_w = bool(np.isfinite(w).all())
+    w_min = float(w.min()) if finite_w else float("nan")
+    w_max = float(w.max()) if finite_w else float("nan")
+    abs_lam = np.abs(values)
+    argmax = int(np.argmax(abs_lam))
+    if np.isnan(abs_lam.flat[argmax]):
+        argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
+    overflow = not (finite_w and np.isfinite(vol) and np.isfinite(ene)
+                    and np.isfinite(bon) and np.isfinite(rhs).all())
+    diag = flow.Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
+                            w_min=w_min, w_max=w_max, dissipation=dis,
+                            overflow_flag=overflow,
+                            lam_max=float(abs_lam.flat[argmax]), lam_argmax=argmax)
+    return rhs, w, diag
+
+
+def expression_rk4(geom, y, dt, flow_sign):
+    def f(v):
+        return expression_rhs_values(geom, v, flow_sign)[0]
+
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def expression_imex(geom, y, rhs, v_old, dt):
+    b = dt * rhs
+    if not np.isfinite(b).all():
+        return np.full_like(y, np.nan)
+    inc = (np.zeros_like(y) if np.linalg.norm(b) == 0.0
+           else shifted_bilap_inverse(geom, dt * C_STAB)(b))
+    sol = y + inc
+    v_new = _weighted_sum(geom, np.exp(4.0 * sol))
+    if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
+        sol = sol + 0.25 * math.log(v_old / v_new)
+    return sol
+
+
+def pinned_case(name):
+    geom = build_geometry(STENCIL_GEOMETRIES[name])
+    extra = {"cutoff_t": 2} if geom.kind == "HeisenbergLattice3D" else {}
+    return geom, random_data(geom, 3, **extra)
+
+
+def assert_same_bits(a, b):
+    """Equal values, NaN matching any NaN (a commuted operation may keep
+    the other operand's NaN), and equal signs on zeros."""
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0]))
+
+
+def assert_pinned(state, y, time, flow_sign):
+    """``state`` and a fresh ``_rhs_values`` at ``y`` hold the expression
+    form's bits; returns the expression form's (rhs, Diagnostics)."""
+    geom = state.lam.geometry
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_rhs, ref_w, ref_diag = expression_state(geom, y, time, flow_sign)
+        rhs, w = _rhs_values(geom, y, flow_sign)
+    assert_same_bits(state.lam.values, y)
+    for got in (rhs, state.rhs):
+        assert_same_bits(got, ref_rhs)
+    assert_same_bits(w, ref_w)
+    for f in dataclasses.fields(ref_diag):   # repr tells -0.0 from 0.0
+        assert repr(getattr(state.diagnostics, f.name)) \
+            == repr(getattr(ref_diag, f.name)), f.name
+    return ref_rhs, ref_diag
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GEOMETRIES))
+def test_steps_keep_the_expression_form_bits(name):
+    geom, lam0 = pinned_case(name)
+    dt = auto_dt(geom)
+    for stepper, steps, h in ((step_explicit, 20, dt), (step_imex, 5, 10.0 * dt)):
+        state = make_state(lam0, 0.0, 0)
+        y, t = lam0.values, 0.0
+        rhs, diag = assert_pinned(state, y, t, DESCENT)
+        for _ in range(steps):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if stepper is step_explicit:
+                    y = expression_rk4(geom, y, h, DESCENT)
+                else:
+                    y = expression_imex(geom, y, rhs, diag.volume, h)
+            t = t + h
+            state = stepper(state, h)
+            rhs, diag = assert_pinned(state, y, t, DESCENT)
+        assert not state.diagnostics.overflow_flag
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GEOMETRIES))
+def test_kernels_keep_the_expression_form_bits_past_overflow(name):
+    # +-400 overflows e^{4 lambda}, e^{5 lambda} or e^{-2 lambda},
+    # e^{-3 lambda}; a single NaN cell takes the non-finite branches
+    geom, lam0 = pinned_case(name)
+    dt = auto_dt(geom)
+    one_nan = lam0.values.copy()
+    one_nan.flat[one_nan.size // 3] = np.nan
+    for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan):
+        for sign in (DESCENT, -DESCENT):
+            state = make_state(ScalarField(geom, values), 0.0, 0, sign)
+            rhs, diag = assert_pinned(state, values, 0.0, sign)
+            assert diag.overflow_flag
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_rk4 = expression_rk4(geom, values, dt, sign)
+                y_imex = expression_imex(geom, values, rhs, diag.volume, 10.0 * dt)
+            assert_pinned(step_explicit(state, dt, sign), y_rk4, dt, sign)
+            assert_pinned(step_imex(state, 10.0 * dt, sign), y_imex, 10.0 * dt, sign)
+
+
+def assert_untouched(arrays, before):
+    for a, b in zip(arrays, before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GEOMETRIES))
+def test_kernels_and_steps_never_write_their_inputs(name):
+    geom, lam = pinned_case(name)
+    v = lam.values
+    g = np.exp(2.0 * v)
+    ints = np.arange(v.size).reshape(v.shape) % 5
+    for x in (v, ints):
+        for weight in (None, g, ints + 1):
+            inputs = [a for a in (x, weight) if a is not None]
+            before = [a.copy() for a in inputs]
+            out = _div_form_values(geom, x, weight)
+            assert_untouched(inputs, before)
+            assert out.dtype == np.float64
+            assert not any(np.shares_memory(out, a) for a in inputs)
+            if x is ints:   # small integers: the float input's exact values
+                wf = None if weight is None else weight.astype(float)
+                assert np.array_equal(out, _div_form_values(geom, ints.astype(float), wf))
+
+    before = v.copy()
+    rhs, w = _rhs_values(geom, v, DESCENT)
+    assert_untouched([v], [before])
+    assert not (np.shares_memory(rhs, v) or np.shares_memory(w, v)
+                or np.shares_memory(rhs, w))
+
+    state = make_state(lam, 0.0, 0)
+    assert_untouched([v], [before])
+    assert state.lam is lam and not np.shares_memory(state.rhs, v)
+    dt = auto_dt(geom)
+    for stepper, h in ((step_explicit, dt), (step_imex, 10.0 * dt)):
+        old = [state.lam.values, state.rhs]
+        before = [a.copy() for a in old]
+        new = stepper(state, h)
+        assert_untouched(old, before)
+        fresh = [new.lam.values, new.rhs]
+        assert not np.shares_memory(*fresh)
+        assert not any(np.shares_memory(a, b) for a in fresh for b in old)
 
 
 @pytest.mark.parametrize("integrator, per_step", [("explicit", 4), ("imex", 1)])

@@ -230,6 +230,11 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
     for weight in (None, g):
         assert np.array_equal(_div_form_values(geom, v, weight),
                               three_point_div_form(geom, v, weight))
+    # signed zeros: the zero-initialised sum's 0.0 + t turns -0.0 into 0.0
+    zeros = np.where(rand_field(geom, 23).values > 0.0, 0.0, -0.0)
+    for weight in (None, g):
+        assert _div_form_values(geom, zeros, weight).tobytes() \
+            == three_point_div_form(geom, zeros, weight).tobytes()
     if geom.kind == "HeisenbergLattice3D":
         # the flux form reads e[S^-1 p]: the -1 gather must invert the +1
         cells = np.arange(v.size).reshape(geom.resolution)
