@@ -135,23 +135,29 @@ class ModelGeometry:
         ``shift(v, axis, +1)[p] = v[S_axis(p)]`` where S_axis moves one
         grid cell along the X (axis 0) or Y (axis 1) flow, or one cell
         along the vertical direction (axis 2, lattice only).  On the 2D
-        sector these are plain periodic shifts (``np.roll(values, -step,
-        axis)``, done as two slice copies); on the 3D lattice the gathers
-        are precomputed flat indices that include the tau-offsets making
-        the shifts commute exactly with the deck transformations.  The
-        result is always a fresh array, which callers may write in place.
+        sector and on the lattice X and tau axes this is the periodic
+        shift ``np.roll(values, -step, axis)`` done as two slice copies;
+        on the lattice X axis the one slab whose neighbour lies across the
+        x-wrap is then overwritten by a precomputed gather carrying the
+        deck twist.  Only the lattice Y flow, whose tau-offset depends on
+        x, gathers the whole grid.  Every lattice shift commutes exactly
+        with the deck transformations.  The result is always a fresh
+        array, which callers may write in place.
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")
-        if self.kind == HEISENBERG_SECTOR:
-            out = np.empty_like(values)
-            src, dst = np.swapaxes(values, 0, axis), np.swapaxes(out, 0, axis)
-            n = len(src)
-            k = step % n
-            dst[:n - k] = src[k:]
-            dst[n - k:] = src[:k]
-            return out
-        return values.take(self._gather[(axis, step)])
+        lattice = self.kind == HEISENBERG_LATTICE
+        if lattice and axis == 1:
+            return values.take(self._gather[(1, step)])
+        out = np.empty_like(values)
+        src, dst = np.swapaxes(values, 0, axis), np.swapaxes(out, 0, axis)
+        n = len(src)
+        k = step % n
+        dst[:n - k] = src[k:]
+        dst[n - k:] = src[:k]
+        if lattice and axis == 0:
+            out[-1 if step > 0 else 0] = values.take(self._gather[(0, step)])
+        return out
 
     def reduce_index(self, i, j, k):
         """Deck-reduce arbitrary integer cell indices into the stored domain.
@@ -200,22 +206,19 @@ class ModelGeometry:
     def _build_lattice_gathers(self):
         nx, ny, nt = self.resolution
         s_unit = self.shift_unit
-        i, j, k = np.indices((nx, ny, nt))
-        offsets = {
-            # X flow: (x, y, tau) -> (x +- dx, y, tau) — plain in polarized
-            # coordinates; crossing the seam applies the deck twist via
-            # reduce_index.
-            (0, 1): (i + 1, j, k),
-            (0, -1): (i - 1, j, k),
+        i, j, k = np.ogrid[:nx, :ny, :nt]
+        targets = {
+            # X flow across the seam: the last slab (+1) or the first (-1)
+            # reads the slab on the other side of the x-wrap, tau-shifted by
+            # the deck twist; every other X and tau neighbour is a slice copy.
+            (0, 1): (nx, j[0], k[0]),
+            (0, -1): (-1, j[0], k[0]),
             # Y flow: (x, y, tau) -> (x, y +- dy, tau -+ 4 x dy); the tau
             # offset is i*s_unit cells, exact by the grid constraint.
             (1, 1): (i, j + 1, k - i * s_unit),
             (1, -1): (i, j - 1, k + i * s_unit),
-            # vertical direction: plain periodic shift
-            (2, 1): (i, j, k + 1),
-            (2, -1): (i, j, k - 1),
         }
-        for key, idx in offsets.items():
+        for key, idx in targets.items():
             flat = np.ravel_multi_index(self.reduce_index(*idx), self.resolution)
             flat.setflags(write=False)
             self._gather[key] = flat
@@ -426,9 +429,8 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
         if geom.kind == HEISENBERG_SECTOR:
             return ScalarField(geom, _random_planar(geom, seed, amplitude, cutoff))
         cutoff_t = _as_int(spec.get("cutoff_t", 0), "cutoff_t")
-        xs = geom.axes()[0]
         return ScalarField(
-            geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t, xs))
+            geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
 
     if kind == "bump":
         amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
@@ -512,7 +514,7 @@ def lattice_mode(geom: ModelGeometry, ell: int, n0: int):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        g = np.zeros(np.broadcast(x, y, tau).shape, dtype=complex)
+        g = np.zeros(np.broadcast(x, y).shape, dtype=complex)
         for r in range(-4, 5):
             window = np.exp(-0.5 * ((x - (r + 0.5) * px) / sigma) ** 2)
             g = g + window * np.exp(2j * np.pi * (n0 + r * ell * k_deg) * y / py)
@@ -521,24 +523,22 @@ def lattice_mode(geom: ModelGeometry, ell: int, n0: int):
     return mode
 
 
-def _random_lattice(geom, seed, amplitude, cutoff, cutoff_t, xs):
+def _random_lattice(geom, seed, amplitude, cutoff, cutoff_t):
     """Random lattice field: planar modes plus twisted vertical modes.
 
     The planar (vertical-invariant) part reuses the 2D generator and is
     broadcast along tau; the vertical part combines the real and
     imaginary parts of ``lattice_mode`` samples with seeded Gaussian
-    coefficients.
+    coefficients.  The modes are sampled on the sparse (x, y, tau) grid,
+    so each window is evaluated per x and each exponential per y; the
+    values are those of the dense grid, cell for cell.
     """
-    nx, ny, nt = geom.resolution
-
     planar = _random_planar(geom, seed, amplitude, cutoff)
-    out = np.repeat(planar[:, :, None], nt, axis=2)
+    out = np.repeat(planar[:, :, None], geom.resolution[2], axis=2)
     if cutoff_t < 1:
         return out
 
-    ys = np.arange(ny) * (geom.periods[1] / ny)
-    taus = np.arange(nt) * (geom.periods[2] / nt)
-    x, y, tau = np.meshgrid(xs, ys, taus, indexing="ij")
+    x, y, tau = np.meshgrid(*geom.axes(), indexing="ij", sparse=True)
     rng = np.random.default_rng(seed + 0x5EED)
     scale = amplitude / np.sqrt(cutoff_t)
     for ell in range(1, cutoff_t + 1):

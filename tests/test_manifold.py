@@ -306,13 +306,22 @@ def test_sector_shift_is_the_periodic_roll(shape):
             assert np.array_equal(got, np.roll(values, -step, axis=axis))
 
 
-@pytest.mark.parametrize("resolution, lt", [((8, 8, 16), 1.0), ((16, 16, 32), 0.5)],
-                         ids=["8x8x16", "16x16x32"])
-def test_lattice_shift_is_the_twisted_gather(resolution, lt):
+# twisted lattices: (resolution, tau period, x-wrap twist t_wrap_shift mod nt)
+LATTICES = {
+    "8x8x16": ((8, 8, 16), 1.0, 8),
+    "16x16x32": ((16, 16, 32), 0.5, 16),
+    "8x16x32": ((8, 16, 32), 1.0, 8),       # nx != ny: catches a seam on the wrong axes
+    "32x32x32": ((32, 32, 32), 0.125, 0),   # the benchmark lattice: an identity twist
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_lattice_shift_is_the_twisted_gather(name):
+    resolution, lt, twist = LATTICES[name]
     geom = lattice(*resolution, lt=lt)
-    nt = resolution[2]
-    assert geom.t_wrap_shift % nt != 0           # a non-trivial x-wrap twist
+    assert geom.t_wrap_shift % resolution[2] == twist
     values = np.random.default_rng(17).standard_normal(resolution)
+    before = values.tobytes()
     i, j, k = np.indices(resolution)
     s = geom.shift_unit
     offsets = {
@@ -325,7 +334,11 @@ def test_lattice_shift_is_the_twisted_gather(resolution, lt):
     }
     for (axis, step), idx in offsets.items():
         reference = values[geom.reduce_index(*idx)]
-        assert np.array_equal(geom.shift(values, axis, step), reference)
+        got = geom.shift(values, axis, step)
+        assert np.array_equal(got, reference)
+        # a fresh array that callers may write in place; the input is untouched
+        assert got.flags.writeable and not np.shares_memory(got, values)
+        assert values.tobytes() == before
 
 
 def test_shift_is_not_defined_on_the_sphere_kind():
@@ -352,6 +365,41 @@ def test_random_initial_data_is_seed_deterministic(make):
     np.testing.assert_array_equal(a.values, b.values)
     c = initial_data(geom, {**spec, "seed": 10})
     assert not np.array_equal(a.values, c.values)
+
+
+def dense_random_lattice(geom, spec):
+    """The twisted vertical modes as first written: every window and every
+    exponential of ``lattice_mode`` evaluated on the dense (x, y, tau) grid."""
+    px, py, lt = geom.periods
+    k_deg, sigma = geom.lattice_degree, px / 6.0
+    seed, amplitude, cutoff, cutoff_t = (spec[key] for key in
+                                         ("seed", "amplitude", "cutoff", "cutoff_t"))
+    out = initial_data(geom, {**spec, "cutoff_t": 0}).values.copy()
+    x, y, tau = np.meshgrid(*geom.axes(), indexing="ij")
+    rng = np.random.default_rng(seed + 0x5EED)
+    scale = amplitude / np.sqrt(cutoff_t)
+    for ell in range(1, cutoff_t + 1):
+        n0 = int(rng.integers(-cutoff, cutoff + 1))
+        c_re, c_im = rng.standard_normal(2)
+        g = np.zeros(np.broadcast(x, y, tau).shape, dtype=complex)
+        for r in range(-4, 5):
+            window = np.exp(-0.5 * ((x - (r + 0.5) * px) / sigma) ** 2)
+            g = g + window * np.exp(2j * np.pi * (n0 + r * ell * k_deg) * y / py)
+        atom = np.exp(2j * np.pi * ell * tau / lt) * g
+        out += scale * (c_re * atom.real + c_im * atom.imag)
+    return out
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_random_lattice_data_is_bitwise_the_dense_grid_evaluation(name):
+    resolution, lt, _ = LATTICES[name]
+    geom = lattice(*resolution, lt=lt)
+    for seed in range(3, 11):
+        for cutoff_t in (1, 2, 3):
+            spec = {"kind": "random", "seed": seed, "amplitude": 0.1, "cutoff": 3,
+                    "cutoff_t": cutoff_t}
+            assert initial_data(geom, spec).values.tobytes() \
+                == dense_random_lattice(geom, spec).tobytes()
 
 
 def test_random_lattice_data_respects_the_twisted_wrap():
