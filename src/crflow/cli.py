@@ -1,4 +1,4 @@
-"""Command-line front end: run flows, verify invariants, calibrate, invert.
+"""Command-line front end: run flows, verify invariants, invert.
 
 Subcommands
 -----------
@@ -15,12 +15,9 @@ Subcommands
 ``crflow check``
     Run the executable invariant suite of every module and print one
     PASS/FAIL line per property.  Exit 0 iff everything passes, exit 2
-    otherwise (stderr names the failing property).
-
-``crflow calibrate``
-    Compute the model sphere's curvature constant, print it, and record it
-    in a small cache file (written atomically).  Exit 2 if the constancy
-    contract fails.
+    otherwise (stderr names the failing property).  Its ``operators:
+    calibration`` line prints the model sphere's measured curvature
+    constant.
 
 ``crflow invert T X Y``
     Print a JSON record for one point under the inversion map: image point,
@@ -46,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, inversion, operators
+from . import flow, inversion
 from .conventions import (DESCENT, PLATEAU_TOL, PLATEAU_WINDOW, check_flow_sign,
                           conventions_record)
 from .manifold import GeometryError, build_geometry, initial_data
@@ -60,7 +57,6 @@ __all__ = [
     "EXIT_BLOWUP",
     "EXIT_SOLVER",
     "OUTPUT_ROOT_ENV",
-    "cmd_calibrate",
     "cmd_check",
     "cmd_invert",
     "cmd_run",
@@ -74,7 +70,6 @@ EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
 
 OUTPUT_ROOT_ENV = "CRFLOW_OUTPUT_ROOT"
-CALIBRATION_CACHE = "calibration.json"
 
 _CSV_COLUMNS = (
     "step",
@@ -377,36 +372,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# calibrate
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    details: dict = {}
-    try:
-        value = operators.calibrate_sphere_curvature(details=details)
-    except operators.CalibrationError as exc:
-        print(f"error: calibration failed: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-
-    cache_path = args.cache or resolve_output_dir(CALIBRATION_CACHE)
-    cache_dir = os.path.dirname(cache_path)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    _dump_json(
-        {
-            "sphere_background_curvature": value,
-            "n_points": details.get("n_points"),
-            "step": details.get("h"),
-            "relative_spread": details.get("rel_std"),
-        },
-        cache_path,
-    )
-    print(f"sphere background curvature: {value!r}")
-    print(f"cache: {cache_path}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # invert
 
 
@@ -439,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crflow",
         description=(
             "Curvature-energy flow runner: evolve conformal factors on model "
-            "geometries, verify the numerical invariant suite, calibrate the "
-            "sphere constant, and evaluate the inversion map."
+            "geometries, verify the numerical invariant suite, and evaluate "
+            "the inversion map."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -467,17 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict the suite to the entries of one module",
     )
     p_check.set_defaults(func=cmd_check)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="measure the model sphere's curvature constant and cache it",
-    )
-    p_cal.add_argument(
-        "--cache",
-        default=None,
-        help=f"cache file path (default: {CALIBRATION_CACHE} under the output root)",
-    )
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_inv = sub.add_parser(
         "invert", help="evaluate the inversion map at one point (JSON output)"

@@ -349,7 +349,11 @@ def step_imex(state: FlowState, dt: float,
     on every kind.  The shifted operator is symmetric positive definite,
     so the solve is well posed at any dt.  On every kind it is the exact
     spectral inverse (``shifted_bilap_inverse``), checked by one operator
-    application against the residual tolerance whatever dt.
+    application against the fixed relative residual tolerance SOLVE_TOL.
+    That check does not pass at every dt: the inverse's rounding grows
+    with the conditioning of I + s Delta-hat^2, and at 1e7-1e8 times the
+    automatic step the residual passes 1e-10 and the step raises
+    ``LinearSolveError``.
 
     The step then restores the volume of the incoming state exactly, by
     the constant shift lambda' += log(V / V') / 4.  The energy is
@@ -385,12 +389,17 @@ def step_imex(state: FlowState, dt: float,
 
 
 def auto_dt(geom: ModelGeometry) -> float:
-    """Conservative explicit step size from the linearized symbol.
+    """Explicit step size from the linearized symbol, for lambda near 0.
 
     Around a flat state the right-hand side linearizes to
     -(2b^2) Delta-hat^2 + lower order with 2b^2 = C_STAB = 32, so the
     stiffest rate is C_STAB * sigma^2 (+ a curvature correction on the
-    sphere); the step keeps RK4 well inside its stability interval.
+    sphere), and the step is 0.2 / rate at sigma =
+    ``stability_symbol_max``.  On the flat kinds that sigma is the top of
+    the spectrum, so dt * rate <= 0.2.  On the sphere it is up to 2x
+    below the top, and dt times the true stiffest rate is 0.65-0.79 (8
+    to 256 cells): still inside RK4's real-axis limit 2.78, but not the
+    0.2 margin the flat kinds get.
     """
     sigma = stability_symbol_max(geom)
     rate = C_STAB * sigma * sigma \

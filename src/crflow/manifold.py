@@ -134,7 +134,8 @@ class ModelGeometry:
 
         ``shift(v, axis, +1)[p] = v[S_axis(p)]`` where S_axis moves one
         grid cell along the X (axis 0) or Y (axis 1) flow, or one cell
-        along the vertical direction (axis 2, lattice only).  On the 2D
+        along the vertical direction (axis 2, lattice only); ``step`` is
+        +1 or -1, and any other step raises ``GeometryError``.  On the 2D
         sector and on the lattice X and tau axes this is the periodic
         shift ``np.roll(values, -step, axis)`` done as two slice copies;
         on the lattice X axis the one slab whose neighbour lies across the
@@ -146,6 +147,8 @@ class ModelGeometry:
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")
+        if step not in (1, -1):
+            raise GeometryError(f"grid shifts move one cell (step +-1), got {step!r}")
         lattice = self.kind == HEISENBERG_LATTICE
         if lattice and axis == 1:
             return values.take(self._gather[(1, step)])
@@ -406,8 +409,6 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
       ``"cutoff_t": Kt`` adds vertical-frequency atoms built to respect
       the twisted identification (default 0: vertical-invariant data,
       identical cell-for-cell to the 2D sector field of the same seed).
-    * ``{"kind": "bump", "amplitude": a, "width": w, "center": [...]}``
-      — a single smooth localized bump (named data for probe runs).
 
     The same seed always yields bitwise-identical values.
     """
@@ -432,18 +433,6 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
         return ScalarField(
             geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
 
-    if kind == "bump":
-        amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
-        width = _as_finite(spec.get("width", 0.15), "bump width")
-        if width <= 0:
-            raise GeometryError("bump width must be positive")
-        if geom.kind == SPHERE_REDUCED:
-            center = _as_finite_tuple(spec.get("center", [0.5]), 1, "bump center")
-        else:
-            default = [0.5 * geom.periods[0], 0.5 * geom.periods[1]]
-            center = _as_finite_tuple(spec.get("center", default), 2, "bump center")
-        return ScalarField(geom, _bump(geom, center, amplitude, width))
-
     raise GeometryError(f"unknown initial-data kind {kind!r}")
 
 
@@ -456,18 +445,14 @@ def _planar_modes(cutoff):
     return modes
 
 
-def _random_planar(geom, seed, amplitude, cutoff, xs=None, ys=None):
+def _random_planar(geom, seed, amplitude, cutoff):
     """Band-limited random field on a periodic (x, y) grid.
 
     Shared by the 2D sector and the vertical-invariant part of the 3D
     lattice so that equal seeds produce cell-for-cell equal values.
     """
     px, py = geom.periods[0], geom.periods[1]
-    if xs is None:
-        xs = np.arange(geom.resolution[0]) * (px / geom.resolution[0])
-    if ys is None:
-        ys = np.arange(geom.resolution[1]) * (py / geom.resolution[1])
-    x, y = np.meshgrid(xs, ys, indexing="ij")
+    x, y = np.meshgrid(*geom.axes()[:2], indexing="ij")
     rng = np.random.default_rng(seed)
     modes = _planar_modes(cutoff)
     scale = amplitude / np.sqrt(len(modes))
@@ -548,19 +533,3 @@ def _random_lattice(geom, seed, amplitude, cutoff, cutoff_t):
         out += scale * (c_re * atom.real + c_im * atom.imag)
     return out
 
-
-def _bump(geom, center, amplitude, width):
-    if geom.kind == SPHERE_REDUCED:
-        s = geom.axes()[0]
-        return amplitude * np.exp(-((s - center[0]) / width) ** 2)
-    px, py = geom.periods[0], geom.periods[1]
-    cx, cy = center
-    xs, ys = geom.axes()[0], geom.axes()[1]
-    x, y = np.meshgrid(xs, ys, indexing="ij")
-    # periodic-smooth localized profile
-    arg = (np.sin(np.pi * (x - cx) / px) ** 2
-           + np.sin(np.pi * (y - cy) / py) ** 2) / width**2
-    planar = amplitude * np.exp(-arg)
-    if geom.kind == HEISENBERG_SECTOR:
-        return planar
-    return np.repeat(planar[:, :, None], geom.resolution[2], axis=2)

@@ -15,7 +15,6 @@ import crflow
 from crflow import ScalarField, build_geometry, flow, initial_data, invariants, operators
 from crflow.cli import (
     _CSV_COLUMNS,
-    CALIBRATION_CACHE,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -460,7 +459,7 @@ def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
     cfg_path, _ = write_config(
         tmp_path,
         geometry={"kind": "SphereReduced1D", "resolution": 16},
-        initial_data={"kind": "bump", "center": []},
+        initial_data={"kind": "random", "cutoff": "3"},
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
     proc = subprocess.run(
@@ -470,6 +469,12 @@ def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_removed_bump_data_exits_with_the_config_code(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, initial_data={"kind": "bump"})
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "unknown initial-data kind 'bump'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -507,45 +512,33 @@ def test_check_rejects_unknown_module(capsys):
     capsys.readouterr()
 
 
-# ---------------------------------------------------------------------------
-# calibrate
+def test_check_prints_the_calibrated_constant(capsys):
+    assert main(["check", "--only", "operators"]) == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("[PASS] operators: calibration"))
+    assert f"calibrated curvature {operators.calibrate_sphere_curvature()!r} > 0" in line
 
 
-def test_calibrate_writes_an_idempotent_cache(tmp_path, capsys):
-    cache = tmp_path / "cal" / "calibration.json"
-    assert main(["calibrate", "--cache", str(cache)]) == EXIT_OK
-    first_out = capsys.readouterr().out
-    first = json.loads(cache.read_text())
-
-    assert main(["calibrate", "--cache", str(cache)]) == EXIT_OK
-    second_out = capsys.readouterr().out
-    second = json.loads(cache.read_text())
-
-    assert first == second
-    assert first_out.splitlines()[0] == second_out.splitlines()[0]
-    value = first["sphere_background_curvature"]
-    assert value > 0.0
-    assert first["relative_spread"] <= 1e-3
-    assert first["n_points"] >= 100
-    assert repr(value) in first_out
-
-
-def test_calibrate_defaults_to_the_output_root(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    assert main(["calibrate"]) == EXIT_OK
-    capsys.readouterr()
-    assert (tmp_path / CALIBRATION_CACHE).exists()
-
-
-def test_calibrate_rejects_a_warped_profile(monkeypatch, capsys):
+def test_check_rejects_a_warped_calibration_profile(monkeypatch, capsys):
+    operators.calibrate_sphere_curvature()   # the cached default must not mask it
     profile = operators.extremal_profile
 
     def warped(t, x, y):
         return profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
 
     monkeypatch.setattr(operators, "extremal_profile", warped)
-    assert main(["calibrate"]) == EXIT_INVARIANT
-    assert "calibration failed" in capsys.readouterr().err
+    code = main(["check", "--only", "operators"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "[FAIL] operators: calibration — raised CalibrationError" in captured.out
+    assert "invariant failed: calibration" in captured.err
+
+
+def test_calibrate_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate"])
+    assert exc.value.code == 2     # argparse's usage error
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,21 @@ def test_calibration_is_deterministic_and_constant():
 
 def test_calibration_flat_profile_reads_zero():
     flat = lambda t, x, y: 1.0
-    assert abs(calibrate_sphere_curvature(candidate=flat, n_points=32)) <= 1e-9
+    assert abs(calibrate_sphere_curvature(candidate=flat)) <= 1e-9
 
 
 def test_calibration_scales_as_minus_two_conformal_weights():
     base = calibrate_sphere_curvature()
     c = 0.25
     scaled = lambda t, x, y: np.exp(c) * extremal_profile(t, x, y)
-    value = calibrate_sphere_curvature(candidate=scaled, n_points=64)
+    value = calibrate_sphere_curvature(candidate=scaled)
     assert value == pytest.approx(math.exp(-2.0 * c) * base, rel=1e-6)
 
 
 def test_calibration_rejects_non_constant_candidates():
     warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
     with pytest.raises(CalibrationError):
-        calibrate_sphere_curvature(candidate=warped, n_points=64)
+        calibrate_sphere_curvature(candidate=warped)
 
 
 def test_calibration_is_bitwise_the_per_point_loop():
@@ -340,11 +340,10 @@ def test_calibration_is_bitwise_the_per_point_loop():
         w_h2 = webster_pointwise(extremal_profile, p, 0.5 * h)
         values[i] = (4.0 * w_h2 - w_h) / 3.0
     assert calibrate_sphere_curvature() == float(values.mean())
-    for order in (2, 4):
-        batch = webster_pointwise(extremal_profile, (ts, xs, ys), h, order)
-        loop = [webster_pointwise(extremal_profile, (ts[i], xs[i], ys[i]), h, order)
-                for i in range(n_points)]
-        assert np.array_equal(batch, loop)
+    batch = webster_pointwise(extremal_profile, (ts, xs, ys), h)
+    loop = [webster_pointwise(extremal_profile, (ts[i], xs[i], ys[i]), h)
+            for i in range(n_points)]
+    assert np.array_equal(batch, loop)
 
 
 def test_sphere_geometry_carries_the_calibrated_constant():
@@ -588,3 +587,21 @@ def test_stability_symbol_dominates_measured_eigenvalues():
         quad = dot_weighted(geom, sublap(f).values, f.values)
         norm = dot_weighted(geom, f.values, f.values)
         assert quad / norm <= bound * (1.0 + 1e-12)
+
+
+def test_stability_symbol_against_the_spectral_basis():
+    # flat kinds: an upper bound, attained on even grids; sphere: the
+    # largest diagonal entry, which the spectrum exceeds by up to 2x
+    for geom in (sector(16), sector(16, periods=(1.0, 2.0)), lattice(),
+                 lattice_geometry([16, 16, 32], [1.0, 1.0, 0.5])):
+        top = float(spectral_basis(geom)[2].max())
+        assert top <= stability_symbol_max(geom) * (1.0 + 1e-15)
+    for n in (8, 64, 256):
+        geom = sphere(n)
+        bound = stability_symbol_max(geom)
+        top = float(spectral_basis(geom)[2].max())
+        assert bound <= top <= 2.0 * bound
+        # the explicit step still keeps RK4 inside its real-axis limit
+        rate = C_STAB * top * top \
+            + 4.0 * YAMABE_COEFFICIENT * abs(geom.background_curvature) * top
+        assert auto_dt(geom) * rate < 1.0
