@@ -155,7 +155,7 @@ class Trajectory:
 def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
     """Riemann sum against the geometric volume element; non-finite
     summands pass through as the blow-up signal."""
-    return float(values.sum() * geom.cell_weight())
+    return float(values.sum() * geom.cell_weight)
 
 
 def energy(lam: ScalarField) -> float:

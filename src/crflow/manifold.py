@@ -37,8 +37,7 @@ Three background models are supported:
     (derivation: tests/oracles/sphere_reduction.py).
 
 In every model the grid is uniform, so the quadrature weight per cell is
-the constant ``cell_volume_weight * cell_coord_volume`` and plain sums
-integrate exactly linearly.
+the constant ``cell_weight`` and plain sums integrate exactly linearly.
 """
 
 from __future__ import annotations
@@ -65,9 +64,11 @@ class GeometryError(ValueError):
     """Invalid geometry description."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelGeometry:
-    """An immutable discretized background model.
+    """An immutable discretized background model: a hashable value,
+    complete when ``build_geometry`` returns it, and equal to any other
+    geometry built from the same description.
 
     Attributes
     ----------
@@ -80,36 +81,42 @@ class ModelGeometry:
         Coordinate periods per axis.  For the Heisenberg kinds this is
         (Px, Py, Lt) where Lt is the vertical period (the fiber length
         for the 2D sector).  For the sphere kind it is (1.0,).
-    cell_volume_weight : float
-        Weight of the background volume form per coordinate cell volume
-        (4 on the Heisenberg kinds, kappa = pi^2 on the sphere kind).
+    spacing : tuple of float
+        Cell width per grid axis: (dx, dy) on the sector, (dx, dy, dtau)
+        on the lattice, (ds,) = (1/n,) on the sphere.
+    cell_weight : float
+        Quadrature weight of a single cell: the volume-form weight per
+        coordinate volume (4 on the Heisenberg kinds, kappa = pi^2 on the
+        sphere kind) times the coordinate volume of a cell (dx dy t_fiber
+        on the sector, dx dy dtau on the lattice, ds on the sphere).
     background_curvature : float
         Curvature of the background structure: 0 for the flat kinds, the
         runtime-calibrated positive constant for the sphere kind.
     t_wrap_shift : int
         Lattice only: integer tau-cell shift applied per y-cell on an
         x-wrap (0 for the other kinds).
+    shift_unit : int
+        Lattice only: tau-cells a Y step moves per x-cell, 4 dx dy / dtau
+        (0 for the other kinds).
+    lattice_degree : int
+        Lattice only: the degree 4 Px Py / Lt of the quotient (0 for the
+        other kinds).
     """
 
     kind: str
     resolution: tuple
     periods: tuple
-    cell_volume_weight: float
-    background_curvature: float
+    spacing: tuple
+    cell_weight: float
+    background_curvature: float = 0.0
     t_wrap_shift: int = 0
-    # derived quantities, filled in by build_geometry
-    spacing: tuple = ()
-    cell_coord_volume: float = 0.0
-    shift_unit: int = 0          # lattice: tau-cells a Y-step moves per x-cell
-    lattice_degree: int = 0      # lattice: 4 Px Py / Lt
-    # derived from the fields above, so left out of == (arrays have no truth value)
+    shift_unit: int = 0
+    lattice_degree: int = 0
+    # lattice gather tables, derived from the fields above, so left out of
+    # == and the hash (arrays have no truth value and no hash)
     _gather: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     # -- basic helpers -------------------------------------------------
-
-    def cell_weight(self) -> float:
-        """Quadrature weight of a single cell."""
-        return self.cell_volume_weight * self.cell_coord_volume
 
     def axes(self):
         """Cell-center coordinate arrays, one per axis."""
@@ -135,7 +142,8 @@ class ModelGeometry:
         ``shift(v, axis, +1)[p] = v[S_axis(p)]`` where S_axis moves one
         grid cell along the X (axis 0) or Y (axis 1) flow, or one cell
         along the vertical direction (axis 2, lattice only); ``step`` is
-        +1 or -1, and any other step raises ``GeometryError``.  On the 2D
+        +1 or -1.  Any other step, and any axis outside
+        ``range(len(resolution))``, raises ``GeometryError``.  On the 2D
         sector and on the lattice X and tau axes this is the periodic
         shift ``np.roll(values, -step, axis)`` done as two slice copies;
         on the lattice X axis the one slab whose neighbour lies across the
@@ -147,6 +155,10 @@ class ModelGeometry:
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")
+        if not 0 <= axis < len(self.resolution):
+            raise GeometryError(
+                f"grid shifts move along axis 0 to {len(self.resolution) - 1}, "
+                f"got axis {axis!r}")
         if step not in (1, -1):
             raise GeometryError(f"grid shifts move one cell (step +-1), got {step!r}")
         lattice = self.kind == HEISENBERG_LATTICE
@@ -177,54 +189,46 @@ class ModelGeometry:
         """
         if self.kind != HEISENBERG_LATTICE:
             raise GeometryError("reduce_index is only defined on the 3D lattice")
-        nx, ny, nt = self.resolution
-        qx, i0 = np.divmod(i, nx)
-        j0 = j % ny
-        k0 = (k + qx * j0 * self.t_wrap_shift) % nt
-        return i0, j0, k0
+        return _reduce_index(self.resolution, self.t_wrap_shift, i, j, k)
 
     def value_at(self, values: np.ndarray, i, j, k) -> np.ndarray:
         """Evaluate a stored field at arbitrary integer cell indices,
         out-of-range indices wrapped through the twisted identification."""
         return values[self.reduce_index(i, j, k)]
 
-    def x_holonomy(self, values: np.ndarray, turns: int = 1) -> np.ndarray:
-        """Transport a field once around the x-circle (lattice only).
 
-        Composing Nx elementary X-flow steps is not the identity on the
-        twisted quotient: it lands on the deck-related copy,
+def _reduce_index(resolution, t_wrap_shift, i, j, k):
+    """``ModelGeometry.reduce_index`` of a lattice with these numbers."""
+    nx, ny, nt = resolution
+    qx, i0 = np.divmod(i, nx)
+    j0 = j % ny
+    k0 = (k + qx * j0 * t_wrap_shift) % nt
+    return i0, j0, k0
 
-            out[i, j, k] = values[i, j, k + turns * j * t_wrap_shift]
 
-        (tau-index modulo Nt).  This is the discrete holonomy of the
-        x-circle; it is trivial exactly when t_wrap_shift*j = 0 mod Nt
-        for every j.
-        """
-        if self.kind != HEISENBERG_LATTICE:
-            raise GeometryError("x_holonomy is only defined on the 3D lattice")
-        nx, ny, nt = self.resolution
-        i, j, k = np.indices((nx, ny, nt), sparse=True)
-        return self.value_at(values, i + turns * nx, j, k)
-
-    def _build_lattice_gathers(self):
-        nx, ny, nt = self.resolution
-        s_unit = self.shift_unit
-        i, j, k = np.ogrid[:nx, :ny, :nt]
-        targets = {
-            # X flow across the seam: the last slab (+1) or the first (-1)
-            # reads the slab on the other side of the x-wrap, tau-shifted by
-            # the deck twist; every other X and tau neighbour is a slice copy.
-            (0, 1): (nx, j[0], k[0]),
-            (0, -1): (-1, j[0], k[0]),
-            # Y flow: (x, y, tau) -> (x, y +- dy, tau -+ 4 x dy); the tau
-            # offset is i*s_unit cells, exact by the grid constraint.
-            (1, 1): (i, j + 1, k - i * s_unit),
-            (1, -1): (i, j - 1, k + i * s_unit),
-        }
-        for key, idx in targets.items():
-            flat = np.ravel_multi_index(self.reduce_index(*idx), self.resolution)
-            flat.setflags(write=False)
-            self._gather[key] = flat
+def _lattice_gathers(resolution, t_wrap_shift, s_unit) -> dict:
+    """Read-only flat gather tables of the lattice shifts, keyed by
+    (axis, step), for the X seam slab and the whole Y flow."""
+    nx, ny, nt = resolution
+    i, j, k = np.ogrid[:nx, :ny, :nt]
+    targets = {
+        # X flow across the seam: the last slab (+1) or the first (-1)
+        # reads the slab on the other side of the x-wrap, tau-shifted by
+        # the deck twist; every other X and tau neighbour is a slice copy.
+        (0, 1): (nx, j[0], k[0]),
+        (0, -1): (-1, j[0], k[0]),
+        # Y flow: (x, y, tau) -> (x, y +- dy, tau -+ 4 x dy); the tau
+        # offset is i*s_unit cells, exact by the grid constraint.
+        (1, 1): (i, j + 1, k - i * s_unit),
+        (1, -1): (i, j - 1, k + i * s_unit),
+    }
+    gather = {}
+    for key, idx in targets.items():
+        flat = np.ravel_multi_index(
+            _reduce_index(resolution, t_wrap_shift, *idx), resolution)
+        flat.setflags(write=False)
+        gather[key] = flat
+    return gather
 
 
 @dataclass
@@ -306,16 +310,14 @@ def build_geometry(config: dict) -> ModelGeometry:
         if n < MIN_RESOLUTION:
             raise GeometryError(f"resolution too small: {n} < {MIN_RESOLUTION}")
         from .operators import calibrate_sphere_curvature  # deferred: cycle-free
-        geom = ModelGeometry(
+        return ModelGeometry(
             kind=kind,
             resolution=(n,),
             periods=(1.0,),
-            cell_volume_weight=SPHERE_KAPPA,
+            spacing=(1.0 / n,),
+            cell_weight=SPHERE_KAPPA * (1.0 / n),
             background_curvature=calibrate_sphere_curvature(),
         )
-        geom.spacing = (1.0 / n,)
-        geom.cell_coord_volume = 1.0 / n
-        return geom
 
     n_axes = 2 if kind == HEISENBERG_SECTOR else 3
     resolution = _as_int_tuple(config.get("resolution", 32), n_axes, "resolution")
@@ -333,16 +335,13 @@ def build_geometry(config: dict) -> ModelGeometry:
             raise GeometryError("t_fiber must be positive")
         px, py = periods
         nx, ny = resolution
-        geom = ModelGeometry(
+        return ModelGeometry(
             kind=kind,
             resolution=resolution,
             periods=(px, py, t_fiber),
-            cell_volume_weight=HEISENBERG_VOLUME_WEIGHT,
-            background_curvature=0.0,
+            spacing=(px / nx, py / ny),
+            cell_weight=HEISENBERG_VOLUME_WEIGHT * ((px / nx) * (py / ny) * t_fiber),
         )
-        geom.spacing = (px / nx, py / ny)
-        geom.cell_coord_volume = (px / nx) * (py / ny) * t_fiber
-        return geom
 
     # 3D lattice
     px, py, lt = periods
@@ -364,20 +363,18 @@ def build_geometry(config: dict) -> ModelGeometry:
             f"{s_unit_f!r} must be a positive integer so frame shifts move "
             "whole tau-cells (raise the tau resolution or shrink Lt)")
 
-    geom = ModelGeometry(
+    t_wrap_shift = s_unit * nx
+    return ModelGeometry(
         kind=kind,
         resolution=resolution,
         periods=periods,
-        cell_volume_weight=HEISENBERG_VOLUME_WEIGHT,
-        background_curvature=0.0,
-        t_wrap_shift=s_unit * nx,
+        spacing=(dx, dy, dtau),
+        cell_weight=HEISENBERG_VOLUME_WEIGHT * (dx * dy * dtau),
+        t_wrap_shift=t_wrap_shift,
+        shift_unit=s_unit,
+        lattice_degree=degree,
+        _gather=_lattice_gathers(resolution, t_wrap_shift, s_unit),
     )
-    geom.spacing = (dx, dy, dtau)
-    geom.cell_coord_volume = dx * dy * dtau
-    geom.shift_unit = s_unit
-    geom.lattice_degree = degree
-    geom._build_lattice_gathers()
-    return geom
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +388,7 @@ def integrate(f: ScalarField) -> float:
     """
     if not f.is_finite():
         raise ValueError("integrate: non-finite field values")
-    return float(f.values.sum()) * f.geometry.cell_weight()
+    return float(f.values.sum()) * f.geometry.cell_weight
 
 
 # ---------------------------------------------------------------------------

@@ -339,23 +339,22 @@ def linear_solve(operator, rhs: ScalarField, inverse) -> ScalarField:
     return ScalarField(rhs.geometry, x)
 
 
-@functools.lru_cache(maxsize=None)
-def _sector_basis(resolution: tuple, spacing: tuple):
+def _sector_basis(geom: ModelGeometry):
     from numpy import fft    # loaded only on this path, never at import
 
-    nx, ny = resolution
-    dx, dy = spacing
+    nx, ny = geom.resolution
+    dx, dy = geom.spacing
     h = HEISENBERG_HORIZONTAL_FACTOR
     sx = np.sin(np.pi * np.arange(nx) / nx)[:, None]
     sy = np.sin(np.pi * np.arange(ny // 2 + 1) / ny)[None, :]   # rfft half
     sigma = h * (4.0 * sx * sx / (dx * dx) + 4.0 * sy * sy / (dy * dy))
     sigma.setflags(write=False)
-    return fft.rfft2, functools.partial(fft.irfft2, s=resolution), sigma
+    return fft.rfft2, functools.partial(fft.irfft2, s=geom.resolution), sigma
 
 
-@functools.lru_cache(maxsize=None)
-def _sphere_basis(n: int, ds: float):
-    mu = _sphere_faces(n)
+def _sphere_basis(geom: ModelGeometry):
+    ds = geom.spacing[0]
+    mu = _sphere_faces(geom.resolution[0])
     a = (SPHERE_CS / (ds * ds)) * (np.diag(mu[:-1] + mu[1:])
                                    - np.diag(mu[1:-1], 1) - np.diag(mu[1:-1], -1))
     sigma, vecs = np.linalg.eigh(a)
@@ -364,16 +363,15 @@ def _sphere_basis(n: int, ds: float):
     return (lambda v: vecs.T @ v), (lambda c: vecs @ c), sigma
 
 
-@functools.lru_cache(maxsize=None)
-def _lattice_basis(resolution: tuple, spacing: tuple, shift_unit: int, degree: int):
+def _lattice_basis(geom: ModelGeometry):
     from numpy import fft    # loaded only on this path, never at import
 
-    nx, ny, nt = resolution
-    dx, dy = spacing[0], spacing[1]
+    nx, ny, nt = geom.resolution
+    dx, dy = geom.spacing[0], geom.spacing[1]
     h = HEISENBERG_HORIZONTAL_FACTOR
     nl = nt // 2 + 1                           # rfft half of the tau modes
     ells = np.arange(nl)
-    steps = ells * degree % ny                 # y-mode drop of one x-wrap
+    steps = ells * geom.lattice_degree % ny    # y-mode drop of one x-wrap
     orders = ny // np.gcd(ny, steps)           # x-wraps until a chain closes
     perm, sigma, blocks = [], [], []
     start = 0
@@ -385,7 +383,7 @@ def _lattice_basis(resolution: tuple, spacing: tuple, shift_unit: int, degree: i
         pos = np.arange(n)
         i, r = pos % nx, pos // nx
         q = (q0 - r * step) % ny                      # (ells, chains, n)
-        phase = 2.0 * np.pi * (q / ny - ell * i * shift_unit / nt)
+        phase = 2.0 * np.pi * (q / ny - ell * i * geom.shift_unit / nt)
         diag = h * (2.0 / (dx * dx) + (2.0 - 2.0 * np.cos(phase)) / (dy * dy))
         link = np.roll(np.eye(n), 1, axis=1)          # cell p to cell p + 1
         mats = diag[..., None] * np.eye(n) - (h / (dx * dx)) * (link + link.T)
@@ -419,10 +417,12 @@ def _lattice_basis(resolution: tuple, spacing: tuple, shift_unit: int, degree: i
     return forward, inverse, sigma
 
 
+@functools.lru_cache(maxsize=None)
 def spectral_basis(geom: ModelGeometry):
     """(forward, inverse, sigma) with inverse(sigma * forward(v)) the
     background sublaplacian ``_div_form_values`` of the value array v.
-    Built on first use and cached per grid; read-only.
+    Built on first use and cached per geometry value, so equal geometries
+    share one basis; read-only.
 
     Sector: ``rfft2`` and the five-point symbol h * sum_axis
     4 sin^2(pi k_a / n_a) / d_a^2.  Sphere: ``eigh`` of the tridiagonal
@@ -432,11 +432,10 @@ def spectral_basis(geom: ModelGeometry):
     apart into real symmetric cyclic tridiagonal chains, each ``eigh``-ed.
     """
     if geom.kind == SPHERE_REDUCED:
-        return _sphere_basis(geom.resolution[0], geom.spacing[0])
+        return _sphere_basis(geom)
     if geom.kind == HEISENBERG_SECTOR:
-        return _sector_basis(geom.resolution, geom.spacing)
-    return _lattice_basis(geom.resolution, geom.spacing, geom.shift_unit,
-                          geom.lattice_degree)
+        return _sector_basis(geom)
+    return _lattice_basis(geom)
 
 
 def shifted_bilap_inverse(geom: ModelGeometry, s: float):

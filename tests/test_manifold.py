@@ -1,5 +1,6 @@
 """Geometry construction, quadrature, twisted indexing, and initial data."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from crflow import (
     lattice_mode,
 )
 from crflow.conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
+from crflow.operators import spectral_basis
 
 
 def sector(n=16, periods=(1.0, 1.0), t_fiber=1.0):
@@ -126,17 +128,34 @@ def test_reference_lattice_sixteen_cubed():
 
 
 def test_lattice_geometries_compare_by_their_description():
-    # the precomputed gathers are arrays; equality must not touch them
+    # the precomputed gathers are arrays; equality and hashing must not
+    # touch them
     assert lattice() == lattice()
     assert lattice(16, 16, 32, lt=0.5) == lattice(16, 16, 32, lt=0.5)
     assert lattice() != lattice(lt=0.5)
     assert lattice(16, 16, 32, lt=0.5) != lattice(16, 16, 32, lt=0.25)
+    assert hash(lattice()) == hash(lattice())
+    assert hash(lattice(16, 16, 32, lt=0.5)) == hash(lattice(16, 16, 32, lt=0.5))
+    # a value: no field can be assigned once built
+    geom = lattice()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.spacing = (1.0, 1.0, 1.0)
+    # separately built equal geometries share one spectral basis
+    assert spectral_basis(lattice()) is spectral_basis(lattice())
 
 
 def test_spacing_and_cell_volume():
     geom = sector(8, periods=(2.0, 4.0), t_fiber=0.5)
     assert geom.spacing == pytest.approx((0.25, 0.5))
-    assert geom.cell_coord_volume == pytest.approx(0.25 * 0.5 * 0.5)
+    # the weight is the volume-form weight times the coordinate cell
+    # volume, bit for bit as that product groups
+    assert geom.cell_weight == HEISENBERG_VOLUME_WEIGHT * ((2.0 / 8) * (4.0 / 8) * 0.5)
+    geom = lattice(8, 8, 32, lt=0.5)
+    assert geom.spacing == (1.0 / 8, 1.0 / 8, 0.5 / 32)
+    assert geom.cell_weight == HEISENBERG_VOLUME_WEIGHT * ((1.0 / 8) * (1.0 / 8) * (0.5 / 32))
+    geom = sphere(24)
+    assert geom.spacing == (1.0 / 24,)
+    assert geom.cell_weight == SPHERE_KAPPA * (1.0 / 24)
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +254,6 @@ def test_stencil_commutes_with_wrap_on_delta_fields():
                 expect = np.zeros(geom.resolution)
                 expect[i, j, k] = 1.0
                 np.testing.assert_array_equal(shifted, expect)
-
-
-def test_x_holonomy_is_a_vertical_translation():
-    geom = lattice()
-    rng = np.random.default_rng(12)
-    values = rng.standard_normal(geom.resolution)
-    turned = geom.x_holonomy(values)
-    # row j comes back tau-shifted by j * m: not the identity, but a
-    # permutation that is trivial on the j = 0 slab
-    np.testing.assert_array_equal(turned[:, 0, :], values[:, 0, :])
-    assert not np.array_equal(turned, values)
-    ny = geom.resolution[1]
-    full = values
-    for _ in range(ny):
-        full = geom.x_holonomy(full)
-    # Ny turns close up exactly
-    np.testing.assert_array_equal(full, values)
 
 
 def test_lattice_mode_satisfies_the_deck_identity():
@@ -355,6 +357,12 @@ def test_shift_moves_exactly_one_cell(name):
     for axis in axes:
         for step in (2, -2, 0, 3, geom.resolution[axis]):
             with pytest.raises(GeometryError, match="step"):
+                geom.shift(values, axis, step)
+    # numpy's negative axes and axes past the grid are refused, not
+    # wrapped onto another axis's flow or left to numpy
+    for axis in (-1, -2, values.ndim):
+        for step in (1, -1):
+            with pytest.raises(GeometryError, match="axis"):
                 geom.shift(values, axis, step)
 
 
