@@ -1,105 +1,2 @@
 """Structure-preserving gradient flow of the Webster curvature energy on
 model pseudohermitian 3-manifolds, plus the Heisenberg CR inversion."""
-
-from .manifold import (
-    HEISENBERG_LATTICE,
-    HEISENBERG_SECTOR,
-    SPHERE_REDUCED,
-    GeometryError,
-    ModelGeometry,
-    ScalarField,
-    build_geometry,
-    initial_data,
-    integrate,
-    lattice_mode,
-)
-from .flow import (
-    Diagnostics,
-    FlowState,
-    Trajectory,
-    auto_dt,
-    bondi,
-    energy,
-    flow_rhs,
-    gradient_check,
-    run,
-    step_explicit,
-    step_imex,
-    volume,
-)
-from .inversion import (
-    HeisenbergPoint,
-    InversionDomainError,
-    contact_coefficients,
-    double_invert,
-    invert,
-    jacobian,
-    jacobian_det,
-    pullback_residual,
-    sample_points,
-    sphere_swap_check,
-    wnorm,
-)
-from .operators import (
-    CalibrationError,
-    LinearSolveError,
-    calibrate_sphere_curvature,
-    conformal_sublap,
-    extremal_profile,
-    linear_solve,
-    stability_symbol_max,
-    sublap,
-    webster_curvature,
-    webster_pointwise,
-    yamabe_apply,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "HEISENBERG_LATTICE",
-    "HEISENBERG_SECTOR",
-    "SPHERE_REDUCED",
-    "GeometryError",
-    "ModelGeometry",
-    "ScalarField",
-    "build_geometry",
-    "initial_data",
-    "integrate",
-    "lattice_mode",
-    "CalibrationError",
-    "LinearSolveError",
-    "calibrate_sphere_curvature",
-    "conformal_sublap",
-    "extremal_profile",
-    "linear_solve",
-    "stability_symbol_max",
-    "sublap",
-    "webster_curvature",
-    "webster_pointwise",
-    "yamabe_apply",
-    "Diagnostics",
-    "FlowState",
-    "Trajectory",
-    "auto_dt",
-    "bondi",
-    "energy",
-    "flow_rhs",
-    "gradient_check",
-    "run",
-    "step_explicit",
-    "step_imex",
-    "volume",
-    "HeisenbergPoint",
-    "InversionDomainError",
-    "contact_coefficients",
-    "double_invert",
-    "invert",
-    "jacobian",
-    "jacobian_det",
-    "pullback_residual",
-    "sample_points",
-    "sphere_swap_check",
-    "wnorm",
-    "__version__",
-]

@@ -24,6 +24,10 @@ Subcommands
     gauge norms before/after, pullback residual, Jacobian determinant.
     Exit 1 at the origin.
 
+``run`` loads only ``conventions``, ``manifold``, ``operators`` and ``flow``;
+``check`` imports ``invariants`` and ``invert`` imports ``inversion`` lazily,
+inside the subcommand, so a run never loads either.
+
 The environment variable ``CRFLOW_OUTPUT_ROOT`` re-roots all relative output
 paths.  All emitted files are deterministic for a fixed configuration and
 seed — CSV rows carry 17-significant-digit floats, JSON is written with
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, inversion
+from . import flow
 from .conventions import (DESCENT, PLATEAU_TOL, PLATEAU_WINDOW, check_flow_sign,
                           conventions_record)
 from .manifold import GeometryError, build_geometry, initial_data
@@ -376,6 +380,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
+    from . import inversion  # loaded by this subcommand only, never by run
+
     try:
         p = inversion.HeisenbergPoint(args.t, args.x, args.y)
         image = inversion.invert(p)

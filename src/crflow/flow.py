@@ -36,7 +36,7 @@ import numpy as np
 
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
                           PLATEAU_WINDOW, YAMABE_COEFFICIENT, check_flow_sign)
-from .manifold import ModelGeometry, ScalarField
+from .manifold import ModelGeometry, ScalarField, _weighted_sum
 from .operators import (
     LinearSolveError,
     _div_form_values,
@@ -150,12 +150,6 @@ class Trajectory:
 # once, and the kernels it calls (_weighted_sum, _rhs_values,
 # _webster_core) set none of their own.  Their in-place ufuncs (out=,
 # *=, +=) run under that same single errstate.
-
-
-def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
-    """Riemann sum against the geometric volume element; non-finite
-    summands pass through as the blow-up signal."""
-    return float(values.sum() * geom.cell_weight)
 
 
 def energy(lam: ScalarField) -> float:

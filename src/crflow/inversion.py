@@ -69,11 +69,6 @@ class HeisenbergPoint:
                 raise ValueError(f"coordinate {name!r} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_z(cls, t: float, z: complex) -> "HeisenbergPoint":
-        z = complex(z)
-        return cls(float(t), z.real, z.imag)
-
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)

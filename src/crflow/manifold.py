@@ -51,6 +51,10 @@ import numpy as np
 
 from .conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
 
+__all__ = ["HEISENBERG_SECTOR", "HEISENBERG_LATTICE", "SPHERE_REDUCED",
+           "GeometryError", "ModelGeometry", "ScalarField", "build_geometry",
+           "integrate", "initial_data", "lattice_mode"]
+
 HEISENBERG_SECTOR = "HeisenbergSector2D"
 HEISENBERG_LATTICE = "HeisenbergLattice3D"
 SPHERE_REDUCED = "SphereReduced1D"
@@ -190,11 +194,6 @@ class ModelGeometry:
         if self.kind != HEISENBERG_LATTICE:
             raise GeometryError("reduce_index is only defined on the 3D lattice")
         return _reduce_index(self.resolution, self.t_wrap_shift, i, j, k)
-
-    def value_at(self, values: np.ndarray, i, j, k) -> np.ndarray:
-        """Evaluate a stored field at arbitrary integer cell indices,
-        out-of-range indices wrapped through the twisted identification."""
-        return values[self.reduce_index(i, j, k)]
 
 
 def _reduce_index(resolution, t_wrap_shift, i, j, k):
@@ -381,14 +380,18 @@ def build_geometry(config: dict) -> ModelGeometry:
 # quadrature
 
 
-def integrate(f: ScalarField) -> float:
-    """Integral of f against the background volume form.
+def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
+    """Plain cell sum times the constant cell weight; exactly linear in
+    the values.  Non-finite summands pass through as the flow's blow-up
+    signal."""
+    return float(values.sum() * geom.cell_weight)
 
-    Plain cell sum times the constant cell weight; exactly linear in f.
-    """
+
+def integrate(f: ScalarField) -> float:
+    """Integral of f against the background volume form."""
     if not f.is_finite():
         raise ValueError("integrate: non-finite field values")
-    return float(f.values.sum()) * f.geometry.cell_weight
+    return _weighted_sum(f.geometry, f.values)
 
 
 # ---------------------------------------------------------------------------

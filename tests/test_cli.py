@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import crflow
-from crflow import ScalarField, build_geometry, flow, initial_data, invariants, operators
+import crflow.flow as flow
+import crflow.invariants as invariants
+import crflow.operators as operators
 from crflow.cli import (
     _CSV_COLUMNS,
     EXIT_BLOWUP,
@@ -29,6 +31,7 @@ from crflow.cli import (
     resolve_output_dir,
 )
 from crflow.conventions import PLATEAU_TOL, PLATEAU_WINDOW
+from crflow.manifold import ScalarField, build_geometry, initial_data
 
 
 def base_config(outdir, **overrides):
@@ -469,6 +472,33 @@ def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+RUN_MODULES = ["crflow", "crflow.cli", "crflow.conventions", "crflow.flow",
+               "crflow.manifold", "crflow.operators"]
+
+
+@pytest.mark.parametrize("integrator, loads_fft", [("explicit", False), ("imex", True)])
+def test_run_process_loads_only_the_modules_it_runs(tmp_path, integrator, loads_fft):
+    cfg_path, _ = write_config(tmp_path, integrator=integrator)
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "numpy_fft = 'numpy.fft' in sys.modules\n"
+        "import crflow.cli\n"
+        f"code = crflow.cli.main(['run', {str(cfg_path)!r}])\n"
+        "print(json.dumps([code, numpy_fft, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_fft, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert [m for m in modules if m.split(".")[0] == "crflow"] == RUN_MODULES
+    # the sector's spectral inverse is the only user of numpy.fft; numpy
+    # releases that import it with numpy itself load it for every run
+    assert ("numpy.fft" in modules) == (loads_fft or numpy_fft)
 
 
 def test_removed_bump_data_exits_with_the_config_code(tmp_path, capsys):

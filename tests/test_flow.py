@@ -7,23 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crflow import (
-    ScalarField,
-    auto_dt,
-    bondi,
-    build_geometry,
-    energy,
-    flow_rhs,
-    gradient_check,
-    initial_data,
-    integrate,
-    run,
-    stability_symbol_max,
-    step_explicit,
-    step_imex,
-    volume,
-    webster_curvature,
-)
+import crflow.flow as flow
 from crflow.conventions import (
     BLOWUP_THRESHOLD,
     C_STAB,
@@ -32,9 +16,27 @@ from crflow.conventions import (
     SPHERE_KAPPA,
     YAMABE_COEFFICIENT,
 )
-from crflow import flow
-from crflow.flow import _rhs_values, _weighted_sum, detect_blowup, make_state
-from crflow.operators import _div_form_values, shifted_bilap_inverse
+from crflow.flow import (
+    _rhs_values,
+    auto_dt,
+    bondi,
+    detect_blowup,
+    energy,
+    flow_rhs,
+    gradient_check,
+    make_state,
+    run,
+    step_explicit,
+    step_imex,
+    volume,
+)
+from crflow.manifold import ScalarField, _weighted_sum, build_geometry, initial_data, integrate
+from crflow.operators import (
+    _div_form_values,
+    shifted_bilap_inverse,
+    stability_symbol_max,
+    webster_curvature,
+)
 
 from tests.test_operators import STENCIL_GEOMETRIES, three_point_div_form
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from crflow import (
+from crflow.inversion import (
     HeisenbergPoint,
     InversionDomainError,
     contact_coefficients,
@@ -37,11 +37,6 @@ def test_point_accessors():
     assert p.zsq == 4.0
     assert p.w == complex(3.0, 4.0)
     assert wnorm(p) == pytest.approx(5.0, rel=1e-15)
-
-
-def test_point_from_z_round_trip():
-    p = HeisenbergPoint.from_z(1.5, complex(-0.25, 2.0))
-    assert (p.t, p.x, p.y) == (1.5, -0.25, 2.0)
 
 
 def test_point_rejects_non_finite_coordinates():

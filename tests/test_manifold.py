@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crflow import (
+from crflow.manifold import (
     GeometryError,
     ScalarField,
     build_geometry,
@@ -171,6 +171,10 @@ def test_integrate_is_linear(make):
     combo = integrate(ScalarField(geom, 2.5 * f.values - 0.75 * g.values))
     parts = 2.5 * integrate(f) - 0.75 * integrate(g)
     assert combo == pytest.approx(parts, rel=1e-14)
+    # exactly the cell sum times the cell weight, whether the sum is made
+    # a Python float before or after the product
+    assert integrate(f) == float(f.values.sum()) * geom.cell_weight
+    assert integrate(f) == float(f.values.sum() * geom.cell_weight)
 
 
 def test_integrate_rejects_non_finite():
@@ -222,12 +226,13 @@ def test_wrap_identity_exact_on_random_fields():
         i = int(rng.integers(-2 * nx, 2 * nx))
         j = int(rng.integers(-2 * ny, 2 * ny))
         k = int(rng.integers(-2 * nt, 2 * nt))
-        assert geom.value_at(values, i + nx, j, k) == geom.value_at(
-            values, i, j, k + j * m
-        )
+        at = values[geom.reduce_index(i, j, k)]
+        assert values[geom.reduce_index(i + nx, j, k)] == values[
+            geom.reduce_index(i, j, k + j * m)
+        ]
         # the other two wraps are plain periodic
-        assert geom.value_at(values, i, j + ny, k) == geom.value_at(values, i, j, k)
-        assert geom.value_at(values, i, j, k + nt) == geom.value_at(values, i, j, k)
+        assert values[geom.reduce_index(i, j + ny, k)] == at
+        assert values[geom.reduce_index(i, j, k + nt)] == at
 
 
 def test_stencil_commutes_with_wrap_on_delta_fields():
@@ -288,7 +293,7 @@ def test_lattice_mode_sampled_on_grid_matches_twisted_wrap():
     for j in range(ny):
         for k in range(0, nt, 5):
             wrapped = mode(xs[0] + px, ys[j], ts[k])
-            direct = geom.value_at(grid, 0, j, k + j * geom.t_wrap_shift)
+            direct = grid[geom.reduce_index(0, j, k + j * geom.t_wrap_shift)]
             worst = max(worst, abs(wrapped - direct))
     assert worst <= 1e-12
 
@@ -439,8 +444,8 @@ def test_random_lattice_data_respects_the_twisted_wrap():
         i = int(rng.integers(0, nx))
         j = int(rng.integers(0, ny))
         k = int(rng.integers(0, nt))
-        lhs = geom.value_at(lam.values, i + nx, j, k)
-        rhs = geom.value_at(lam.values, i, j, k + j * geom.t_wrap_shift)
+        lhs = lam.values[geom.reduce_index(i + nx, j, k)]
+        rhs = lam.values[geom.reduce_index(i, j, k + j * geom.t_wrap_shift)]
         assert lhs == rhs
 
 

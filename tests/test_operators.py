@@ -5,26 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from crflow import (
-    CalibrationError,
-    GeometryError,
-    LinearSolveError,
-    ScalarField,
-    auto_dt,
-    build_geometry,
-    calibrate_sphere_curvature,
-    conformal_sublap,
-    extremal_profile,
-    initial_data,
-    integrate,
-    linear_solve,
-    run,
-    stability_symbol_max,
-    sublap,
-    webster_curvature,
-    webster_pointwise,
-    yamabe_apply,
-)
 from crflow.conventions import (
     C_STAB,
     HEISENBERG_HORIZONTAL_FACTOR,
@@ -32,7 +12,24 @@ from crflow.conventions import (
     SPHERE_CS,
     YAMABE_COEFFICIENT,
 )
-from crflow.operators import _div_form_values, shifted_bilap_inverse, spectral_basis
+from crflow.flow import auto_dt, run
+from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data, integrate
+from crflow.operators import (
+    CalibrationError,
+    LinearSolveError,
+    _div_form_values,
+    calibrate_sphere_curvature,
+    conformal_sublap,
+    extremal_profile,
+    linear_solve,
+    shifted_bilap_inverse,
+    spectral_basis,
+    stability_symbol_max,
+    sublap,
+    webster_curvature,
+    webster_pointwise,
+    yamabe_apply,
+)
 
 
 def sector(n=16, periods=(1.0, 1.0)):
