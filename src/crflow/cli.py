@@ -10,7 +10,8 @@ Subcommands
     outcomes ``converged``/``plateau``/``max_time``, exit 3 for ``blowup``
     (a labeled result, not a failure), exit 4 for ``solver_failure`` (an
     implicit solve missed its residual tolerance; the artifacts cover the
-    steps accepted before it), exit 1 for configuration errors.
+    steps accepted before it), exit 1 for configuration errors (among
+    them a degenerate cell spacing and a grid too large to allocate).
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -28,6 +29,12 @@ Subcommands
 ``check`` imports ``invariants`` and ``invert`` imports ``inversion`` lazily,
 inside the subcommand, so a run never loads either.
 
+``main`` registers ``gc.freeze`` with ``atexit`` (once per process, however
+often it runs), so the interpreter's last cyclic collections skip every
+object still alive at exit and the OS reclaims that memory.  Every artifact
+is closed and in place before ``main`` returns; the std-stream flushes,
+the other atexit handlers and module teardown all still run.
+
 The environment variable ``CRFLOW_OUTPUT_ROOT`` re-roots all relative output
 paths.  All emitted files are deterministic for a fixed configuration and
 seed — CSV rows carry 17-significant-digit floats, JSON is written with
@@ -37,7 +44,9 @@ sorted keys — except the single ``wall_time_seconds`` field of ``meta.json``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -290,7 +299,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = resolve_output_dir(cfg.output_dir)
         os.makedirs(outdir, exist_ok=True)
-    except (ConfigError, GeometryError, OSError, ValueError) as exc:
+    except (ConfigError, GeometryError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate is a configuration error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -451,6 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the freeze at exit saves about 20 ms per process (module docstring);
+    # unregistering first keeps one registration however often main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     return args.func(args)
 

@@ -197,7 +197,10 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray,
         flow_sign * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
     """
     u, m2, em3, w = _webster_core(geom, values)
-    if not np.isfinite(values).all():
+    # a finite sum has no inf or NaN summand, so only a non-finite one
+    # needs the cell scan
+    if not math.isfinite(np.add.reduce(values, axis=None)) \
+            and not np.isfinite(values).all():
         return np.full_like(values, np.nan), w
     u *= w
     cov = _div_form_values(geom, u)
@@ -264,19 +267,28 @@ def make_state(lam: ScalarField, time: float, step_index: int,
         np.multiply(rhs, rhs, out=scratch)
         scratch *= m4
         dis = flow_sign * _weighted_sum(geom, scratch)
-    finite_w = bool(np.isfinite(w).all())
+    if (math.isfinite(vol) and math.isfinite(ene) and math.isfinite(bon)
+            and math.isfinite(dis)):
+        # energy and dissipation sum w^2 e^{4 lambda} and rhs^2 e^{4 lambda},
+        # never negative: a finite sum has finite terms, and a finite term
+        # has finite factors even where e^{4 lambda} is 0 (inf * 0 is NaN)
+        finite_w, overflow = True, False
+    else:
+        finite_w = bool(np.isfinite(w).all())
+        overflow = not (finite_w and math.isfinite(vol) and math.isfinite(ene)
+                        and math.isfinite(bon) and np.isfinite(rhs).all())
     w_min = float(w.min()) if finite_w else float("nan")
     w_max = float(w.max()) if finite_w else float("nan")
     abs_lam = np.abs(values, out=scratch)
     argmax = int(np.argmax(abs_lam))    # the first NaN, if there is one
-    if np.isnan(abs_lam.flat[argmax]):  # rank NaN like inf: first of either
+    lam_max = float(abs_lam.flat[argmax])
+    if math.isnan(lam_max):             # rank NaN like inf: first of either
         argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
-    overflow = not (finite_w and np.isfinite(vol) and np.isfinite(ene)
-                    and np.isfinite(bon) and np.isfinite(rhs).all())
+        lam_max = float(abs_lam.flat[argmax])
     diag = Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
                        w_min=w_min, w_max=w_max, dissipation=dis,
                        overflow_flag=overflow,
-                       lam_max=float(abs_lam.flat[argmax]), lam_argmax=argmax)
+                       lam_max=lam_max, lam_argmax=argmax)
     return FlowState(lam=lam, rhs=rhs, step_index=step_index, diagnostics=diag)
 
 
@@ -432,7 +444,10 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:
-        max_steps = int(np.ceil(max_time / dt_val)) + 1
+        # an overflowing quotient leaves the budget unbounded: the time
+        # test below still ends the run
+        budget = max_time / dt_val
+        max_steps = int(np.ceil(budget)) + 1 if math.isfinite(budget) else math.inf
 
     state = make_state(lam0, 0.0, 0, flow_sign)
     traj = Trajectory(outcome="max_time", dt=dt_val)

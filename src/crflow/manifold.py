@@ -295,8 +295,9 @@ def build_geometry(config: dict) -> ModelGeometry:
     ``t_fiber`` (vertical fiber length, default 1.0).
 
     Raises ``GeometryError`` for an unknown kind, a resolution below 4
-    cells per axis, or a 3D lattice whose grid cannot represent the
-    twisted identification by whole-cell shifts.
+    cells per axis, an X or Y cell spacing whose square is 0 or not
+    finite, or a 3D lattice whose grid cannot represent the twisted
+    identification by whole-cell shifts.
     """
     if not isinstance(config, dict):
         raise GeometryError("geometry description must be a mapping")
@@ -327,25 +328,30 @@ def build_geometry(config: dict) -> ModelGeometry:
     periods = _as_finite_tuple(config.get("periods", [1.0] * n_axes), n_axes, "periods")
     if min(periods) <= 0:
         raise GeometryError("periods must be positive")
+    dx, dy = periods[0] / resolution[0], periods[1] / resolution[1]
+    for axis, d in (("X", dx), ("Y", dy)):
+        # the stencil and the stability symbol divide by the square
+        if not 0.0 < d * d < math.inf:
+            raise GeometryError(
+                f"degenerate {axis} cell spacing {d!r}: its square {d * d!r} "
+                "must be positive and finite")
 
     if kind == HEISENBERG_SECTOR:
         t_fiber = _as_finite(config.get("t_fiber", 1.0), "t_fiber")
         if t_fiber <= 0:
             raise GeometryError("t_fiber must be positive")
-        px, py = periods
-        nx, ny = resolution
         return ModelGeometry(
             kind=kind,
             resolution=resolution,
-            periods=(px, py, t_fiber),
-            spacing=(px / nx, py / ny),
-            cell_weight=HEISENBERG_VOLUME_WEIGHT * ((px / nx) * (py / ny) * t_fiber),
+            periods=(periods[0], periods[1], t_fiber),
+            spacing=(dx, dy),
+            cell_weight=HEISENBERG_VOLUME_WEIGHT * (dx * dy * t_fiber),
         )
 
     # 3D lattice
     px, py, lt = periods
     nx, ny, nt = resolution
-    dx, dy, dtau = px / nx, py / ny, lt / nt
+    dtau = lt / nt
 
     degree_f = 4.0 * px * py / lt
     degree = int(round(degree_f))
@@ -383,8 +389,9 @@ def build_geometry(config: dict) -> ModelGeometry:
 def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
     """Plain cell sum times the constant cell weight; exactly linear in
     the values.  Non-finite summands pass through as the flow's blow-up
-    signal."""
-    return float(values.sum() * geom.cell_weight)
+    signal.  ``np.add.reduce`` is the reduction ``ndarray.sum`` runs,
+    without its Python wrapper."""
+    return float(np.add.reduce(values, axis=None) * geom.cell_weight)
 
 
 def integrate(f: ScalarField) -> float:

@@ -79,6 +79,13 @@ def _sphere_faces(n: int):
     return mu
 
 
+@functools.lru_cache(maxsize=None)
+def _sphere_inner_faces(n: int):
+    """The interior entries of ``_sphere_faces(n)``, the weights of the
+    faces between two cells.  Cached per grid; read-only."""
+    return _sphere_faces(n)[1:-1]
+
+
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     """Apply the (possibly weighted) positive sublaplacian to raw values.
 
@@ -93,21 +100,27 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     ((v[S p] - v) - (v - v[S^-1 p])) and its weighted counterpart.
 
     Never writes ``v`` or ``g`` and always returns a fresh float array;
-    integer ``v`` and ``g`` are accepted.  The flat kinds work in place
-    on the fresh arrays ``shift`` returns, commuting operands but never
-    regrouping them, so each cell sees the expression form's operations
-    in its order: (0.0 + t_x) + t_y, times -1/2.
+    integer ``v`` and ``g`` are accepted.  Both branches work in place,
+    commuting operands but never regrouping them, so each cell sees the
+    expression form's operations in its order.  The flat kinds work on
+    the fresh arrays ``shift`` returns: (0.0 + t_x) + t_y, times -1/2.
+    The sphere works in the zero-padded flux array: (mu * d) / ds on the
+    interior faces, then (-c_s * (flux[1:] - flux[:-1])) / ds.
     """
     if geom.kind == SPHERE_REDUCED:
         n = geom.resolution[0]
         ds = geom.spacing[0]
-        mu = _sphere_faces(n)
-        d = v[1:] - v[:-1]
-        if g is not None:
-            d = (0.5 * (g[1:] + g[:-1])) * d
         flux = np.zeros(n + 1)
-        flux[1:-1] = mu[1:-1] * d / ds
-        return -SPHERE_CS * (flux[1:] - flux[:-1]) / ds
+        d = flux[1:-1]
+        np.subtract(v[1:], v[:-1], out=d)
+        if g is not None:
+            d *= 0.5 * (g[1:] + g[:-1])
+        d *= _sphere_inner_faces(n)
+        d /= ds
+        out = np.subtract(flux[1:], flux[:-1])
+        out *= -SPHERE_CS
+        out /= ds
+        return out
 
     shift = geom.shift
     v = np.asarray(v, dtype=float)

@@ -352,16 +352,23 @@ def test_run_respects_the_output_root(monkeypatch, tmp_path, capsys):
 
 
 def test_zero_data_run_plateaus(tmp_path, capsys):
-    cfg_path, _ = write_config(
-        tmp_path,
-        initial_data={"kind": "constant", "value": 0.0},
-        max_steps=None,
-    )
-    assert main(["run", str(cfg_path)]) == EXIT_OK
-    assert "outcome: plateau" in capsys.readouterr().out
-    rows = read_rows(tmp_path / "out" / "diagnostics.csv")
-    energies = {row[3] for row in rows[1:]}
-    assert energies == {"0"}
+    # max_time / dt overflows in the second run: its step budget is
+    # unbounded, and the plateau test still ends it
+    huge_budget = {"geometry": {"kind": "HeisenbergSector2D", "resolution": [8, 8]},
+                   "max_time": 1e300, "dt": 1e-10}
+    for overrides in ({}, huge_budget):
+        cfg_path, _ = write_config(
+            tmp_path,
+            initial_data={"kind": "constant", "value": 0.0},
+            max_steps=None,
+            **overrides,
+        )
+        assert main(["run", str(cfg_path)]) == EXIT_OK
+        assert "outcome: plateau" in capsys.readouterr().out
+        rows = read_rows(tmp_path / "out" / "diagnostics.csv")
+        energies = {row[3] for row in rows[1:]}
+        assert energies == {"0"}
+        assert int(rows[-1][0]) == PLATEAU_WINDOW
 
 
 def test_ascending_probe_exits_with_the_blowup_code(tmp_path, capsys):
@@ -458,6 +465,23 @@ def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
     assert "wrap-shift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry", [
+    # dx^2 underflows to 0, or overflows to inf
+    {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1e-320, 1]},
+    {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1e308, 1e308]},
+    # 71 PiB and more: beyond any address space, so nothing is allocated
+    {"kind": "SphereReduced1D", "resolution": 10**16},
+    {"kind": "HeisenbergSector2D", "resolution": [16, 10**16]},
+])
+def test_degenerate_or_unallocatable_grid_exits_with_the_config_code(
+        tmp_path, capsys, geometry):
+    cfg_path, _ = write_config(tmp_path, geometry=geometry,
+                               initial_data={"kind": "constant", "value": 0.0})
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
     cfg_path, _ = write_config(
         tmp_path,
@@ -499,6 +523,47 @@ def test_run_process_loads_only_the_modules_it_runs(tmp_path, integrator, loads_
     # the sector's spectral inverse is the only user of numpy.fft; numpy
     # releases that import it with numpy itself load it for every run
     assert ("numpy.fft" in modules) == (loads_fft or numpy_fft)
+
+
+# Registered before crflow.cli is imported, so atexit runs it last: after
+# the gc.freeze that main registers.  Runs main only when given arguments.
+EXIT_REPORTER = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    "import crflow.cli\n"
+    "if sys.argv[1:]:\n"
+    "    sys.exit(crflow.cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_run_process_freezes_the_heap_at_exit_only_from_main(tmp_path):
+    ok_path, _ = write_config(tmp_path, "ok.json")
+    bad_path, _ = write_config(tmp_path, "bad.json", integrator="leapfrog")
+    up_path, _ = write_config(
+        tmp_path, "up.json",
+        geometry={"kind": "HeisenbergSector2D", "resolution": [32, 32]},
+        initial_data={"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2},
+        dt=5e-10, max_steps=60, conventions={"flow_sign": 1.0})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
+    cases = [([], EXIT_OK, None),
+             (["run", str(ok_path)], EXIT_OK, "outcome: max_time"),
+             (["run", str(bad_path)], EXIT_CONFIG, None),
+             (["run", str(up_path)], EXIT_BLOWUP, "outcome: blowup")]
+    for argv, code, outcome in cases:
+        out_path = tmp_path / "stdout.txt"
+        with open(out_path, "w") as out:
+            proc = subprocess.run([sys.executable, "-c", EXIT_REPORTER, *argv],
+                                  stdout=out, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        frozen = int(re.search(r"^frozen (\d+)$", proc.stderr, re.M).group(1))
+        assert (frozen > 0) == bool(argv)   # import alone leaves exit alone
+        stdout = out_path.read_text()
+        if outcome is not None:
+            assert stdout.startswith(outcome)
+        if code == EXIT_CONFIG:
+            assert "error:" in proc.stderr
 
 
 def test_removed_bump_data_exits_with_the_config_code(tmp_path, capsys):

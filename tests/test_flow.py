@@ -445,16 +445,28 @@ def test_steps_keep_the_expression_form_bits(name):
 @pytest.mark.parametrize("name", list(STENCIL_GEOMETRIES))
 def test_kernels_keep_the_expression_form_bits_past_overflow(name):
     # +-400 overflows e^{4 lambda}, e^{5 lambda} or e^{-2 lambda},
-    # e^{-3 lambda}; a single NaN cell takes the non-finite branches
+    # e^{-3 lambda}; a single NaN cell takes the non-finite branches.
+    # +150 overflows only bondi's e^{5 lambda}, so make_state scans w and
+    # finds it finite; two cells at 1e308 are finite but overflow the sum
+    # _rhs_values tests before its cell scan
     geom, lam0 = pinned_case(name)
     dt = auto_dt(geom)
     one_nan = lam0.values.copy()
     one_nan.flat[one_nan.size // 3] = np.nan
-    for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan):
+    two_huge = lam0.values.copy()
+    two_huge.flat[[1, two_huge.size // 2]] = 1e308
+    bondi_only = lam0.values + 150.0
+    for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan,
+                   bondi_only, two_huge):
         for sign in (DESCENT, -DESCENT):
             state = make_state(ScalarField(geom, values), 0.0, 0, sign)
             rhs, diag = assert_pinned(state, values, 0.0, sign)
             assert diag.overflow_flag
+            if values is two_huge:
+                assert np.isfinite(rhs).any()
+            elif values is bondi_only:
+                assert math.isinf(diag.bondi)
+                assert math.isfinite(diag.energy) and math.isfinite(diag.w_min)
             with np.errstate(over="ignore", invalid="ignore"):
                 y_rk4 = expression_rk4(geom, values, dt, sign)
                 y_imex = expression_imex(geom, values, rhs, diag.volume, 10.0 * dt)

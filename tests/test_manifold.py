@@ -103,6 +103,15 @@ def test_period_validation():
                             "t_fiber": t_fiber})
     with pytest.raises(GeometryError, match="resolution"):
         build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 1e400]})
+    # dx^2 underflows to 0 or overflows to inf: the stencil divides by it
+    for kind, periods in (("HeisenbergSector2D", [1e-320, 1.0]),
+                          ("HeisenbergSector2D", [1.0, 1e-320]),
+                          ("HeisenbergSector2D", [1e308, 1e308]),
+                          ("HeisenbergLattice3D", [1e-320, 1.0, 1.0]),
+                          ("HeisenbergLattice3D", [1e308, 1.0, 1.0])):
+        with pytest.raises(GeometryError, match="degenerate"):
+            build_geometry({"kind": kind, "resolution": [8] * len(periods),
+                            "periods": periods})
 
 
 def test_unsatisfiable_wrap_shift_rejected():
