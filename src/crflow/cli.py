@@ -11,7 +11,8 @@ Subcommands
     (a labeled result, not a failure), exit 4 for ``solver_failure`` (an
     implicit solve missed its residual tolerance; the artifacts cover the
     steps accepted before it), exit 1 for configuration errors (among
-    them a degenerate cell spacing and a grid too large to allocate).
+    them a degenerate cell spacing, a grid too large to allocate and a
+    resolved step that is not positive and finite).
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import dataclasses
 import gc
 import json
@@ -204,11 +206,10 @@ def _is_integer(value) -> bool:
 
 def _is_positive(value) -> bool:
     """A finite positive JSON number (not a boolean)."""
-    return (
-        (_is_integer(value) or isinstance(value, float))
-        and math.isfinite(value)
-        and value > 0
-    )
+    if _is_integer(value) or isinstance(value, float):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            return math.isfinite(value) and value > 0
+    return False
 
 
 def resolve_output_dir(path: str) -> str:
@@ -296,6 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.output_dir:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
         geom = build_geometry(cfg.geometry)
+        dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = resolve_output_dir(cfg.output_dir)
         os.makedirs(outdir, exist_ok=True)
@@ -311,7 +313,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         geom,
         lam0,
         integrator=cfg.integrator,
-        dt=cfg.dt,
+        dt=dt,
         max_time=cfg.max_time,
         max_steps=cfg.max_steps,
         plateau_tol=plateau_tol,

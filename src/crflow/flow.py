@@ -60,6 +60,7 @@ __all__ = [
     "step_imex",
     "detect_blowup",
     "auto_dt",
+    "resolve_dt",
     "INTEGRATORS",
     "run",
 ]
@@ -413,6 +414,18 @@ def auto_dt(geom: ModelGeometry) -> float:
     return 0.2 / rate
 
 
+def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
+    """The step a run takes: ``auto_dt(geom)`` for ``"auto"``, else dt.
+
+    Raises ValueError unless 0 < dt < inf.  An extreme cell spacing can
+    make the automatic step 0 (C_STAB * sigma^2 overflows) or NaN (a
+    subnormal squared spacing)."""
+    dt_val = auto_dt(geom) if dt == "auto" else float(dt)
+    if not 0.0 < dt_val < math.inf:
+        raise ValueError(f"the resolved dt {dt_val!r} is not a positive finite number")
+    return dt_val
+
+
 _PLATEAU_FLOOR = 1e-300
 
 
@@ -438,9 +451,7 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     check_flow_sign(flow_sign)
     if lam0.geometry is not geom:
         raise ValueError("initial data not on the supplied geometry")
-    dt_val = auto_dt(geom) if dt == "auto" else float(dt)
-    if dt_val <= 0:
-        raise ValueError("dt must be positive")
+    dt_val = resolve_dt(geom, dt)
     # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:

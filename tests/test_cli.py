@@ -128,6 +128,10 @@ def test_config_must_be_an_object():
         {"conventions": {"heisenberg_volume_weight": 8.0}},
         {"conventions": {"cg_max_iter": 100}},
         {"conventions": {"plateau_tol": 5e-4}},
+        # JSON integers beyond float range
+        {"max_time": 10**400},
+        {"dt": 10**400},
+        {"plateau_tol": 10**400},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -278,23 +282,6 @@ def test_lambda_columns_match_the_snapshots(tmp_path):
     dt = meta["resolved"]["dt"]
     rates = [(b1 - b0) / dt for b0, b1 in zip(bondi, bondi[1:])]
     assert meta["bondi_sup_rate"] == max(rates)
-
-
-def test_repeated_runs_are_byte_identical(tmp_path, capsys):
-    cfg_path, _ = write_config(tmp_path)
-    assert main(["run", str(cfg_path)]) == EXIT_OK
-    first_csv = (tmp_path / "out" / "diagnostics.csv").read_bytes()
-    first_meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-
-    assert main(["run", str(cfg_path)]) == EXIT_OK
-    second_csv = (tmp_path / "out" / "diagnostics.csv").read_bytes()
-    second_meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    capsys.readouterr()
-
-    assert first_csv == second_csv
-    first_meta.pop("wall_time_seconds")
-    second_meta.pop("wall_time_seconds")
-    assert first_meta == second_meta
 
 
 def csv_writer_reference(path, traj):
@@ -472,10 +459,14 @@ def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
     # 71 PiB and more: beyond any address space, so nothing is allocated
     {"kind": "SphereReduced1D", "resolution": 10**16},
     {"kind": "HeisenbergSector2D", "resolution": [16, 10**16]},
+    # the automatic step is NaN (dx^2 subnormal), or 0 (C_STAB * sigma^2
+    # overflows although dx^2 is a normal float)
+    {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [8e-155, 1]},
+    {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1e-80, 1]},
 ])
 def test_degenerate_or_unallocatable_grid_exits_with_the_config_code(
         tmp_path, capsys, geometry):
-    cfg_path, _ = write_config(tmp_path, geometry=geometry,
+    cfg_path, _ = write_config(tmp_path, geometry=geometry, dt="auto",
                                initial_data={"kind": "constant", "value": 0.0})
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()

@@ -171,47 +171,12 @@ def test_spacing_and_cell_volume():
 # quadrature
 
 
-@pytest.mark.parametrize("make", [sector, sphere, lattice])
-def test_integrate_is_linear(make):
-    geom = make()
-    rng = np.random.default_rng(3)
-    f = ScalarField(geom, rng.standard_normal(geom.resolution))
-    g = ScalarField(geom, rng.standard_normal(geom.resolution))
-    combo = integrate(ScalarField(geom, 2.5 * f.values - 0.75 * g.values))
-    parts = 2.5 * integrate(f) - 0.75 * integrate(g)
-    assert combo == pytest.approx(parts, rel=1e-14)
-    # exactly the cell sum times the cell weight, whether the sum is made
-    # a Python float before or after the product
-    assert integrate(f) == float(f.values.sum()) * geom.cell_weight
-    assert integrate(f) == float(f.values.sum() * geom.cell_weight)
-
-
 def test_integrate_rejects_non_finite():
     geom = sector(8)
     values = np.zeros((8, 8))
     values[3, 4] = np.inf
     with pytest.raises(ValueError):
         integrate(ScalarField(geom, values))
-
-
-def test_sphere_measure_constants_and_linears_exact():
-    kappa = SPHERE_KAPPA
-    geom = sphere(64)
-    s = geom.axes()[0]
-    assert integrate(ScalarField(geom, np.ones(64))) == pytest.approx(kappa, rel=1e-15)
-    assert integrate(ScalarField(geom, s)) == pytest.approx(kappa / 2.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("power, exact_fraction", [(2, 1.0 / 3.0), (3, 1.0 / 4.0)])
-def test_sphere_measure_polynomials_refine_at_second_order(power, exact_fraction):
-    kappa = SPHERE_KAPPA
-    errs = {}
-    for n in (64, 128):
-        geom = sphere(n)
-        s = geom.axes()[0]
-        value = integrate(ScalarField(geom, s**power))
-        errs[n] = abs(value - kappa * exact_fraction)
-    assert errs[64] / errs[128] == pytest.approx(4.0, rel=0.05)
 
 
 def test_heisenberg_volume_carries_fiber_and_weight():
@@ -223,25 +188,6 @@ def test_heisenberg_volume_carries_fiber_and_weight():
 
 # ---------------------------------------------------------------------------
 # twisted lattice indexing
-
-
-def test_wrap_identity_exact_on_random_fields():
-    geom = lattice()
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(geom.resolution)
-    nx, ny, nt = geom.resolution
-    m = geom.t_wrap_shift
-    for _ in range(100):
-        i = int(rng.integers(-2 * nx, 2 * nx))
-        j = int(rng.integers(-2 * ny, 2 * ny))
-        k = int(rng.integers(-2 * nt, 2 * nt))
-        at = values[geom.reduce_index(i, j, k)]
-        assert values[geom.reduce_index(i + nx, j, k)] == values[
-            geom.reduce_index(i, j, k + j * m)
-        ]
-        # the other two wraps are plain periodic
-        assert values[geom.reduce_index(i, j + ny, k)] == at
-        assert values[geom.reduce_index(i, j, k + nt)] == at
 
 
 def test_stencil_commutes_with_wrap_on_delta_fields():
