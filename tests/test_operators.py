@@ -103,6 +103,27 @@ def test_sphere_stencil_quadratic_defect_is_the_exact_grid_term():
     np.testing.assert_allclose(defect, 4.0 / n**2, rtol=1e-10)
 
 
+@pytest.mark.parametrize("make", [sector, sphere, lattice])
+def test_self_adjointness_unweighted(make):
+    geom = make()
+    f = rand_field(geom, 1)
+    g = rand_field(geom, 2)
+    lf = sublap(f).values
+    lg = sublap(g).values
+    lhs = dot_weighted(geom, lf, g.values)
+    rhs = dot_weighted(geom, f.values, lg)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("make", [sector, sphere, lattice])
+def test_positivity_and_constants(make):
+    geom = make()
+    f = rand_field(geom, 3)
+    assert dot_weighted(geom, sublap(f).values, f.values) > 0.0
+    const = ScalarField(geom, np.full(geom.resolution, 1.37))
+    assert np.all(sublap(const).values == 0.0)
+
+
 def test_sublap_rejects_non_finite_input():
     geom = sector(8)
     values = np.zeros((8, 8))
@@ -113,6 +134,30 @@ def test_sublap_rejects_non_finite_input():
 
 # ---------------------------------------------------------------------------
 # weighted stencil
+
+
+@pytest.mark.parametrize("make", [sector, sphere, lattice])
+def test_conformal_sublap_weighted_self_adjoint(make):
+    geom = make()
+    lam = rand_field(geom, 4, amplitude=0.2)
+    f = rand_field(geom, 5)
+    g = rand_field(geom, 6)
+    lf = conformal_sublap(lam, f).values
+    lg = conformal_sublap(lam, g).values
+    lhs = dot_weighted(geom, lf, g.values, lam.values)
+    rhs = dot_weighted(geom, f.values, lg, lam.values)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("make", [sector, sphere, lattice])
+def test_conformal_sublap_image_has_weighted_mean_zero(make):
+    geom = make()
+    lam = rand_field(geom, 7, amplitude=0.2)
+    f = rand_field(geom, 8)
+    image = conformal_sublap(lam, f).values
+    total = dot_weighted(geom, image, np.ones(geom.resolution), lam.values)
+    norm = dot_weighted(geom, np.abs(image), np.ones(geom.resolution), lam.values)
+    assert abs(total) <= 1e-12 * norm
 
 
 def test_conformal_sublap_at_zero_exponent_is_the_plain_stencil():
