@@ -36,17 +36,19 @@ object still alive at exit and the OS reclaims that memory.  Every artifact
 is closed and in place before ``main`` returns; the std-stream flushes,
 the other atexit handlers and module teardown all still run.
 
-The environment variable ``CRFLOW_OUTPUT_ROOT`` re-roots all relative output
-paths.  All emitted files are deterministic for a fixed configuration and
-seed — CSV rows carry 17-significant-digit floats, JSON is written with
-sorted keys — except the single ``wall_time_seconds`` field of ``meta.json``.
+A run's arguments are checked by the rule ``flow.run`` applies to its own
+(``RunConfig.validate`` re-raises its message as ``ConfigError``), so the
+config file and the Python API accept the same values.  The output path is
+``output_dir``, or ``--output-dir``, which overrides it.  All emitted files
+are deterministic for a fixed configuration and seed — CSV rows carry
+17-significant-digit floats, JSON is written with sorted keys — except the
+single ``wall_time_seconds`` field of ``meta.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import contextlib
 import dataclasses
 import gc
 import json
@@ -71,7 +73,6 @@ __all__ = [
     "EXIT_INVARIANT",
     "EXIT_BLOWUP",
     "EXIT_SOLVER",
-    "OUTPUT_ROOT_ENV",
     "cmd_check",
     "cmd_invert",
     "cmd_run",
@@ -83,8 +84,6 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
-
-OUTPUT_ROOT_ENV = "CRFLOW_OUTPUT_ROOT"
 
 _CSV_COLUMNS = (
     "step",
@@ -154,30 +153,8 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if not isinstance(self.geometry, dict):
-            raise ConfigError("'geometry' must be an object")
-        if not isinstance(self.initial_data, dict):
-            raise ConfigError("'initial_data' must be an object")
-        if self.integrator not in flow.INTEGRATORS:
-            raise ConfigError(
-                f"integrator must be one of {flow.INTEGRATORS}, got {self.integrator!r}"
-            )
-        if self.dt != "auto" and not _is_positive(self.dt):
-            raise ConfigError("dt must be 'auto' or a positive number")
-        if not _is_positive(self.max_time):
-            raise ConfigError("max_time must be a positive number")
-        if self.max_steps is not None and (
-            not _is_integer(self.max_steps) or self.max_steps < 1
-        ):
-            raise ConfigError("max_steps must be a positive integer or null")
-        if self.plateau_tol is not None and not _is_positive(self.plateau_tol):
-            raise ConfigError("plateau_tol must be a positive finite number or null")
-        if self.plateau_window is not None and (
-            not _is_integer(self.plateau_window) or self.plateau_window < 2
-        ):
-            raise ConfigError("plateau_window must be an integer >= 2 or null")
-        if not _is_integer(self.snapshot_every) or self.snapshot_every < 0:
-            raise ConfigError("snapshot_every must be a nonnegative integer")
+        """Refuses, as ConfigError, the run arguments ``flow.run`` refuses
+        and a bad ``output_dir`` or ``conventions``."""
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a nonempty string")
         if not isinstance(self.conventions, dict):
@@ -190,6 +167,25 @@ class RunConfig:
             check_flow_sign(self.flow_sign)
         except ValueError as exc:
             raise ConfigError(f"bad convention override: {exc}")
+        try:
+            flow._check_run_args(**self.run_args())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def run_args(self) -> dict:
+        """The keyword arguments of ``flow.run``, with the plateau defaults
+        in place of null."""
+        return {
+            "integrator": self.integrator,
+            "dt": self.dt,
+            "max_time": self.max_time,
+            "max_steps": self.max_steps,
+            "plateau_tol": PLATEAU_TOL if self.plateau_tol is None else self.plateau_tol,
+            "plateau_window": (PLATEAU_WINDOW if self.plateau_window is None
+                               else self.plateau_window),
+            "snapshot_every": self.snapshot_every,
+            "flow_sign": self.flow_sign,
+        }
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -197,27 +193,6 @@ class RunConfig:
     @property
     def flow_sign(self) -> float:
         return self.conventions.get("flow_sign", DESCENT)
-
-
-def _is_integer(value) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive(value) -> bool:
-    """A finite positive JSON number (not a boolean)."""
-    if _is_integer(value) or isinstance(value, float):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            return math.isfinite(value) and value > 0
-    return False
-
-
-def resolve_output_dir(path: str) -> str:
-    """Re-root a relative output path under ``CRFLOW_OUTPUT_ROOT`` if set."""
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +274,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         geom = build_geometry(cfg.geometry)
         dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)
-        outdir = resolve_output_dir(cfg.output_dir)
+        outdir = cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
     except (ConfigError, GeometryError, OSError, ValueError, MemoryError) as exc:
         # MemoryError: a grid too large to allocate is a configuration error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    plateau_tol = PLATEAU_TOL if cfg.plateau_tol is None else cfg.plateau_tol
-    plateau_window = PLATEAU_WINDOW if cfg.plateau_window is None else cfg.plateau_window
+    run_args = dict(cfg.run_args(), dt=dt)
     started = time.perf_counter()
-    traj = flow.run(
-        geom,
-        lam0,
-        integrator=cfg.integrator,
-        dt=dt,
-        max_time=cfg.max_time,
-        max_steps=cfg.max_steps,
-        plateau_tol=plateau_tol,
-        plateau_window=plateau_window,
-        snapshot_every=cfg.snapshot_every,
-        flow_sign=cfg.flow_sign,
-    )
+    traj = flow.run(lam0, **run_args)
     wall = time.perf_counter() - started
 
     _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
@@ -330,8 +293,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": cfg.to_dict(),
         "resolved": {
             "dt": traj.dt,
-            "plateau_tol": plateau_tol,
-            "plateau_window": plateau_window,
+            "plateau_tol": run_args["plateau_tol"],
+            "plateau_window": run_args["plateau_window"],
             "output_dir": os.path.abspath(outdir),
         },
         "conventions": conventions_record(cfg.flow_sign),

@@ -36,7 +36,8 @@ import numpy as np
 
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
                           PLATEAU_WINDOW, YAMABE_COEFFICIENT, check_flow_sign)
-from .manifold import ModelGeometry, ScalarField, _weighted_sum
+from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
+                       _weighted_sum)
 from .operators import (
     LinearSolveError,
     _div_form_values,
@@ -429,12 +430,37 @@ def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
 _PLATEAU_FLOOR = 1e-300
 
 
-def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
+def _check_run_args(integrator, dt, max_time, max_steps, plateau_tol,
+                    plateau_window, snapshot_every, flow_sign) -> None:
+    """The one rule for ``run``'s arguments, which ``RunConfig`` applies
+    to a config file too.  Numbers are read by manifold's readers:
+    booleans and strings are refused, and an integer may be an integral
+    float.  Raises ValueError naming the first bad argument."""
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
+    try:
+        if dt != "auto" and _as_finite(dt, "dt") <= 0:
+            raise ValueError(f"dt must be 'auto' or positive, got {dt!r}")
+        for name, value in (("max_time", max_time), ("plateau_tol", plateau_tol)):
+            if _as_finite(value, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if max_steps is not None and _as_int(max_steps, "max_steps") < 1:
+            raise ValueError(f"max_steps must be None or at least 1, got {max_steps!r}")
+        for name, value, least in (("plateau_window", plateau_window, 2),
+                                   ("snapshot_every", snapshot_every, 0)):
+            if _as_int(value, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    except GeometryError as exc:    # the readers' error type names the geometry
+        raise ValueError(str(exc)) from None
+    check_flow_sign(flow_sign)
+
+
+def run(lam0: ScalarField, *, integrator: str = "explicit",
         dt: float | str = "auto", max_time: float = 1.0,
         max_steps: int | None = None, plateau_tol: float = PLATEAU_TOL,
         plateau_window: int = PLATEAU_WINDOW, snapshot_every: int = 0,
         flow_sign: float = DESCENT) -> Trajectory:
-    """March the flow to one of four outcomes.
+    """March the flow from ``lam0``, on its geometry, to one of five outcomes.
 
     Outcomes: ``blowup`` (non-finite state or |lambda| past threshold),
     ``converged`` (energy plateau after a genuine decrease),
@@ -445,12 +471,14 @@ def run(geom: ModelGeometry, lam0: ScalarField, *, integrator: str = "explicit",
     Deterministic for fixed inputs.  One Diagnostics record per step,
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
+
+    The arguments are checked before the first step by the rule of
+    ``_check_run_args``, and the resolved dt must be positive and
+    finite; a bad one raises ValueError.
     """
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"unknown integrator {integrator!r}")
-    check_flow_sign(flow_sign)
-    if lam0.geometry is not geom:
-        raise ValueError("initial data not on the supplied geometry")
+    _check_run_args(integrator, dt, max_time, max_steps, plateau_tol,
+                    plateau_window, snapshot_every, flow_sign)
+    geom = lam0.geometry
     dt_val = resolve_dt(geom, dt)
     # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex

@@ -120,7 +120,6 @@ def _reference_run(kind: str, seed: int, halve: bool = False) -> flow.Trajectory
         geom, amplitude, cutoff, dt = _sphere(64), 0.05, 16, 6e-11
     lam0 = _smooth(geom, seed, amplitude, cutoff)
     return flow.run(
-        geom,
         lam0,
         integrator="explicit",
         dt=dt / (2.0 if halve else 1.0),
@@ -392,7 +391,7 @@ def _fixed_points():
     for lam in constants:
         dt = flow.auto_dt(lam.geometry)
         for integrator, scale in (("explicit", 1.0), ("imex", 10.0), ("imex", 1e3)):
-            traj = flow.run(lam.geometry, lam, integrator=integrator, dt=scale * dt,
+            traj = flow.run(lam, integrator=integrator, dt=scale * dt,
                             max_time=1.0, max_steps=20, plateau_window=21)
             fixed = fixed and (
                 traj.outcome == "max_time"
@@ -471,7 +470,7 @@ def _bondi_reported():
 def _blowup_taxonomy():
     geom = _sector(32)
     traj = flow.run(
-        geom, _smooth(geom, 7, 0.15, 2), dt=5e-10, max_time=1.0,
+        _smooth(geom, 7, 0.15, 2), dt=5e-10, max_time=1.0,
         max_steps=20000, flow_sign=1.0,
     )
     finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]

@@ -22,13 +22,11 @@ from crflow.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SOLVER,
-    OUTPUT_ROOT_ENV,
     ConfigError,
     RunConfig,
     _fmt,
     _write_diagnostics,
     main,
-    resolve_output_dir,
 )
 from crflow.conventions import PLATEAU_TOL, PLATEAU_WINDOW
 from crflow.manifold import ScalarField, build_geometry, initial_data
@@ -74,9 +72,12 @@ def read_rows(csv_path):
 
 
 def test_config_round_trips_through_json(tmp_path):
-    cfg = RunConfig.from_dict(base_config(tmp_path))
-    again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+    # integral floats are integers, as in the geometry and the data
+    for overrides in ({}, {"max_steps": 2e0, "snapshot_every": 1e0,
+                           "plateau_window": 1e1}):
+        cfg = RunConfig.from_dict(base_config(tmp_path, **overrides))
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -132,11 +133,23 @@ def test_config_must_be_an_object():
         {"max_time": 10**400},
         {"dt": 10**400},
         {"plateau_tol": 10**400},
+        # a numeric string, NaN and an empty plateau window
+        {"dt": "1e-9"},
+        {"max_time": math.nan},
+        {"plateau_window": 0},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(base_config(tmp_path, **overrides))
+    # flow.run refuses the same run-argument values
+    (key, value), = overrides.items()
+    if key == "conventions" and isinstance(value, dict) and list(value) == ["flow_sign"]:
+        key, value = "flow_sign", value["flow_sign"]
+    if key in RunConfig.from_dict(base_config(tmp_path)).run_args():
+        geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8]})
+        with pytest.raises(ValueError):
+            flow.run(geom.constant(0.0), **{key: value})
 
 
 def test_config_accepts_convention_overrides(tmp_path):
@@ -156,15 +169,6 @@ def test_config_errors_name_the_refused_convention(tmp_path):
     with pytest.raises(ConfigError, match=re.escape(
             "bad convention override: flow_sign must be -1.0 or 1.0, got True")):
         RunConfig.from_dict(base_config(tmp_path, conventions={"flow_sign": True}))
-
-
-def test_output_root_reroots_relative_paths(monkeypatch, tmp_path):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "root"))
-    assert resolve_output_dir("runs/a") == str(tmp_path / "root" / "runs" / "a")
-    absolute = str(tmp_path / "abs")
-    assert resolve_output_dir(absolute) == absolute
-    monkeypatch.delenv(OUTPUT_ROOT_ENV)
-    assert resolve_output_dir("runs/a") == "runs/a"
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
         {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]})
     lam0 = initial_data(geom, {"kind": "random", "seed": 7, "amplitude": 0.15,
                                "cutoff": 2})
-    probe = flow.run(geom, lam0, dt=5e-10, max_steps=20000, flow_sign=1.0)
+    probe = flow.run(lam0, dt=5e-10, max_steps=20000, flow_sign=1.0)
     assert probe.outcome == "blowup"
     assert not math.isfinite(probe.diagnostics[-1].energy)
     for name, traj in (("synthetic", synthetic), ("probe", probe)):
@@ -328,14 +332,6 @@ def test_run_honors_the_output_dir_flag(tmp_path, capsys):
     capsys.readouterr()
     assert (override / "diagnostics.csv").exists()
     assert not (tmp_path / "out").exists()
-
-
-def test_run_respects_the_output_root(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "rooted"))
-    cfg_path, _ = write_config(tmp_path, output_dir="rel-run")
-    assert main(["run", str(cfg_path)]) == EXIT_OK
-    capsys.readouterr()
-    assert (tmp_path / "rooted" / "rel-run" / "meta.json").exists()
 
 
 def test_zero_data_run_plateaus(tmp_path, capsys):
@@ -645,8 +641,8 @@ def test_invert_reports_the_image_as_json(capsys):
 def test_invert_reports_reciprocal_gauges(capsys):
     assert main(["invert", "3", "2", "0"]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
-    assert record["wnorm"] == pytest.approx(5.0, rel=1e-15)
-    assert record["wnorm_image"] == pytest.approx(0.2, rel=1e-12)
+    assert record["wnorm"] == 5.0
+    assert record["wnorm_image"] == pytest.approx(0.2, rel=1e-12, abs=0)
 
 
 def test_invert_rejects_the_origin(capsys):

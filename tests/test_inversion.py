@@ -36,7 +36,7 @@ def test_point_accessors():
     assert p.z == complex(2.0, 0.0)
     assert p.zsq == 4.0
     assert p.w == complex(3.0, 4.0)
-    assert wnorm(p) == pytest.approx(5.0, rel=1e-15)
+    assert wnorm(p) == 5.0
 
 
 def test_point_rejects_non_finite_coordinates():
@@ -64,7 +64,7 @@ def test_invert_pure_space_point():
     # t=0, z=i: |z|^2 = 1 so w = i and z' = z/w = i/i = 1
     q = invert(HeisenbergPoint(0.0, 0.0, 1.0))
     assert q.t == 0.0
-    assert q.x == pytest.approx(1.0, rel=1e-15)
+    assert q.x == pytest.approx(1.0, rel=1e-15, abs=0)
     assert q.y == pytest.approx(0.0, abs=1e-15)
 
 
@@ -73,7 +73,7 @@ def test_double_inversion_is_the_flip():
     q = double_invert(HeisenbergPoint(0.0, 0.0, 1.0))
     assert q.t == pytest.approx(0.0, abs=1e-15)
     assert q.x == pytest.approx(0.0, abs=1e-15)
-    assert q.y == pytest.approx(-1.0, rel=1e-14)
+    assert q.y == pytest.approx(-1.0, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +128,7 @@ def test_determinant_closed_form():
         det = jacobian_det(p)
         q = wnorm(p) ** 2
         assert det > 0.0
-        assert det == pytest.approx(q**-2, rel=1e-12)
+        assert det == pytest.approx(q**-2, rel=1e-12, abs=0)
 
 
 def test_determinant_scales_with_the_inverse_fourth_power():

@@ -183,7 +183,7 @@ def test_heisenberg_volume_carries_fiber_and_weight():
     # volume element 4 * dx dy dt: a unit box with half fiber gives 4 * 1/2
     geom = sector(8, t_fiber=0.5)
     total = integrate(ScalarField(geom, np.ones((8, 8))))
-    assert total == pytest.approx(HEISENBERG_VOLUME_WEIGHT * 0.5, rel=1e-15)
+    assert total == pytest.approx(HEISENBERG_VOLUME_WEIGHT * 0.5, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
