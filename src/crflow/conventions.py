@@ -15,7 +15,8 @@ constant is pinned exactly once.  The conventions are:
   follow from realizing the round structure as the |w + i|^{-2} rescaling
   of the flat one (derivation: tests/oracles/sphere_reduction.py);
 * the background curvature of the sphere kind is *calibrated at runtime*
-  (operators.calibrate_sphere_curvature), never transcribed.
+  (``operators.calibrate_sphere_curvature()``, measured once per process
+  and cached), never transcribed.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ discretization order, because L-hat is exactly self-adjoint:
   the constant-volume manifold, so volume drift is purely a time-
   stepping error of the integrator's order;
 * the weighted pairing <-rhs, phi> reproduces the finite-difference
-  derivative of E in any direction phi, which is the gradient check.
+  derivative of E in any direction phi, which is the gradient check
+  ``gradient_check(lam, phi)`` (descent sign, step h = 1e-5).
 
 Blow-up handling: overflow of e^{k lambda} is a *signal*, not an error.
 Functionals return non-finite values, the right-hand side propagates
@@ -37,7 +38,7 @@ import numpy as np
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
                           PLATEAU_WINDOW, YAMABE_COEFFICIENT, check_flow_sign)
 from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
-                       _weighted_sum)
+                       _shown, _weighted_sum)
 from .operators import (
     LinearSolveError,
     _div_form_values,
@@ -229,13 +230,14 @@ def flow_rhs(lam: ScalarField, flow_sign: float = DESCENT) -> ScalarField:
                            _rhs_values(lam.geometry, lam.values, flow_sign)[0])
 
 
-def gradient_check(lam: ScalarField, phi: ScalarField, h: float = 1e-5,
-                   flow_sign: float = DESCENT) -> float:
-    """Relative defect between the weighted pairing of -rhs with phi and
-    the central finite difference of the energy in direction phi."""
+def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
+    """Relative defect between the weighted pairing of the descent
+    direction -rhs with phi and the central finite difference of the
+    energy in direction phi, at step h = 1e-5."""
     geom = lam.geometry
+    h = 1e-5
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(geom, lam.values, flow_sign)[0]
+        rhs = _rhs_values(geom, lam.values, DESCENT)[0]
         lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
@@ -440,16 +442,17 @@ def _check_run_args(integrator, dt, max_time, max_steps, plateau_tol,
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
     try:
         if dt != "auto" and _as_finite(dt, "dt") <= 0:
-            raise ValueError(f"dt must be 'auto' or positive, got {dt!r}")
+            raise ValueError(f"dt must be 'auto' or positive, got {_shown(dt)}")
         for name, value in (("max_time", max_time), ("plateau_tol", plateau_tol)):
             if _as_finite(value, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+                raise ValueError(f"{name} must be positive, got {_shown(value)}")
         if max_steps is not None and _as_int(max_steps, "max_steps") < 1:
-            raise ValueError(f"max_steps must be None or at least 1, got {max_steps!r}")
+            raise ValueError(
+                f"max_steps must be None or at least 1, got {_shown(max_steps)}")
         for name, value, least in (("plateau_window", plateau_window, 2),
                                    ("snapshot_every", snapshot_every, 0)):
             if _as_int(value, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+                raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
     except GeometryError as exc:    # the readers' error type names the geometry
         raise ValueError(str(exc)) from None
     check_flow_sign(flow_sign)

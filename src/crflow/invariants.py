@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from . import cli, flow, inversion
+from . import cli, flow, inversion, operators
 from .conventions import SPHERE_KAPPA, YAMABE_COEFFICIENT
 from .manifold import (
     HEISENBERG_LATTICE,
@@ -39,7 +39,6 @@ from .manifold import (
     integrate,
 )
 from .operators import (
-    calibrate_sphere_curvature,
     conformal_sublap,
     sublap,
     webster_curvature,
@@ -318,13 +317,15 @@ def _conformal_covariance():
 
 
 def _calibration():
-    details: dict = {}
-    value = calibrate_sphere_curvature(details=details)
-    ok = value > 0.0 and details["rel_std"] <= 1e-3 and details["n_points"] >= 100
+    # a fresh measurement, which must also be the constant the sphere
+    # geometries carry: a stale or differently computed cache fails here
+    mean, rel_std = operators._measure_curvature(operators.extremal_profile)
+    cached = operators.calibrate_sphere_curvature()
+    ok = mean > 0.0 and rel_std <= 1e-3 and mean == cached
     return ok, (
-        f"calibrated curvature {value!r} > 0, relative spread "
-        f"{details['rel_std']:.2e} over {details['n_points']} points "
-        f"(need <= 1e-03 over >= 100)"
+        f"calibrated curvature {mean!r} > 0, relative spread {rel_std:.2e} "
+        f"(need <= 1e-03); equal to the cached constant {cached!r}: "
+        f"{mean == cached}"
     )
 
 
@@ -375,7 +376,7 @@ def _gradient_consistency():
         for k in range(10):
             lam = _smooth(geom, 100 + k, 0.1, 2, **extra)
             phi = _smooth(geom, 200 + k, 0.1, 2, **extra)
-            worst = max(worst, flow.gradient_check(lam, phi, h=1e-5))
+            worst = max(worst, flow.gradient_check(lam, phi))
     return worst <= 1e-6, (
         f"worst relative defect {worst:.3e} over 10 random pairs per model "
         f"(need <= 1e-06)"
@@ -562,13 +563,16 @@ def _orientation():
 
 
 def _sphere_swap():
-    ok = (
-        inversion.sphere_swap_check(2.0, n=100, seed=53, tol=1e-12)
-        and inversion.sphere_swap_check(0.5, n=100, seed=59, tol=1e-12)
-        and inversion.sphere_swap_check(1.0, n=100, tol=1e-12)
-        and inversion.sphere_swap_check(10.0, n=100, seed=61, tol=1e-12)
+    # equal gauge bounds put every sample on the sphere |w| = r, which
+    # w(I(p)) w(p) = -1 maps onto |w| = 1/r
+    worst = 0.0
+    for r, seed in ((2.0, 53), (0.5, 59), (1.0, 20210818), (10.0, 61)):
+        for p in inversion.sample_points(100, wnorm_min=r, wnorm_max=r, seed=seed):
+            worst = max(worst, abs(inversion.wnorm(inversion.invert(p)) * r - 1.0))
+    return worst <= 1e-12, (
+        f"gauge spheres r=2, 1/2, 1, 10 map to 1/r partners: max "
+        f"|r |w(I(p))| - 1| = {worst:.2e} over 100 points each (need <= 1e-12)"
     )
-    return ok, "gauge spheres r=2, 1/2, 1, 10 map to 1/r partners"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Packaging ``w = t + i|z|^2`` into a single complex number, the inversion
     ``I(t, z) = (-t / |w|^2, z / w)``
 
 is a well-defined automorphism of the punctured group (it is singular only at
-the origin, where ``w = 0``).  Everything this module checks follows from
-closed-form algebra:
+the origin, where ``w = 0``).  It satisfies these closed-form identities,
+which the ``inversion`` entries of ``crflow.invariants`` check:
 
 * ``w(I(p)) = -1/w(p)``, so spheres ``|w| = r`` and ``|w| = 1/r`` swap;
 * ``I circ I = (t, -z)``;
@@ -41,7 +41,6 @@ __all__ = [
     "jacobian_det",
     "pullback_residual",
     "sample_points",
-    "sphere_swap_check",
     "wnorm",
 ]
 
@@ -195,7 +194,8 @@ def sample_points(
     wnorm_max: float = 10.0,
     seed: int = 20210818,
 ) -> list:
-    """``n`` random points with gauge log-uniform in ``[wnorm_min, wnorm_max]``."""
+    """``n`` random points with gauge log-uniform in ``[wnorm_min, wnorm_max]``;
+    equal bounds sample the gauge sphere ``|w| = wnorm_min``."""
     if n < 1:
         raise ValueError("need at least one sample point")
     if not (0.0 < wnorm_min <= wnorm_max):
@@ -205,21 +205,3 @@ def sample_points(
     return [
         _point_with_gauge(wnorm_min * ratio ** rng.uniform(), rng) for _ in range(n)
     ]
-
-
-def sphere_swap_check(
-    r: float, n: int = 100, seed: int = 20210818, tol: float = 1e-12
-) -> bool:
-    """Do ``n`` random points with ``|w| = r`` all map onto ``|w| = 1/r``?
-
-    Uses the exact relation ``w(I(p)) w(p) = -1``: the test is
-    ``|wnorm(I(p)) * r - 1| <= tol`` for every sample.
-    """
-    if not r > 0.0:
-        raise ValueError("the gauge radius must be positive")
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        p = _point_with_gauge(r, rng)
-        if abs(wnorm(invert(p)) * r - 1.0) > tol:
-            return False
-    return True

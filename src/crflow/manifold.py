@@ -255,12 +255,23 @@ class ScalarField:
 # construction
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an integer of more than
+    64 bits, any beyond float range included, by its size: its digits
+    could fill any length of line, and past 4300 of them ``repr`` raises."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        bits = int(value).bit_length()
+        if bits > 64:
+            return f"an integer of {bits} bits"
+    return repr(value)
+
+
 def _as_int(value, what) -> int:
     """An integer (or an integral float such as 3.0) from a JSON value."""
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)) \
             or (isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise GeometryError(f"{what} must be an integer, got {value!r}")
+    raise GeometryError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _as_int_tuple(value, n_axes, what):
@@ -278,7 +289,7 @@ def _as_finite(value, what) -> float:
         with contextlib.suppress(OverflowError):  # an int beyond float range
             if math.isfinite(value):
                 return float(value)
-    raise GeometryError(f"{what} must be a finite number, got {value!r}")
+    raise GeometryError(f"{what} must be a finite number, got {_shown(value)}")
 
 
 def _as_finite_tuple(value, n_axes, what):
@@ -303,12 +314,12 @@ def build_geometry(config: dict) -> ModelGeometry:
         raise GeometryError("geometry description must be a mapping")
     kind = config.get("kind")
     if kind not in KNOWN_KINDS:
-        raise GeometryError(f"unknown kind {kind!r}; expected one of {KNOWN_KINDS}")
+        raise GeometryError(f"unknown kind {_shown(kind)}; expected one of {KNOWN_KINDS}")
 
     if kind == SPHERE_REDUCED:
         (n,) = _as_int_tuple(config.get("resolution", 64), 1, "resolution")
         if n < MIN_RESOLUTION:
-            raise GeometryError(f"resolution too small: {n} < {MIN_RESOLUTION}")
+            raise GeometryError(f"resolution too small: {_shown(n)} < {MIN_RESOLUTION}")
         from .operators import calibrate_sphere_curvature  # deferred: cycle-free
         return ModelGeometry(
             kind=kind,
@@ -323,7 +334,8 @@ def build_geometry(config: dict) -> ModelGeometry:
     resolution = _as_int_tuple(config.get("resolution", 32), n_axes, "resolution")
     if min(resolution) < MIN_RESOLUTION:
         raise GeometryError(
-            f"resolution too small: {resolution} (minimum {MIN_RESOLUTION} per axis)")
+            f"resolution too small: ({', '.join(map(_shown, resolution))}) "
+            f"(minimum {MIN_RESOLUTION} per axis)")
 
     periods = _as_finite_tuple(config.get("periods", [1.0] * n_axes), n_axes, "periods")
     if min(periods) <= 0:
@@ -440,7 +452,7 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
         return ScalarField(
             geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
 
-    raise GeometryError(f"unknown initial-data kind {kind!r}")
+    raise GeometryError(f"unknown initial-data kind {_shown(kind)}")
 
 
 def _planar_modes(cutoff):

@@ -20,7 +20,9 @@ computed through the conformal-change identity
 
     W = e^{-3 lambda} (4 * sublap(e^lambda) + What * e^lambda),
 
-with What the background constant (0 flat; calibrated on the sphere).
+with What the background constant: 0 on the flat kinds, and on the
+sphere ``calibrate_sphere_curvature()``, measured from the extremal
+profile once per process and cached.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ def _sphere_faces(n: int):
     return mu
 
 
-@functools.lru_cache(maxsize=None)
-def _sphere_inner_faces(n: int):
-    """The interior entries of ``_sphere_faces(n)``, the weights of the
-    faces between two cells.  Cached per grid; read-only."""
-    return _sphere_faces(n)[1:-1]
-
-
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     """Apply the (possibly weighted) positive sublaplacian to raw values.
 
@@ -115,7 +110,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
         np.subtract(v[1:], v[:-1], out=d)
         if g is not None:
             d *= 0.5 * (g[1:] + g[:-1])
-        d *= _sphere_inner_faces(n)
+        d *= _sphere_faces(n)[1:-1]
         d /= ds
         out = np.subtract(flux[1:], flux[:-1])
         out *= -SPHERE_CS
@@ -171,7 +166,7 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
     non-finite output (a blow-up signal for the caller), never an
     exception.
     """
-    if lam.geometry is not f.geometry:
+    if lam.geometry != f.geometry:
         raise GeometryError("conformal_sublap: fields on different geometries")
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * lam.values)
@@ -264,65 +259,61 @@ _CALIBRATION_POINTS = 128
 _CALIBRATION_STEP = 0.02
 _CALIBRATION_SEED = 20210818
 _CALIBRATION_REL_STD_TOL = 1e-3
-_CALIBRATION_CACHE: float | None = None     # the default measurement, once made
 
 
-def calibrate_sphere_curvature(candidate=None, details: dict | None = None) -> float:
-    """Pin the background curvature of the sphere kind by measurement.
+def _measure_curvature(profile) -> tuple:
+    """(mean, relative spread) of the mesh-free curvature of ``profile``.
 
-    Evaluates the mesh-free curvature of the round-model profile at 128
-    quasi-random points, at steps h = 0.02 and h/2, extrapolates the
-    O(h^2) error away, and demands the result be spatially constant
-    (relative standard deviation <= 1e-3) and positive.  The constant is
-    returned and cached; it is an *output* of the conventions, never an
-    input, so no test may assert its numeric value, only its constancy,
-    positivity and scaling behavior.
-
-    Raises ``CalibrationError`` if the values fail to be constant —
-    that means the frame conventions are mutually inconsistent (a bug),
-    not bad data.  ``candidate`` replaces the round-model profile (and
-    is never cached).  ``details``, if given, is filled with the sample
-    statistics (read by the ``operators: calibration`` invariant) and
-    forces a fresh measurement.
+    Evaluates ``webster_pointwise`` at 128 quasi-random points, at steps
+    h = 0.02 and h/2, and extrapolates the O(h^2) error away.  Raises
+    ``CalibrationError`` unless the values are finite and spatially
+    constant: a relative standard deviation <= 1e-3, or an absolute one
+    <= 1e-9, which admits the exactly-flat baseline (all samples 0).
     """
-    global _CALIBRATION_CACHE
-    if candidate is None and details is None and _CALIBRATION_CACHE is not None:
-        return _CALIBRATION_CACHE
-
-    fn = extremal_profile if candidate is None else candidate
-    n_points, h = _CALIBRATION_POINTS, _CALIBRATION_STEP
+    h = _CALIBRATION_STEP
     rng = np.random.default_rng(_CALIBRATION_SEED)
-    points = tuple(rng.uniform(-a, a, n_points) for a in (2.0, 1.5, 1.5))   # t, x, y
-    w_h, w_h2 = (webster_pointwise(fn, points, step) for step in (h, 0.5 * h))
+    points = tuple(rng.uniform(-a, a, _CALIBRATION_POINTS)
+                   for a in (2.0, 1.5, 1.5))   # t, x, y
+    w_h, w_h2 = (webster_pointwise(profile, points, step) for step in (h, 0.5 * h))
     values = (4.0 * w_h2 - w_h) / 3.0   # eliminate the O(h^2) term
 
     mean = float(values.mean())
     if not np.isfinite(values).all() or not np.isfinite(mean):
         raise CalibrationError("calibration produced non-finite values")
     spread = float(values.std())
-    # Constancy is relative where the constant is away from zero; the
-    # absolute floor admits the exactly-flat baseline (all samples 0).
-    rel_std = spread / abs(mean) if mean != 0.0 else math.inf
-    if details is not None:
-        details.update(mean=mean, rel_std=rel_std, n_points=n_points,
-                       h=h, min=float(values.min()), max=float(values.max()))
     if spread > max(_CALIBRATION_REL_STD_TOL * abs(mean), 1e-9):
         raise CalibrationError(
             f"calibrated curvature is not spatially constant: std {spread:.3e} "
             f"about mean {mean:.6e} exceeds the {_CALIBRATION_REL_STD_TOL:.1e} "
             f"relative tolerance")
-    if candidate is None:
-        if mean <= 0.0:
-            raise CalibrationError(
-                f"calibrated background curvature is not positive: {mean!r}")
-        _CALIBRATION_CACHE = mean
+    return mean, (spread / abs(mean) if mean != 0.0 else math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def calibrate_sphere_curvature() -> float:
+    """Pin the background curvature of the sphere kind by measurement.
+
+    The mean of ``_measure_curvature(extremal_profile)``, which must be
+    positive; measured on first use and cached.  The constant is an
+    *output* of the conventions, never an input, so no test may assert
+    its numeric value, only its constancy, positivity and scaling
+    behavior.
+
+    Raises ``CalibrationError`` if the values fail to be constant or
+    positive: that means the frame conventions are mutually inconsistent
+    (a bug), not bad data.
+    """
+    mean = _measure_curvature(extremal_profile)[0]
+    if mean <= 0.0:
+        raise CalibrationError(
+            f"calibrated background curvature is not positive: {mean!r}")
     return mean
 
 
 def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
     """Covariant second-order operator of the rescaled structure:
     4 * conformal_sublap(lambda, phi) + W(lambda) * phi."""
-    if lam.geometry is not phi.geometry:
+    if lam.geometry != phi.geometry:
         raise GeometryError("yamabe_apply: fields on different geometries")
     w = webster_curvature(lam)
     lap = conformal_sublap(lam, phi)

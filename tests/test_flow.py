@@ -636,9 +636,11 @@ def test_run_validates_inputs():
     lam = random_data(geom, 54)
     for bad in ({"integrator": "leapfrog"}, {"dt": -1e-9}, {"dt": True},
                 {"dt": "1e-9"}, {"max_time": math.nan}, {"max_steps": 2.5},
-                {"snapshot_every": True}, {"plateau_window": 0}):
-        with pytest.raises(ValueError, match=next(iter(bad))):
+                {"snapshot_every": True}, {"plateau_window": 0},
+                {"max_time": 10**5000}, {"max_steps": -(10**5000)}):
+        with pytest.raises(ValueError, match=next(iter(bad))) as exc:
             run(lam, **bad)
+        assert len(str(exc.value)) <= 200    # a huge integer is named by its size
     # an integer argument may be an integral float, as in a config file
     traj = run(lam, dt=1e-9, max_steps=2.0, snapshot_every=1.0, plateau_window=10.0)
     assert len(traj.diagnostics) == 3

@@ -22,7 +22,6 @@ from crflow.inversion import (
     jacobian_det,
     pullback_residual,
     sample_points,
-    sphere_swap_check,
     wnorm,
 )
 
@@ -175,13 +174,6 @@ def test_pullback_identity_near_the_origin():
 def test_wnorm_reciprocal():
     for p in sample_points(100, wnorm_min=1e-3, wnorm_max=1e3, seed=19):
         assert wnorm(invert(p)) * wnorm(p) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_sphere_swap_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        sphere_swap_check(0.0)
-    with pytest.raises(ValueError):
-        sphere_swap_check(-1.0)
 
 
 def test_sample_points_validation():

@@ -18,6 +18,7 @@ from crflow.operators import (
     CalibrationError,
     LinearSolveError,
     _div_form_values,
+    _measure_curvature,
     calibrate_sphere_curvature,
     conformal_sublap,
     extremal_profile,
@@ -244,32 +245,30 @@ def test_extremal_profile_closed_form():
 
 
 def test_calibration_is_deterministic_and_constant():
-    details = {}
-    value = calibrate_sphere_curvature(details=details)
-    again = calibrate_sphere_curvature()
-    assert value == again
+    value = calibrate_sphere_curvature()
+    mean, rel_std = _measure_curvature(extremal_profile)
+    assert value == mean
     assert value > 0.0
-    assert details["n_points"] >= 100
-    assert details["rel_std"] <= 1e-3
+    assert rel_std <= 1e-3
 
 
 def test_calibration_flat_profile_reads_zero():
     flat = lambda t, x, y: 1.0
-    assert abs(calibrate_sphere_curvature(candidate=flat)) <= 1e-9
+    assert abs(_measure_curvature(flat)[0]) <= 1e-9
 
 
 def test_calibration_scales_as_minus_two_conformal_weights():
     base = calibrate_sphere_curvature()
     c = 0.25
     scaled = lambda t, x, y: np.exp(c) * extremal_profile(t, x, y)
-    value = calibrate_sphere_curvature(candidate=scaled)
+    value = _measure_curvature(scaled)[0]
     assert value == pytest.approx(math.exp(-2.0 * c) * base, rel=1e-6)
 
 
 def test_calibration_rejects_non_constant_candidates():
     warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
     with pytest.raises(CalibrationError):
-        calibrate_sphere_curvature(candidate=warped)
+        _measure_curvature(warped)
 
 
 def test_calibration_is_bitwise_the_per_point_loop():
@@ -302,10 +301,16 @@ def test_sphere_geometry_carries_the_calibrated_constant():
 
 
 def test_yamabe_apply_rejects_mismatched_geometries():
-    lam = ScalarField(sector(8), np.zeros((8, 8)))
-    phi = ScalarField(sector(8), np.zeros((8, 8)))
-    with pytest.raises(GeometryError):
-        yamabe_apply(lam, phi)
+    # geometries compare by value: separately built equal sectors are one
+    values = np.arange(64.0).reshape(8, 8) / 64.0
+    lam = ScalarField(sector(8), 0.1 * values)
+    phi = ScalarField(sector(8), values)
+    shared = ScalarField(lam.geometry, values)
+    other = ScalarField(sector(8, periods=(2.0, 1.0)), values)
+    for fn in (yamabe_apply, conformal_sublap):
+        assert np.array_equal(fn(lam, phi).values, fn(lam, shared).values)
+        with pytest.raises(GeometryError):
+            fn(lam, other)
 
 
 # ---------------------------------------------------------------------------
