@@ -22,6 +22,7 @@ constant is pinned exactly once.  The conventions are:
 from __future__ import annotations
 
 import math
+import numbers
 
 YAMABE_COEFFICIENT = 4.0              # L = 4 * sublap + W
 HEISENBERG_HORIZONTAL_FACTOR = 0.5    # the 1/2 in -(X^2+Y^2)/2
@@ -42,7 +43,24 @@ def check_flow_sign(flow_sign) -> None:
     the blow-up tests); raises ``ValueError`` on anything else, booleans
     included."""
     if isinstance(flow_sign, bool) or flow_sign not in (-1.0, 1.0):
-        raise ValueError(f"flow_sign must be -1.0 or 1.0, got {flow_sign!r}")
+        raise ValueError(f"flow_sign must be -1.0 or 1.0, got {_shown(flow_sign)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an integer of more than
+    64 bits, any beyond float range included, by its size: its digits
+    could fill any length of line, and past 4300 of them ``repr`` raises.
+    A list or tuple is shown entry by entry by the same rule."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        bits = int(value).bit_length()
+        if bits > 64:
+            return f"an integer of {bits} bits"
+    if isinstance(value, (list, tuple)):
+        inner = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
 
 
 def conventions_record(flow_sign: float) -> dict:

@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
-                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, check_flow_sign)
+                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, _shown, check_flow_sign)
 from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
-                       _shown, _weighted_sum)
+                       _weighted_sum)
 from .operators import (
     LinearSolveError,
+    Workspace,
     _div_form_values,
     _webster_core,
     linear_solve,
@@ -182,8 +183,9 @@ def bondi(lam: ScalarField) -> float:
 # gradient flow right-hand side
 
 
-def _rhs_values(geom: ModelGeometry, values: np.ndarray,
-                flow_sign: float) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
+                out: np.ndarray | None = None,
+                work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Returns (rhs, w) at the conformal exponent ``values``: sigma *
     grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2), and the curvature
     values w it was assembled from.
@@ -193,20 +195,28 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray,
     exactly zero, not merely to rounding.  A non-finite state still gets
     its curvature, and an all-NaN rhs.
 
-    Both arrays are fresh and ``values`` is never written.  The scratch
-    of ``_webster_core`` is reused in place, each product and sum with
-    the operands and grouping of
+    rhs is written into ``out``, or into a fresh array without it; w is
+    ``work.w``, valid until the next call on ``work`` (a workspace is
+    built when ``work`` is None).  ``values`` is never written and
+    shares no memory with ``out`` or ``work``'s stencil and curvature
+    arrays.  The curvature's scratch is reused in place, each product
+    and sum with the operands and grouping of
 
         flow_sign * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
     """
-    u, m2, em3, w = _webster_core(geom, values)
+    if out is None:
+        out = np.empty(geom.resolution)
+    if work is None:
+        work = Workspace(geom)
+    u, m2, em3, w = _webster_core(geom, values, work=work)
     # a finite sum has no inf or NaN summand, so only a non-finite one
     # needs the cell scan
     if not math.isfinite(np.add.reduce(values, axis=None)) \
             and not np.isfinite(values).all():
-        return np.full_like(values, np.nan), w
+        out.fill(np.nan)
+        return out, w
     u *= w
-    cov = _div_form_values(geom, u)
+    cov = _div_form_values(geom, u, out=out, work=work)
     cov *= YAMABE_COEFFICIENT
     cov *= em3
     m2 *= geom.background_curvature
@@ -250,20 +260,25 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
 
 
 def make_state(lam: ScalarField, time: float, step_index: int,
-               flow_sign: float = DESCENT) -> FlowState:
+               flow_sign: float = DESCENT, *,
+               work: Workspace | None = None) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
     diagnostics: one rhs and one curvature evaluation.
 
-    ``lam`` is kept, never written; the integrands share one scratch
-    array."""
+    ``lam`` is kept, never written, and ``rhs`` is a fresh array; every
+    other array is scratch of ``work`` (a workspace is built when it is
+    None), whose ``u`` and ``m2`` hold the integrands once the rhs is
+    done."""
     geom = lam.geometry
     values = lam.values
+    if work is None:
+        work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs, w = _rhs_values(geom, values, flow_sign)
-        m4 = np.multiply(values, 4.0)
+        rhs, w = _rhs_values(geom, values, flow_sign, work=work)
+        m4 = np.multiply(values, 4.0, out=work.u)
         np.exp(m4, out=m4)
         vol = _weighted_sum(geom, m4)
-        scratch = np.multiply(w, w)
+        scratch = np.multiply(w, w, out=work.m2)
         scratch *= m4
         ene = _weighted_sum(geom, scratch)
         np.multiply(values, 5.0, out=scratch)
@@ -308,33 +323,37 @@ def detect_blowup(state: FlowState) -> bool:
 # time stepping
 
 
-def step_explicit(state: FlowState, dt: float,
-                  flow_sign: float = DESCENT) -> FlowState:
+def step_explicit(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
+                  work: Workspace | None = None) -> FlowState:
     """One classical four-stage Runge-Kutta step of the semi-discrete flow.
 
     The first stage is the state's stored rhs (first same as last), so a
     step makes three stage evaluations plus the one in ``make_state``.
 
-    The stage inputs share one buffer and the update accumulates into
-    k2, in place and with the grouping of
-    y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4); the state's ``lam`` and
-    ``rhs`` are never written.
+    The stage inputs share ``work.stage``, k3 and k4 are ``work.k3`` and
+    ``work.k4`` (a workspace is built when ``work`` is None), and the
+    update accumulates into k2, in place and with the grouping of
+    y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4).  k2 is the one fresh stage
+    array: it becomes the new state's ``lam``.  The old state's ``lam``
+    and ``rhs`` are never written.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     geom = state.lam.geometry
     y = state.lam.values
+    if work is None:
+        work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = state.rhs
-        stage = np.multiply(k1, 0.5 * dt)
+        stage = np.multiply(k1, 0.5 * dt, out=work.stage)
         stage += y
-        k2 = _rhs_values(geom, stage, flow_sign)[0]
+        k2 = _rhs_values(geom, stage, flow_sign, work=work)[0]
         np.multiply(k2, 0.5 * dt, out=stage)
         stage += y
-        k3 = _rhs_values(geom, stage, flow_sign)[0]
+        k3 = _rhs_values(geom, stage, flow_sign, out=work.k3, work=work)[0]
         np.multiply(k3, dt, out=stage)
         stage += y
-        k4 = _rhs_values(geom, stage, flow_sign)[0]
+        k4 = _rhs_values(geom, stage, flow_sign, out=work.k4, work=work)[0]
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
@@ -343,11 +362,11 @@ def step_explicit(state: FlowState, dt: float,
         k2 *= dt / 6.0
         k2 += y
     return make_state(ScalarField(geom, k2), state.time + dt,
-                      state.step_index + 1, flow_sign)
+                      state.step_index + 1, flow_sign, work=work)
 
 
-def step_imex(state: FlowState, dt: float,
-              flow_sign: float = DESCENT) -> FlowState:
+def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
+              work: Workspace | None = None) -> FlowState:
     """One implicit-explicit Euler step with biharmonic stabilization,
     solved for the increment:
 
@@ -369,21 +388,30 @@ def step_imex(state: FlowState, dt: float,
     the constant shift lambda' += log(V / V') / 4.  The energy is
     invariant under constant shifts, so this removes the implicit
     step's volume drift without touching the energy.
+
+    The explicit term dt * rhs and the shifted operator's values are
+    scratch of ``work`` (a workspace is built when it is None); the
+    solved increment is fresh and becomes the new state's ``lam``.  The
+    old state's ``lam`` and ``rhs`` are never written.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     geom = state.lam.geometry
     s = dt * C_STAB
     y = state.lam.values
+    if work is None:
+        work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = dt * state.rhs
+        b = np.multiply(state.rhs, dt, out=work.stage)
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
         return make_state(ScalarField(geom, np.full_like(y, np.nan)),
-                          state.time + dt, state.step_index + 1, flow_sign)
+                          state.time + dt, state.step_index + 1, flow_sign,
+                          work=work)
 
     def shifted(v: np.ndarray) -> np.ndarray:
-        out = _div_form_values(geom, _div_form_values(geom, v))
+        inner = _div_form_values(geom, v, out=work.k3, work=work)
+        out = _div_form_values(geom, inner, out=work.k4, work=work)
         out *= s
         out += v
         return out
@@ -395,7 +423,8 @@ def step_imex(state: FlowState, dt: float,
     v_old, v_new = state.diagnostics.volume, volume(sol)
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol.values += 0.25 * math.log(v_old / v_new)
-    return make_state(sol, state.time + dt, state.step_index + 1, flow_sign)
+    return make_state(sol, state.time + dt, state.step_index + 1, flow_sign,
+                      work=work)
 
 
 def auto_dt(geom: ModelGeometry) -> float:
@@ -491,7 +520,8 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         budget = max_time / dt_val
         max_steps = int(np.ceil(budget)) + 1 if math.isfinite(budget) else math.inf
 
-    state = make_state(lam0, 0.0, 0, flow_sign)
+    work = Workspace(geom)      # every step's scratch, released on return
+    state = make_state(lam0, 0.0, 0, flow_sign, work=work)
     traj = Trajectory(outcome="max_time", dt=dt_val)
 
     def record(st: FlowState) -> None:
@@ -517,7 +547,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
             break
         e_old = state.diagnostics.energy
         try:
-            state = stepper(state, dt_val, flow_sign)
+            state = stepper(state, dt_val, flow_sign, work=work)
         except LinearSolveError as exc:
             traj.outcome = "solver_failure"
             traj.solver_error = str(exc)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
+from .conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA, _shown
 
 __all__ = ["HEISENBERG_SECTOR", "HEISENBERG_LATTICE", "SPHERE_REDUCED",
            "GeometryError", "ModelGeometry", "ScalarField", "build_geometry",
@@ -140,7 +140,8 @@ class ModelGeometry:
 
     # -- grid shifts along the horizontal frame flows ------------------
 
-    def shift(self, values: np.ndarray, axis: int, step: int) -> np.ndarray:
+    def shift(self, values: np.ndarray, axis: int, step: int,
+              out: np.ndarray | None = None) -> np.ndarray:
         """Values of a field at the point one frame-flow step away.
 
         ``shift(v, axis, +1)[p] = v[S_axis(p)]`` where S_axis moves one
@@ -154,8 +155,10 @@ class ModelGeometry:
         x-wrap is then overwritten by a precomputed gather carrying the
         deck twist.  Only the lattice Y flow, whose tau-offset depends on
         x, gathers the whole grid.  Every lattice shift commutes exactly
-        with the deck transformations.  The result is always a fresh
-        array, which callers may write in place.
+        with the deck transformations.  The result is written into ``out``,
+        a C-contiguous float array of the grid's shape that shares no
+        memory with ``values``, and returned; without ``out`` it is a
+        fresh array.  Callers may write either in place.
         """
         if self.kind == SPHERE_REDUCED:
             raise GeometryError("grid shifts are not defined on the sphere kind")
@@ -166,16 +169,20 @@ class ModelGeometry:
         if step not in (1, -1):
             raise GeometryError(f"grid shifts move one cell (step +-1), got {step!r}")
         lattice = self.kind == HEISENBERG_LATTICE
+        # the gather tables hold only in-range indices, and mode="wrap"
+        # writes into ``out`` directly where "raise" buffers a copy
         if lattice and axis == 1:
-            return values.take(self._gather[(1, step)])
-        out = np.empty_like(values)
+            return values.take(self._gather[(1, step)], out=out, mode="wrap")
+        if out is None:
+            out = np.empty_like(values)
         src, dst = np.swapaxes(values, 0, axis), np.swapaxes(out, 0, axis)
         n = len(src)
         k = step % n
         dst[:n - k] = src[k:]
         dst[n - k:] = src[:k]
         if lattice and axis == 0:
-            out[-1 if step > 0 else 0] = values.take(self._gather[(0, step)])
+            values.take(self._gather[(0, step)], out=out[-1 if step > 0 else 0],
+                        mode="wrap")
         return out
 
     def reduce_index(self, i, j, k):
@@ -206,8 +213,10 @@ def _reduce_index(resolution, t_wrap_shift, i, j, k):
 
 
 def _lattice_gathers(resolution, t_wrap_shift, s_unit) -> dict:
-    """Read-only flat gather tables of the lattice shifts, keyed by
-    (axis, step), for the X seam slab and the whole Y flow."""
+    """Flat gather tables of the lattice shifts, keyed by (axis, step),
+    for the X seam slab and the whole Y flow.  Nothing writes them, but
+    they stay writeable: ``take`` copies a read-only index array on every
+    call, a grid-sized allocation per Y shift."""
     nx, ny, nt = resolution
     i, j, k = np.ogrid[:nx, :ny, :nt]
     targets = {
@@ -223,10 +232,8 @@ def _lattice_gathers(resolution, t_wrap_shift, s_unit) -> dict:
     }
     gather = {}
     for key, idx in targets.items():
-        flat = np.ravel_multi_index(
+        gather[key] = np.ravel_multi_index(
             _reduce_index(resolution, t_wrap_shift, *idx), resolution)
-        flat.setflags(write=False)
-        gather[key] = flat
     return gather
 
 
@@ -253,17 +260,6 @@ class ScalarField:
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _shown(value) -> str:
-    """``repr(value)`` for an error message, but an integer of more than
-    64 bits, any beyond float range included, by its size: its digits
-    could fill any length of line, and past 4300 of them ``repr`` raises."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        bits = int(value).bit_length()
-        if bits > 64:
-            return f"an integer of {bits} bits"
-    return repr(value)
 
 
 def _as_int(value, what) -> int:
@@ -294,7 +290,7 @@ def _as_finite(value, what) -> float:
 
 def _as_finite_tuple(value, n_axes, what):
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != n_axes:
-        raise GeometryError(f"{what} must be a list of {n_axes} numbers, got {value!r}")
+        raise GeometryError(f"{what} must be a list of {n_axes} numbers, got {_shown(value)}")
     return tuple(_as_finite(v, what) for v in value)
 
 

@@ -45,6 +45,7 @@ from .manifold import (
 __all__ = [
     "CalibrationError",
     "LinearSolveError",
+    "Workspace",
     "sublap",
     "conformal_sublap",
     "webster_curvature",
@@ -81,7 +82,27 @@ def _sphere_faces(n: int):
     return mu
 
 
-def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
+class Workspace:
+    """The grid-sized scratch arrays of one geometry, built once and reused
+    by every kernel call that is given them.
+
+    ``e`` and ``r`` hold the stencil's edge differences, ``u``, ``m2``,
+    ``em3`` and ``w`` the curvature assembly, and ``stage``, ``k3`` and
+    ``k4`` the Runge-Kutta stages.  A kernel writes only its temporaries
+    here, so what a workspace holds is valid only until the next call
+    that is given it; anything a caller may keep is a fresh array.
+    """
+
+    __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4")
+
+    def __init__(self, geom: ModelGeometry):
+        for name in self.__slots__:
+            setattr(self, name, np.empty(geom.resolution))
+
+
+def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
+                     out: np.ndarray | None = None,
+                     work: Workspace | None = None) -> np.ndarray:
     """Apply the (possibly weighted) positive sublaplacian to raw values.
 
     ``g`` is the cell array of conformal weights e^{2 lambda}; ``None``
@@ -94,13 +115,18 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     e[S^-1 p] = v[p] - v[S^-1 p], so the result is bitwise the three-point
     ((v[S p] - v) - (v - v[S^-1 p])) and its weighted counterpart.
 
-    Never writes ``v`` or ``g`` and always returns a fresh float array;
-    integer ``v`` and ``g`` are accepted.  Both branches work in place,
-    commuting operands but never regrouping them, so each cell sees the
-    expression form's operations in its order.  The flat kinds work on
-    the fresh arrays ``shift`` returns: (0.0 + t_x) + t_y, times -1/2.
-    The sphere works in the zero-padded flux array: (mu * d) / ds on the
-    interior faces, then (-c_s * (flux[1:] - flux[:-1])) / ds.
+    Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
+    The result is written into ``out`` and returned, or into a fresh
+    float array without it; ``out`` shares no memory with ``v``, ``g`` or
+    ``work``'s edge arrays ``e`` and ``r``, the flat kinds' scratch (a
+    workspace is built when ``work`` is None).  Both branches work in
+    place, commuting operands but never regrouping them, so each cell sees
+    the expression form's operations in its order.  The flat kinds work
+    the X term in ``out`` and the Y term in ``e``, with ``r`` for the
+    edge weights and the edges read back: (0.0 + t_x) + t_y, times
+    -1/2.  The sphere works in the zero-padded flux array:
+    (mu * d) / ds on the interior faces, then
+    (-c_s * (flux[1:] - flux[:-1])) / ds.
     """
     if geom.kind == SPHERE_REDUCED:
         n = geom.resolution[0]
@@ -112,7 +138,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
             d *= 0.5 * (g[1:] + g[:-1])
         d *= _sphere_faces(n)[1:-1]
         d /= ds
-        out = np.subtract(flux[1:], flux[:-1])
+        out = np.subtract(flux[1:], flux[:-1], out=out)
         out *= -SPHERE_CS
         out /= ds
         return out
@@ -121,26 +147,30 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if g is not None:
         g = np.asarray(g, dtype=float)
-    acc = None
+    if out is None:
+        out = np.empty(geom.resolution)
+    if work is None:
+        work = Workspace(geom)
+    r = work.r
     for axis in (0, 1):
         d = geom.spacing[axis]
-        e = shift(v, axis, 1)
+        e = out if axis == 0 else work.e
+        shift(v, axis, 1, out=e)
         e -= v
         if g is not None:
-            edge = shift(g, axis, 1)
-            edge += g
-            edge *= 0.5
-            edge *= e
-            e = edge
-        e -= shift(e, axis, -1)
+            shift(g, axis, 1, out=r)    # the edge weight
+            r += g
+            r *= 0.5
+            e *= r
+        shift(e, axis, -1, out=r)
+        e -= r
         e /= d * d
-        if acc is None:
-            acc = e
-            acc += 0.0      # a sum started at 0.0: -0.0 becomes +0.0
+        if axis == 0:
+            e += 0.0        # a sum started at 0.0: -0.0 becomes +0.0
         else:
-            acc += e
-    acc *= -HEISENBERG_HORIZONTAL_FACTOR
-    return acc
+            out += e
+    out *= -HEISENBERG_HORIZONTAL_FACTOR
+    return out
 
 
 def sublap(f: ScalarField) -> ScalarField:
@@ -179,7 +209,8 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
 # curvature
 
 
-def _webster_core(geom: ModelGeometry, lam_values: np.ndarray):
+def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
+                  work: Workspace | None = None):
     """Shared curvature assembly: returns (u, m2, em3, w) with u = e^lam,
     m2 = e^{-2 lam}, em3 = e^{-3 lam} and w the curvature values.
 
@@ -188,19 +219,24 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray):
     flow right-hand side of constant states cancels to exactly zero.
 
     A kernel: overflow is the caller's blow-up signal, so callers run it
-    under ``np.errstate(over="ignore", invalid="ignore")``.  All four
-    arrays are fresh and ``lam_values`` is never written; the caller owns
-    u, m2 and em3 as scratch.
+    under ``np.errstate(over="ignore", invalid="ignore")``.  The four
+    arrays are ``work``'s ``u``, ``m2``, ``em3`` and ``w`` (``e`` and
+    ``r`` are the stencil's scratch), so the caller may use u, m2 and
+    em3 as scratch until its next call on ``work``; a workspace is built
+    when ``work`` is None.  ``lam_values`` is never written and shares
+    no memory with those six arrays.
     """
-    u = np.exp(lam_values)
-    m2 = np.multiply(lam_values, -2.0)
+    if work is None:
+        work = Workspace(geom)
+    u = np.exp(lam_values, out=work.u)
+    m2 = np.multiply(lam_values, -2.0, out=work.m2)
     np.exp(m2, out=m2)
-    em3 = np.multiply(lam_values, -3.0)
+    em3 = np.multiply(lam_values, -3.0, out=work.em3)
     np.exp(em3, out=em3)
-    w = _div_form_values(geom, u)
+    w = _div_form_values(geom, u, out=work.w, work=work)
     w *= YAMABE_COEFFICIENT
     w *= em3
-    w += np.multiply(m2, geom.background_curvature)
+    w += np.multiply(m2, geom.background_curvature, out=work.e)
     return u, m2, em3, w
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from crflow.flow import (
 )
 from crflow.manifold import ScalarField, _weighted_sum, build_geometry, initial_data, integrate
 from crflow.operators import (
+    Workspace,
     _div_form_values,
     shifted_bilap_inverse,
     stability_symbol_max,
@@ -457,6 +459,60 @@ def test_kernels_and_steps_never_write_their_inputs(name):
         assert not any(np.shares_memory(a, b) for a in fresh for b in old)
 
 
+@pytest.mark.parametrize("stepper, dt_factor", [(step_explicit, 1.0), (step_imex, 10.0)],
+                         ids=["rk4", "imex"])
+@pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
+def test_a_kept_state_survives_later_steps_on_one_workspace(make, data, stepper,
+                                                            dt_factor):
+    # a run steps on one workspace: no workspace array may escape into a
+    # state, so a state kept while two more steps reuse it keeps its
+    # bytes, and the steps match steps that build their own workspace
+    geom, lam = fsal_case(make, data)
+    dt = dt_factor * auto_dt(geom)
+    work = Workspace(geom)
+    before = lam.values.copy()
+    state = make_state(lam, 0.0, 0, work=work)
+    assert_untouched([lam.values], [before])
+    kept = stepper(state, dt, work=work)
+    kept_before = [kept.lam.values.copy(), kept.rhs.copy()]
+    later = alone = kept
+    for _ in range(2):
+        later = stepper(later, dt, work=work)
+        alone = stepper(alone, dt)
+        assert later.lam.values.tobytes() == alone.lam.values.tobytes()
+        assert later.rhs.tobytes() == alone.rhs.tobytes()
+        assert later.diagnostics == alone.diagnostics
+    assert_untouched([kept.lam.values, kept.rhs], kept_before)
+    scratch = [getattr(work, name) for name in Workspace.__slots__]
+    for st in (state, kept, later):
+        for kept_array in (st.lam.values, st.rhs):
+            assert not any(np.shares_memory(kept_array, a) for a in scratch)
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "HeisenbergSector2D", "resolution": [128, 128]},
+    {"kind": "HeisenbergLattice3D", "resolution": [16, 16, 32], "periods": [1, 1, 0.5]},
+], ids=["sector128", "lattice16x16x32"])
+def test_an_rk4_step_on_a_workspace_allocates_only_the_new_state(config):
+    # numpy reports its data buffers to tracemalloc.  Past a warm-up
+    # step, a step's peak is the new state's lam and rhs, with one more
+    # grid array of room for the small objects
+    geom = build_geometry(config)
+    lam = random_data(geom, 3)
+    dt = auto_dt(geom)
+    work = Workspace(geom)
+    state = step_explicit(make_state(lam, 0.0, 0, work=work), dt, work=work)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = step_explicit(state, dt, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.step_index == 2
+    assert peak - start <= 3 * lam.values.nbytes
+
+
 @pytest.mark.parametrize("integrator, per_step", [("explicit", 4), ("imex", 1)])
 def test_right_hand_side_and_curvature_evaluations_per_step(
     monkeypatch, integrator, per_step
@@ -650,9 +706,10 @@ def test_run_validates_inputs():
 def test_run_refuses_a_bad_flow_sign():
     geom = sector()
     lam = random_data(geom, 54)
-    for bad in (2.0, True, 0.0, "up"):
-        with pytest.raises(ValueError, match="flow_sign"):
+    for bad in (2.0, True, 0.0, "up", 10**400, 10**5000):
+        with pytest.raises(ValueError, match="flow_sign") as exc:
             run(lam, flow_sign=bad, max_steps=1)
+        assert len(str(exc.value)) <= 200    # a huge integer is named by its size
     for good in (-1.0, 1.0):
         assert len(run(lam, flow_sign=good, max_steps=1).diagnostics) == 2
 

@@ -92,11 +92,13 @@ def test_period_validation():
         build_geometry(
             {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1.0, -1.0]}
         )
-    for periods in ([1, "inf"], [1.0, math.inf], [1.0, math.nan], [1.0, True], 1.0):
-        with pytest.raises(GeometryError, match="periods"):
+    for periods in ([1, "inf"], [1.0, math.inf], [1.0, math.nan], [1.0, True], 1.0,
+                    [1, 2, 10**400], [1, 2, 10**5000]):
+        with pytest.raises(GeometryError, match="periods") as exc:
             build_geometry(
                 {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": periods}
             )
+        assert len(str(exc.value)) <= 200    # a huge integer is named by its size
     for t_fiber in ([1], "1.0", math.inf, math.nan, None):
         with pytest.raises(GeometryError, match="t_fiber"):
             build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8],
@@ -266,6 +268,9 @@ def test_sector_shift_is_the_periodic_roll(shape):
             got = geom.shift(values, axis, step)
             assert got.shape == values.shape
             assert np.array_equal(got, np.roll(values, -step, axis=axis))
+            out = np.full(shape, np.nan)
+            assert geom.shift(values, axis, step, out=out) is out
+            assert np.array_equal(out, got)
 
 
 # twisted lattices: (resolution, tau period, x-wrap twist t_wrap_shift mod nt)
@@ -301,6 +306,10 @@ def test_lattice_shift_is_the_twisted_gather(name):
         # a fresh array that callers may write in place; the input is untouched
         assert got.flags.writeable and not np.shares_memory(got, values)
         assert values.tobytes() == before
+        # or every cell of a given array, the seam slab included
+        out = np.full(resolution, np.nan)
+        assert geom.shift(values, axis, step, out=out) is out
+        assert np.array_equal(out, reference)
 
 
 SHIFT_GEOMETRIES = {
