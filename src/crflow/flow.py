@@ -203,6 +203,9 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
     and sum with the operands and grouping of
 
         flow_sign * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
+
+    Where the curvature skipped m2 (What == 0 and m2 finite), What * m2
+    is exactly +0.0, so the background term is w * 0.0: the same bits.
     """
     if out is None:
         out = np.empty(geom.resolution)
@@ -219,10 +222,13 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
     cov = _div_form_values(geom, u, out=out, work=work)
     cov *= YAMABE_COEFFICIENT
     cov *= em3
-    m2 *= geom.background_curvature
-    m2 *= w
-    cov += m2
-    cov -= np.multiply(w, w, out=m2)
+    if m2 is None:
+        cov += np.multiply(w, 0.0, out=work.m2)
+    else:
+        m2 *= geom.background_curvature
+        m2 *= w
+        cov += m2
+    cov -= np.multiply(w, w, out=work.m2)
     cov *= flow_sign * 2.0
     return cov, w
 
@@ -389,10 +395,11 @@ def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
     invariant under constant shifts, so this removes the implicit
     step's volume drift without touching the energy.
 
-    The explicit term dt * rhs and the shifted operator's values are
-    scratch of ``work`` (a workspace is built when it is None); the
-    solved increment is fresh and becomes the new state's ``lam``.  The
-    old state's ``lam`` and ``rhs`` are never written.
+    The explicit term dt * rhs, the shifted operator's values and the
+    new volume's integrand are scratch of ``work`` (a workspace is built
+    when it is None); the solved increment is fresh and becomes the new
+    state's ``lam``.  The old state's ``lam`` and ``rhs`` are never
+    written.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -420,7 +427,10 @@ def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
     # added into it in place
     sol = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, s))
     sol.values += y
-    v_old, v_new = state.diagnostics.volume, volume(sol)
+    v_old = state.diagnostics.volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        m4 = np.multiply(sol.values, 4.0, out=work.k3)    # volume(sol)
+        v_new = _weighted_sum(geom, np.exp(m4, out=m4))
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol.values += 0.25 * math.log(v_old / v_new)
     return make_state(sol, state.time + dt, state.step_index + 1, flow_sign,

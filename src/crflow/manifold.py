@@ -175,7 +175,7 @@ class ModelGeometry:
             return values.take(self._gather[(1, step)], out=out, mode="wrap")
         if out is None:
             out = np.empty_like(values)
-        src, dst = np.swapaxes(values, 0, axis), np.swapaxes(out, 0, axis)
+        src, dst = values.swapaxes(0, axis), out.swapaxes(0, axis)
         n = len(src)
         k = step % n
         dst[:n - k] = src[k:]

@@ -124,9 +124,12 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     the expression form's operations in its order.  The flat kinds work
     the X term in ``out`` and the Y term in ``e``, with ``r`` for the
     edge weights and the edges read back: (0.0 + t_x) + t_y, times
-    -1/2.  The sphere works in the zero-padded flux array:
-    (mu * d) / ds on the interior faces, then
-    (-c_s * (flux[1:] - flux[:-1])) / ds.
+    -1/2.  Their division by d * d is a multiply by 1 / (d * d) where
+    d * d is a power of two with a finite reciprocal: both round the same
+    real number once, so the bits are the division's.  Any other d * d,
+    a subnormal power of two among them, is divided by.  The sphere
+    works in the zero-padded flux array: (mu * d) / ds on the interior
+    faces, then (-c_s * (flux[1:] - flux[:-1])) / ds.
     """
     if geom.kind == SPHERE_REDUCED:
         n = geom.resolution[0]
@@ -164,7 +167,11 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
             e *= r
         shift(e, axis, -1, out=r)
         e -= r
-        e /= d * d
+        d2 = d * d
+        if math.frexp(d2)[0] == 0.5 and math.isfinite(1.0 / d2):
+            e *= 1.0 / d2
+        else:
+            e /= d2
         if axis == 0:
             e += 0.0        # a sum started at 0.0: -0.0 becomes +0.0
         else:
@@ -212,30 +219,39 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
 def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
                   work: Workspace | None = None):
     """Shared curvature assembly: returns (u, m2, em3, w) with u = e^lam,
-    m2 = e^{-2 lam}, em3 = e^{-3 lam} and w the curvature values.
+    m2 = e^{-2 lam} or None, em3 = e^{-3 lam} and w the curvature values.
 
     The background term is taken as What * m2 (not em3 * What * u), so a
     constant lambda = c yields w bitwise equal to e^{-2c} * What, and the
     flow right-hand side of constant states cancels to exactly zero.
 
+    m2 is None, and never computed, when What == 0 and every lambda is
+    above -354: there e^{-2 lam} < e^708 is finite, What * m2 is exactly
+    +0.0, and w gets + 0.0 in its place.  A NaN lambda, or any lambda
+    <= -354, takes the full path, where an infinite m2 makes w NaN.
+
     A kernel: overflow is the caller's blow-up signal, so callers run it
     under ``np.errstate(over="ignore", invalid="ignore")``.  The four
     arrays are ``work``'s ``u``, ``m2``, ``em3`` and ``w`` (``e`` and
-    ``r`` are the stencil's scratch), so the caller may use u, m2 and
-    em3 as scratch until its next call on ``work``; a workspace is built
-    when ``work`` is None.  ``lam_values`` is never written and shares
-    no memory with those six arrays.
+    ``r`` are the stencil's scratch), so the caller may use u, em3 and
+    ``work.m2`` as scratch until its next call on ``work``; a workspace
+    is built when ``work`` is None.  ``lam_values`` is never written and
+    shares no memory with those six arrays.
     """
     if work is None:
         work = Workspace(geom)
     u = np.exp(lam_values, out=work.u)
-    m2 = np.multiply(lam_values, -2.0, out=work.m2)
-    np.exp(m2, out=m2)
     em3 = np.multiply(lam_values, -3.0, out=work.em3)
     np.exp(em3, out=em3)
     w = _div_form_values(geom, u, out=work.w, work=work)
     w *= YAMABE_COEFFICIENT
     w *= em3
+    if geom.background_curvature == 0.0 \
+            and np.minimum.reduce(lam_values, axis=None) > -354.0:
+        w += 0.0
+        return u, None, em3, w
+    m2 = np.multiply(lam_values, -2.0, out=work.m2)
+    np.exp(m2, out=m2)
     w += np.multiply(m2, geom.background_curvature, out=work.e)
     return u, m2, em3, w
 

@@ -390,7 +390,10 @@ def test_kernels_keep_the_expression_form_bits_past_overflow(name):
     # e^{-3 lambda}; a single NaN cell takes the non-finite branches.
     # +150 overflows only bondi's e^{5 lambda}, so make_state scans w and
     # finds it finite; two cells at 1e308 are finite but overflow the sum
-    # _rhs_values tests before its cell scan
+    # _rhs_values tests before its cell scan.  The flat kinds skip
+    # e^{-2 lambda} only while every lambda is above -354: -300 overflows
+    # e^{-3 lambda} but not e^{-2 lambda}, so the skip runs with w = +-inf,
+    # and two states put their minimum one ulp either side of -354
     geom, lam0 = pinned_case(name)
     dt = auto_dt(geom)
     one_nan = lam0.values.copy()
@@ -398,8 +401,13 @@ def test_kernels_keep_the_expression_form_bits_past_overflow(name):
     two_huge = lam0.values.copy()
     two_huge.flat[[1, two_huge.size // 2]] = 1e308
     bondi_only = lam0.values + 150.0
+    near_bound = []
+    for toward in (0.0, -np.inf):
+        near = lam0.values - 353.0
+        near.flat[near.size // 2] = np.nextafter(-354.0, toward)
+        near_bound.append(near)
     for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan,
-                   bondi_only, two_huge):
+                   bondi_only, two_huge, lam0.values - 300.0, *near_bound):
         for sign in (DESCENT, -DESCENT):
             state = make_state(ScalarField(geom, values), 0.0, 0, sign)
             rhs, diag = assert_pinned(state, values, 0.0, sign)
