@@ -56,13 +56,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flow
-from .conventions import (DESCENT, PLATEAU_TOL, PLATEAU_WINDOW, check_flow_sign,
-                          conventions_record)
+from .conventions import conventions_record
 from .manifold import GeometryError, build_geometry, initial_data
 
 __all__ = [
@@ -115,8 +114,8 @@ class RunConfig:
     """A fully serializable description of one flow run.
 
     ``dt`` is either the string ``"auto"`` or a positive step size.  The
-    ``conventions`` mapping holds the expert-only override of ``flow_sign``
-    (the other conventions are fixed) and is empty in normal use.
+    conventions, the plateau test's included, are constants of
+    ``crflow.conventions``, which no key sets.
     Instances round-trip bit-exactly through JSON:
     ``RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg``.
     """
@@ -127,11 +126,8 @@ class RunConfig:
     dt: object = "auto"
     max_time: float = 1.0
     max_steps: int | None = None
-    plateau_tol: float | None = None
-    plateau_window: int | None = None
     snapshot_every: int = 0
     output_dir: str = "crflow-run"
-    conventions: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -154,45 +150,22 @@ class RunConfig:
 
     def validate(self) -> None:
         """Refuses, as ConfigError, the run arguments ``flow.run`` refuses
-        and a bad ``output_dir`` or ``conventions``."""
+        and a bad ``output_dir``."""
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a nonempty string")
-        if not isinstance(self.conventions, dict):
-            raise ConfigError("'conventions' must be an object")
-        fixed = sorted(set(self.conventions) - {"flow_sign"})
-        if fixed:
-            raise ConfigError(
-                f"bad convention override: only flow_sign may be set, not {fixed}")
-        try:
-            check_flow_sign(self.flow_sign)
-        except ValueError as exc:
-            raise ConfigError(f"bad convention override: {exc}")
         try:
             flow._check_run_args(**self.run_args())
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def run_args(self) -> dict:
-        """The keyword arguments of ``flow.run``, with the plateau defaults
-        in place of null."""
-        return {
-            "integrator": self.integrator,
-            "dt": self.dt,
-            "max_time": self.max_time,
-            "max_steps": self.max_steps,
-            "plateau_tol": PLATEAU_TOL if self.plateau_tol is None else self.plateau_tol,
-            "plateau_window": (PLATEAU_WINDOW if self.plateau_window is None
-                               else self.plateau_window),
-            "snapshot_every": self.snapshot_every,
-            "flow_sign": self.flow_sign,
-        }
+        """The keyword arguments of ``flow.run``."""
+        return {"integrator": self.integrator, "dt": self.dt,
+                "max_time": self.max_time, "max_steps": self.max_steps,
+                "snapshot_every": self.snapshot_every}
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    @property
-    def flow_sign(self) -> float:
-        return self.conventions.get("flow_sign", DESCENT)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +254,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    run_args = dict(cfg.run_args(), dt=dt)
     started = time.perf_counter()
-    traj = flow.run(lam0, **run_args)
+    traj = flow.run(lam0, **dict(cfg.run_args(), dt=dt))
     wall = time.perf_counter() - started
 
     _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
@@ -291,13 +263,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     final = traj.diagnostics[-1]
     meta = {
         "config": cfg.to_dict(),
-        "resolved": {
-            "dt": traj.dt,
-            "plateau_tol": run_args["plateau_tol"],
-            "plateau_window": run_args["plateau_window"],
-            "output_dir": os.path.abspath(outdir),
-        },
-        "conventions": conventions_record(cfg.flow_sign),
+        "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
+        "conventions": conventions_record(),
         "outcome": traj.outcome,
         "n_steps": len(traj.diagnostics) - 1,
         "final": dataclasses.asdict(final),

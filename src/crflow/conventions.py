@@ -8,9 +8,8 @@ constant is pinned exactly once.  The conventions are:
 * the conformally covariant second-order operator is L = 4 * sublap + W
   (dimension-3 coefficient 4);
 * the evolution moves *down* the energy gradient (flow_sign = DESCENT =
-  -1); the ascending sign +1 exists only as an expert override for probe
-  runs.  ``flow_sign`` is the only value a caller may set, and
-  ``check_flow_sign`` its one validator; everything else here is constant;
+  -1).  ``flow.run`` also accepts the ascending sign +1, which only the
+  blow-up probe of ``crflow check`` uses; a run config cannot set it;
 * the reduced-sphere frame constant c_s = 8 and total volume kappa = pi^2
   follow from realizing the round structure as the |w + i|^{-2} rescaling
   of the flat one (derivation: tests/oracles/sphere_reduction.py);
@@ -38,14 +37,6 @@ PLATEAU_TOL = 1e-10                   # |dE|/E threshold for a plateau
 DESCENT = -1.0                        # the default flow_sign
 
 
-def check_flow_sign(flow_sign) -> None:
-    """Accepts -1.0 (descent, the contract) or 1.0 (the ascending probe of
-    the blow-up tests); raises ``ValueError`` on anything else, booleans
-    included."""
-    if isinstance(flow_sign, bool) or flow_sign not in (-1.0, 1.0):
-        raise ValueError(f"flow_sign must be -1.0 or 1.0, got {_shown(flow_sign)}")
-
-
 def _shown(value) -> str:
     """``repr(value)`` for an error message, but an integer of more than
     64 bits, any beyond float range included, by its size: its digits
@@ -63,10 +54,8 @@ def _shown(value) -> str:
     return repr(value)
 
 
-def conventions_record(flow_sign: float) -> dict:
-    """Every convention a run used, for its metadata: the fixed constants
-    and ``flow_sign``.  The plateau defaults are left out, since a run
-    records the plateau values it resolved."""
+def conventions_record() -> dict:
+    """Every convention a run uses, for its metadata, each once."""
     return {
         "yamabe_coefficient": YAMABE_COEFFICIENT,
         "heisenberg_horizontal_factor": HEISENBERG_HORIZONTAL_FACTOR,
@@ -76,5 +65,7 @@ def conventions_record(flow_sign: float) -> dict:
         "c_stab": C_STAB,
         "solve_tol": SOLVE_TOL,
         "blowup_threshold": BLOWUP_THRESHOLD,
-        "flow_sign": flow_sign,
+        "plateau_window": PLATEAU_WINDOW,
+        "plateau_tol": PLATEAU_TOL,
+        "flow_sign": DESCENT,
     }

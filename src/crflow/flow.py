@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
-                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, _shown, check_flow_sign)
+                          PLATEAU_WINDOW, YAMABE_COEFFICIENT, _shown)
 from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
                        _weighted_sum)
 from .operators import (
@@ -471,36 +471,36 @@ def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
 _PLATEAU_FLOOR = 1e-300
 
 
-def _check_run_args(integrator, dt, max_time, max_steps, plateau_tol,
-                    plateau_window, snapshot_every, flow_sign) -> None:
+def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every,
+                    flow_sign=DESCENT) -> None:
     """The one rule for ``run``'s arguments, which ``RunConfig`` applies
     to a config file too.  Numbers are read by manifold's readers:
     booleans and strings are refused, and an integer may be an integral
-    float.  Raises ValueError naming the first bad argument."""
+    float.  ``flow_sign`` is -1.0 (descent) or 1.0 (the ascending probe
+    of the blow-up check).  Raises ValueError naming the first bad
+    argument."""
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
     try:
         if dt != "auto" and _as_finite(dt, "dt") <= 0:
             raise ValueError(f"dt must be 'auto' or positive, got {_shown(dt)}")
-        for name, value in (("max_time", max_time), ("plateau_tol", plateau_tol)):
-            if _as_finite(value, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {_shown(value)}")
+        if _as_finite(max_time, "max_time") <= 0:
+            raise ValueError(f"max_time must be positive, got {_shown(max_time)}")
         if max_steps is not None and _as_int(max_steps, "max_steps") < 1:
             raise ValueError(
                 f"max_steps must be None or at least 1, got {_shown(max_steps)}")
-        for name, value, least in (("plateau_window", plateau_window, 2),
-                                   ("snapshot_every", snapshot_every, 0)):
-            if _as_int(value, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
+        if _as_int(snapshot_every, "snapshot_every") < 0:
+            raise ValueError(
+                f"snapshot_every must be at least 0, got {_shown(snapshot_every)}")
     except GeometryError as exc:    # the readers' error type names the geometry
         raise ValueError(str(exc)) from None
-    check_flow_sign(flow_sign)
+    if isinstance(flow_sign, bool) or flow_sign not in (-1.0, 1.0):
+        raise ValueError(f"flow_sign must be -1.0 or 1.0, got {_shown(flow_sign)}")
 
 
 def run(lam0: ScalarField, *, integrator: str = "explicit",
         dt: float | str = "auto", max_time: float = 1.0,
-        max_steps: int | None = None, plateau_tol: float = PLATEAU_TOL,
-        plateau_window: int = PLATEAU_WINDOW, snapshot_every: int = 0,
+        max_steps: int | None = None, snapshot_every: int = 0,
         flow_sign: float = DESCENT) -> Trajectory:
     """March the flow from ``lam0``, on its geometry, to one of five outcomes.
 
@@ -509,7 +509,9 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     ``plateau`` (energy plateau without one — e.g. data that starts
     stationary), ``max_time`` (time or step budget exhausted first),
     ``solver_failure`` (an implicit solve raised ``LinearSolveError``;
-    the record ends at the last accepted step).
+    the record ends at the last accepted step).  A plateau is
+    ``PLATEAU_WINDOW`` consecutive steps whose relative energy change is
+    below ``PLATEAU_TOL``.
     Deterministic for fixed inputs.  One Diagnostics record per step,
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
@@ -518,8 +520,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     ``_check_run_args``, and the resolved dt must be positive and
     finite; a bad one raises ValueError.
     """
-    _check_run_args(integrator, dt, max_time, max_steps, plateau_tol,
-                    plateau_window, snapshot_every, flow_sign)
+    _check_run_args(integrator, dt, max_time, max_steps, snapshot_every, flow_sign)
     geom = lam0.geometry
     dt_val = resolve_dt(geom, dt)
     # read from the module at call time, so a patched step is the one run
@@ -547,7 +548,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         if detect_blowup(state):
             traj.outcome = "blowup"
             break
-        if quiet >= plateau_window:
+        if quiet >= PLATEAU_WINDOW:
             dropped = state.diagnostics.energy < 0.99 * e_first
             traj.outcome = "converged" if dropped else "plateau"
             break
@@ -564,7 +565,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
             break
         record(state)
         rel = abs(state.diagnostics.energy - e_old) / max(abs(e_old), _PLATEAU_FLOOR)
-        quiet = quiet + 1 if rel < plateau_tol else 0  # a NaN change is never quiet
+        quiet = quiet + 1 if rel < PLATEAU_TOL else 0  # a NaN change is never quiet
 
     if snapshot_every > 0 and (not traj.snapshots
                                or traj.snapshots[-1][0] != state.step_index):

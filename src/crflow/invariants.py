@@ -64,7 +64,7 @@ def _sector(n: int = 32, t_fiber: float = 1.0):
 
 
 def _sphere(n: int = 64):
-    return build_geometry({"kind": SPHERE_REDUCED, "resolution": [n], "periods": [1.0]})
+    return build_geometry({"kind": SPHERE_REDUCED, "resolution": [n]})
 
 
 def _lattice(resolution=(16, 16, 32), lt: float = 0.5):
@@ -393,7 +393,7 @@ def _fixed_points():
         dt = flow.auto_dt(lam.geometry)
         for integrator, scale in (("explicit", 1.0), ("imex", 10.0), ("imex", 1e3)):
             traj = flow.run(lam, integrator=integrator, dt=scale * dt,
-                            max_time=1.0, max_steps=20, plateau_window=21)
+                            max_time=1.0, max_steps=20)
             fixed = fixed and (
                 traj.outcome == "max_time"
                 and len(traj.diagnostics) == 21

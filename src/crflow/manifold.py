@@ -63,6 +63,12 @@ KNOWN_KINDS = (HEISENBERG_SECTOR, HEISENBERG_LATTICE, SPHERE_REDUCED)
 
 MIN_RESOLUTION = 4
 
+_GEOMETRY_KEYS = {
+    HEISENBERG_SECTOR: ("kind", "resolution", "periods", "t_fiber"),
+    HEISENBERG_LATTICE: ("kind", "resolution", "periods"),
+    SPHERE_REDUCED: ("kind", "resolution"),
+}
+
 
 class GeometryError(ValueError):
     """Invalid geometry description."""
@@ -294,6 +300,15 @@ def _as_finite_tuple(value, n_axes, what):
     return tuple(_as_finite(v, what) for v in value)
 
 
+def _refuse_unread_keys(spec: dict, read: tuple, what: str) -> None:
+    """Raises ``GeometryError`` naming the keys of ``spec`` not in
+    ``read``: a misspelled key would otherwise leave its default in
+    place without a word."""
+    unread = sorted(set(spec) - set(read), key=str)
+    if unread:
+        raise GeometryError(f"{what} does not read the keys {unread}")
+
+
 def build_geometry(config: dict) -> ModelGeometry:
     """Build a fully initialized geometry from a JSON-style description.
 
@@ -301,16 +316,17 @@ def build_geometry(config: dict) -> ModelGeometry:
     (list, Heisenberg kinds only), and for the 2D sector an optional
     ``t_fiber`` (vertical fiber length, default 1.0).
 
-    Raises ``GeometryError`` for an unknown kind, a resolution below 4
-    cells per axis, an X or Y cell spacing whose square is 0 or not
-    finite, or a 3D lattice whose grid cannot represent the twisted
-    identification by whole-cell shifts.
+    Raises ``GeometryError`` for an unknown kind, a key the kind does not
+    read, a resolution below 4 cells per axis, an X or Y cell spacing
+    whose square is 0 or not finite, or a 3D lattice whose grid cannot
+    represent the twisted identification by whole-cell shifts.
     """
     if not isinstance(config, dict):
         raise GeometryError("geometry description must be a mapping")
     kind = config.get("kind")
     if kind not in KNOWN_KINDS:
         raise GeometryError(f"unknown kind {_shown(kind)}; expected one of {KNOWN_KINDS}")
+    _refuse_unread_keys(config, _GEOMETRY_KEYS[kind], f"geometry kind {kind!r}")
 
     if kind == SPHERE_REDUCED:
         (n,) = _as_int_tuple(config.get("resolution", 64), 1, "resolution")
@@ -425,16 +441,22 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
       the twisted identification (default 0: vertical-invariant data,
       identical cell-for-cell to the 2D sector field of the same seed).
 
-    The same seed always yields bitwise-identical values.
+    A key the kind does not read raises ``GeometryError``.  The same seed
+    always yields bitwise-identical values.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeometryError("initial-data spec must be a mapping with a 'kind'")
     kind = spec["kind"]
 
     if kind == "constant":
+        _refuse_unread_keys(spec, ("kind", "value"), "initial-data kind 'constant'")
         return geom.constant(_as_finite(spec.get("value", 0.0), "constant value"))
 
     if kind == "random":
+        read = ("kind", "seed", "amplitude", "cutoff")
+        if geom.kind == HEISENBERG_LATTICE:
+            read += ("cutoff_t",)
+        _refuse_unread_keys(spec, read, f"initial-data kind 'random' on {geom.kind}")
         seed = _as_int(spec.get("seed", 0), "seed")
         amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
         cutoff = _as_int(spec.get("cutoff", 4), "cutoff")

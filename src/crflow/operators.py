@@ -9,8 +9,12 @@ exact discrete properties the whole scheme rests on:
   weighted self-adjointness of the conformal one, to rounding;
 * constants are annihilated exactly (differences of equal values);
 * the image of the conformal sublaplacian has exactly zero
-  e^{4 lambda}-weighted mean (telescoping edge sums), which is what
-  keeps the flow's volume conservation exact at the semi-discrete level.
+  e^{4 lambda}-weighted mean (telescoping edge sums).
+
+The flow's volume conservation rests on the first property, not the
+third: its right-hand side never calls ``conformal_sublap``, and its zero
+weighted mean follows from the self-adjointness of L-hat = 4 * sublap +
+What (derivation in ``crflow.flow``).
 
 Conventions (see ``crflow.conventions``): the sublaplacian is
 positive, -(X^2 + Y^2)/2 on the flat group and -c_s (s(1-s) f')' with

@@ -28,7 +28,7 @@ from crflow.cli import (
     _write_diagnostics,
     main,
 )
-from crflow.conventions import PLATEAU_TOL, PLATEAU_WINDOW
+from crflow.conventions import DESCENT, PLATEAU_TOL, PLATEAU_WINDOW
 from crflow.manifold import ScalarField, build_geometry, initial_data
 
 
@@ -73,8 +73,7 @@ def read_rows(csv_path):
 
 def test_config_round_trips_through_json(tmp_path):
     # integral floats are integers, as in the geometry and the data
-    for overrides in ({}, {"max_steps": 2e0, "snapshot_every": 1e0,
-                           "plateau_window": 1e1}):
+    for overrides in ({}, {"max_steps": 2e0, "snapshot_every": 1e0}):
         cfg = RunConfig.from_dict(base_config(tmp_path, **overrides))
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
@@ -97,78 +96,66 @@ def test_config_must_be_an_object():
         RunConfig.from_dict(["not", "a", "mapping"])
 
 
+# constants of crflow.conventions that no config key sets
+FIXED_KEYS = ("conventions", "plateau_tol", "plateau_window")
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
         {"integrator": "leapfrog"},
+        {"integrator": None},
+        {"integrator": "IMEX"},
         {"dt": "fast"},
         {"dt": -1e-9},
+        {"dt": 0.0},
         {"dt": True},
+        {"dt": None},
+        {"dt": math.inf},
         {"max_time": 0.0},
+        {"max_time": -1.0},
+        {"max_time": math.inf},
         {"max_steps": 0},
+        {"max_steps": -1},
         {"max_steps": 2.5},
-        {"plateau_tol": -1.0},
-        {"plateau_window": 1},
+        {"max_steps": "3"},
         {"snapshot_every": -1},
+        {"snapshot_every": 2.5},
+        {"snapshot_every": None},
         {"output_dir": ""},
-        {"conventions": ["flow_sign"]},
-        {"conventions": {"no_such_convention": 1.0}},
+        {"output_dir": None},
         {"max_steps": True},
         {"snapshot_every": True},
         {"max_time": True},
-        {"plateau_tol": True},
-        {"plateau_tol": math.inf},
-        {"conventions": {"flow_sign": "up"}},
-        {"conventions": {"flow_sign": 2.0}},
-        {"conventions": {"flow_sign": True}},
-        {"conventions": {"cg_max_iter": "many"}},
-        {"conventions": {"cg_max_iter": 2.5}},
-        {"conventions": {"cg_max_iter": 0}},
-        {"conventions": {"cg_max_iter": True}},
-        {"conventions": {"sphere_kappa": 1.0}},
-        {"conventions": {"heisenberg_volume_weight": 8.0}},
-        {"conventions": {"cg_max_iter": 100}},
-        {"conventions": {"plateau_tol": 5e-4}},
         # JSON integers beyond float range
         {"max_time": 10**400},
         {"dt": 10**400},
-        {"plateau_tol": 10**400},
-        # a numeric string, NaN and an empty plateau window
+        # a numeric string and NaN
         {"dt": "1e-9"},
         {"max_time": math.nan},
-        {"plateau_window": 0},
+        # the fixed conventions, even at the values a run uses
+        {"conventions": {}},
+        {"conventions": {"flow_sign": DESCENT}},
+        {"conventions": {"flow_sign": 1.0}},
+        {"plateau_tol": None},
+        {"plateau_tol": PLATEAU_TOL},
+        {"plateau_window": None},
+        {"plateau_window": PLATEAU_WINDOW},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(base_config(tmp_path, **overrides))
-    # flow.run refuses the same run-argument values
     (key, value), = overrides.items()
-    if key == "conventions" and isinstance(value, dict) and list(value) == ["flow_sign"]:
-        key, value = "flow_sign", value["flow_sign"]
-    if key in RunConfig.from_dict(base_config(tmp_path)).run_args():
-        geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8]})
+    with pytest.raises(ConfigError,
+                       match="unknown config keys" if key in FIXED_KEYS else None):
+        RunConfig.from_dict(base_config(tmp_path, **overrides))
+    # flow.run refuses the same run-argument values, and has no fixed ones
+    geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8]})
+    if key in FIXED_KEYS:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            flow.run(geom.constant(0.0), **{key: value})
+    elif key in RunConfig.from_dict(base_config(tmp_path)).run_args():
         with pytest.raises(ValueError):
             flow.run(geom.constant(0.0), **{key: value})
-
-
-def test_config_accepts_convention_overrides(tmp_path):
-    cfg = RunConfig.from_dict(
-        base_config(tmp_path, conventions={"flow_sign": 1.0})
-    )
-    assert cfg.flow_sign == 1.0
-    assert RunConfig.from_dict(base_config(tmp_path)).flow_sign == -1.0
-
-
-def test_config_errors_name_the_refused_convention(tmp_path):
-    with pytest.raises(ConfigError, match=re.escape(
-            "bad convention override: only flow_sign may be set, not "
-            "['c_stab', 'sphere_kappa']")):
-        RunConfig.from_dict(base_config(
-            tmp_path, conventions={"sphere_kappa": 1.0, "c_stab": 1.0}))
-    with pytest.raises(ConfigError, match=re.escape(
-            "bad convention override: flow_sign must be -1.0 or 1.0, got True")):
-        RunConfig.from_dict(base_config(tmp_path, conventions={"flow_sign": True}))
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +214,20 @@ def plateau_entries(obj, path=()):
     return out
 
 
+# ``used``: how the run ends, by its step budget or by the plateau test
 @pytest.mark.parametrize("overrides, used", [
-    ({}, {"plateau_tol": PLATEAU_TOL, "plateau_window": PLATEAU_WINDOW}),
-    ({"plateau_tol": 5e-4, "plateau_window": 10},
-     {"plateau_tol": 5e-4, "plateau_window": 10}),
+    ({}, {"outcome": "max_time", "n_steps": 12}),
+    ({"initial_data": {"kind": "constant", "value": 0.0}, "max_steps": None},
+     {"outcome": "plateau", "n_steps": PLATEAU_WINDOW}),
 ])
 def test_meta_states_each_plateau_value_once(tmp_path, overrides, used):
-    cfg_path, cfg = write_config(tmp_path, **overrides)
+    cfg_path, _ = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg_path)]) == EXIT_OK
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    # the config echo holds the input as given; the run's values appear once
-    entries = [(p, v) for p, v in plateau_entries(meta) if p[0] != "config"]
-    assert sorted(entries) == [(("resolved", k), v) for k, v in sorted(used.items())]
-    assert {k: v for k, v in meta["config"].items() if k.startswith("plateau")} \
-        == {k: cfg.get(k) for k in ("plateau_tol", "plateau_window")}
+    assert {k: meta[k] for k in used} == used
+    assert plateau_entries(meta) == [(("conventions", "plateau_tol"), PLATEAU_TOL),
+                                     (("conventions", "plateau_window"), PLATEAU_WINDOW)]
+    assert set(meta["resolved"]) == {"dt", "output_dir"}
 
 
 def test_run_snapshots_round_trip(tmp_path):
@@ -354,24 +341,23 @@ def test_zero_data_run_plateaus(tmp_path, capsys):
         assert int(rows[-1][0]) == PLATEAU_WINDOW
 
 
-def test_ascending_probe_exits_with_the_blowup_code(tmp_path, capsys):
-    cfg_path, _ = write_config(
-        tmp_path,
-        geometry={
-            "kind": "HeisenbergSector2D",
-            "resolution": [32, 32],
-            "periods": [1.0, 1.0],
-        },
-        initial_data={"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2},
-        dt=5e-10,
-        max_steps=20000,
-        conventions={"flow_sign": 1.0},
-    )
+# RK4 at about 270 times the automatic step, beyond its stability edge
+UNSTABLE_RUN = {
+    "geometry": {"kind": "HeisenbergSector2D", "resolution": [32, 32]},
+    "initial_data": {"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2},
+    "dt": 1e-7,
+    "max_steps": 60,
+}
+
+
+def test_unstable_step_exits_with_the_blowup_code(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, **UNSTABLE_RUN)
     assert main(["run", str(cfg_path)]) == EXIT_BLOWUP
     assert "outcome: blowup" in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["outcome"] == "blowup"
-    assert meta["n_steps"] < 20000
+    assert meta["final"]["overflow_flag"]
+    assert meta["n_steps"] < 60
 
 
 def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys, monkeypatch):
@@ -526,11 +512,7 @@ EXIT_REPORTER = (
 def test_run_process_freezes_the_heap_at_exit_only_from_main(tmp_path):
     ok_path, _ = write_config(tmp_path, "ok.json")
     bad_path, _ = write_config(tmp_path, "bad.json", integrator="leapfrog")
-    up_path, _ = write_config(
-        tmp_path, "up.json",
-        geometry={"kind": "HeisenbergSector2D", "resolution": [32, 32]},
-        initial_data={"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2},
-        dt=5e-10, max_steps=60, conventions={"flow_sign": 1.0})
+    up_path, _ = write_config(tmp_path, "up.json", **UNSTABLE_RUN)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
     cases = [([], EXIT_OK, None),
              (["run", str(ok_path)], EXIT_OK, "outcome: max_time"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,9 +31,7 @@ def sector(n=16, periods=(1.0, 1.0), t_fiber=1.0):
 
 
 def sphere(n=64):
-    return build_geometry(
-        {"kind": "SphereReduced1D", "resolution": [n], "periods": [1.0]}
-    )
+    return build_geometry({"kind": "SphereReduced1D", "resolution": [n]})
 
 
 def lattice(nx=8, ny=8, nt=16, lt=1.0):
@@ -105,6 +104,17 @@ def test_period_validation():
                             "t_fiber": t_fiber})
     with pytest.raises(GeometryError, match="resolution"):
         build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 1e400]})
+    # a key the kind does not read is named, not ignored
+    for spec, key in (({"kind": "HeisenbergSector2D", "resolution": [8, 8],
+                        "period": [2, 1]}, "period"),
+                      ({"kind": "HeisenbergSector2D", "resolution": [8, 8],
+                        "cutoff_t": 2}, "cutoff_t"),
+                      ({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
+                        "t_fiber": 1.0}, "t_fiber"),
+                      ({"kind": "SphereReduced1D", "resolution": [16],
+                        "periods": [5.0]}, "periods")):
+        with pytest.raises(GeometryError, match=re.escape(f"does not read the keys ['{key}']")):
+            build_geometry(spec)
     # dx^2 underflows to 0 or overflows to inf: the stencil divides by it
     for kind, periods in (("HeisenbergSector2D", [1e-320, 1.0]),
                           ("HeisenbergSector2D", [1.0, 1e-320]),
@@ -434,6 +444,14 @@ def test_initial_data_validation_errors():
     ]
     for spec in bad_specs:
         with pytest.raises(GeometryError):
+            initial_data(geom, spec)
+    # a key the kind does not read is named, not ignored; cutoff_t is read
+    # on the lattice only
+    for geom, spec, key in ((sector(8), {"kind": "random", "sed": 4}, "sed"),
+                            (sector(8), {"kind": "constant", "valu": 2}, "valu"),
+                            (sector(8), {"kind": "random", "cutoff_t": 2}, "cutoff_t"),
+                            (sphere(16), {"kind": "random", "cutoff_t": 2}, "cutoff_t")):
+        with pytest.raises(GeometryError, match=re.escape(f"does not read the keys ['{key}']")):
             initial_data(geom, spec)
     for geom in (sector(8), sphere(16)):
         with pytest.raises(GeometryError, match="unknown initial-data kind 'bump'"):

@@ -40,9 +40,7 @@ def sector(n=16, periods=(1.0, 1.0)):
 
 
 def sphere(n=64):
-    return build_geometry(
-        {"kind": "SphereReduced1D", "resolution": [n], "periods": [1.0]}
-    )
+    return build_geometry({"kind": "SphereReduced1D", "resolution": [n]})
 
 
 def lattice():
