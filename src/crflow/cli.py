@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .conventions import conventions_record
+from .conventions import _shown, conventions_record
 from .manifold import GeometryError, build_geometry, initial_data
 
 __all__ = [
@@ -136,7 +136,7 @@ class RunConfig:
         allowed = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - allowed)
         if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
+            raise ConfigError(f"unknown config keys: {_shown(unknown)}")
         missing = sorted(k for k in ("geometry", "initial_data") if k not in raw)
         if missing:
             raise ConfigError(f"missing required config keys: {missing}")
@@ -251,7 +251,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         os.makedirs(outdir, exist_ok=True)
     except (ConfigError, GeometryError, OSError, ValueError, MemoryError) as exc:
         # MemoryError: a grid too large to allocate is a configuration error
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
     started = time.perf_counter()
@@ -294,7 +297,7 @@ def _registry_module(name: str) -> str:
 
     if name not in invariants.MODULES:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} (choose from {', '.join(invariants.MODULES)})"
+            f"invalid choice: {_shown(name)} (choose from {', '.join(invariants.MODULES)})"
         )
     return name
 

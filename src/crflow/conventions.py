@@ -7,9 +7,9 @@ constant is pinned exactly once.  The conventions are:
   flat group it is -(X^2 + Y^2)/2 for the horizontal frame X, Y;
 * the conformally covariant second-order operator is L = 4 * sublap + W
   (dimension-3 coefficient 4);
-* the evolution moves *down* the energy gradient (flow_sign = DESCENT =
-  -1).  ``flow.run`` also accepts the ascending sign +1, which only the
-  blow-up probe of ``crflow check`` uses; a run config cannot set it;
+* the evolution moves *down* the energy gradient: the flow's kernels
+  multiply by DESCENT = -1, and no run sets another sign (the blow-up
+  probe of ``crflow check`` climbs by its own RK4 on -rhs);
 * the reduced-sphere frame constant c_s = 8 and total volume kappa = pi^2
   follow from realizing the round structure as the |w + i|^{-2} rescaling
   of the flat one (derivation: tests/oracles/sphere_reduction.py);
@@ -34,24 +34,36 @@ SOLVE_TOL = 1e-10                     # relative residual of a linear solve
 BLOWUP_THRESHOLD = 20.0               # max |lambda| before declaring blow-up
 PLATEAU_WINDOW = 50                   # steps per plateau comparison
 PLATEAU_TOL = 1e-10                   # |dE|/E threshold for a plateau
-DESCENT = -1.0                        # the default flow_sign
+DESCENT = -1.0                        # the flow moves down the gradient
+
+
+_SHOWN_MAX = 80                       # characters of one value in a message
 
 
 def _shown(value) -> str:
-    """``repr(value)`` for an error message, but an integer of more than
-    64 bits, any beyond float range included, by its size: its digits
-    could fill any length of line, and past 4300 of them ``repr`` raises.
-    A list or tuple is shown entry by entry by the same rule."""
+    """``ascii(value)`` for an error message, bounded to ``_SHOWN_MAX``
+    characters, which are bytes too: a longer text keeps its head and
+    names its length.  An integer of more than 64 bits, any beyond float
+    range included, is named by its size (past 4300 digits ``ascii``
+    raises), in a list or tuple too."""
+    text = _unbounded(value)
+    if len(text) > _SHOWN_MAX:
+        tail = f"... ({len(text)} characters)"
+        text = text[:_SHOWN_MAX - len(tail)] + tail
+    return text
+
+
+def _unbounded(value) -> str:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         bits = int(value).bit_length()
         if bits > 64:
             return f"an integer of {bits} bits"
     if isinstance(value, (list, tuple)):
-        inner = ", ".join(map(_shown, value))
+        inner = ", ".join(map(_unbounded, value))
         if isinstance(value, list):
             return f"[{inner}]"
         return f"({inner},)" if len(value) == 1 else f"({inner})"
-    return repr(value)
+    return ascii(value)
 
 
 def conventions_record() -> dict:

@@ -183,7 +183,7 @@ def bondi(lam: ScalarField) -> float:
 # gradient flow right-hand side
 
 
-def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
+def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
                 out: np.ndarray | None = None,
                 work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Returns (rhs, w) at the conformal exponent ``values``: sigma *
@@ -202,7 +202,7 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
     arrays.  The curvature's scratch is reused in place, each product
     and sum with the operands and grouping of
 
-        flow_sign * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
+        DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
 
     Where the curvature skipped m2 (What == 0 and m2 finite), What * m2
     is exactly +0.0, so the background term is w * 0.0: the same bits.
@@ -229,11 +229,11 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, flow_sign: float, *,
         m2 *= w
         cov += m2
     cov -= np.multiply(w, w, out=work.m2)
-    cov *= flow_sign * 2.0
+    cov *= DESCENT * 2.0
     return cov, w
 
 
-def flow_rhs(lam: ScalarField, flow_sign: float = DESCENT) -> ScalarField:
+def flow_rhs(lam: ScalarField) -> ScalarField:
     """Right-hand side of the volume-preserving downward energy flow.
 
     Exactly annihilates constants and has exactly zero e^{4 lambda}-
@@ -243,7 +243,7 @@ def flow_rhs(lam: ScalarField, flow_sign: float = DESCENT) -> ScalarField:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return ScalarField(lam.geometry,
-                           _rhs_values(lam.geometry, lam.values, flow_sign)[0])
+                           _rhs_values(lam.geometry, lam.values)[0])
 
 
 def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
@@ -253,7 +253,7 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
     geom = lam.geometry
     h = 1e-5
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(geom, lam.values, DESCENT)[0]
+        rhs = _rhs_values(geom, lam.values)[0]
         lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
@@ -265,8 +265,7 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
 # states and diagnostics
 
 
-def make_state(lam: ScalarField, time: float, step_index: int,
-               flow_sign: float = DESCENT, *,
+def make_state(lam: ScalarField, time: float, step_index: int, *,
                work: Workspace | None = None) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
     diagnostics: one rhs and one curvature evaluation.
@@ -280,7 +279,7 @@ def make_state(lam: ScalarField, time: float, step_index: int,
     if work is None:
         work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs, w = _rhs_values(geom, values, flow_sign, work=work)
+        rhs, w = _rhs_values(geom, values, work=work)
         m4 = np.multiply(values, 4.0, out=work.u)
         np.exp(m4, out=m4)
         vol = _weighted_sum(geom, m4)
@@ -291,7 +290,7 @@ def make_state(lam: ScalarField, time: float, step_index: int,
         bon = _weighted_sum(geom, np.exp(scratch, out=scratch))
         np.multiply(rhs, rhs, out=scratch)
         scratch *= m4
-        dis = flow_sign * _weighted_sum(geom, scratch)
+        dis = DESCENT * _weighted_sum(geom, scratch)
     if (math.isfinite(vol) and math.isfinite(ene) and math.isfinite(bon)
             and math.isfinite(dis)):
         # energy and dissipation sum w^2 e^{4 lambda} and rhs^2 e^{4 lambda},
@@ -329,7 +328,7 @@ def detect_blowup(state: FlowState) -> bool:
 # time stepping
 
 
-def step_explicit(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
+def step_explicit(state: FlowState, dt: float, *,
                   work: Workspace | None = None) -> FlowState:
     """One classical four-stage Runge-Kutta step of the semi-discrete flow.
 
@@ -353,13 +352,13 @@ def step_explicit(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
         k1 = state.rhs
         stage = np.multiply(k1, 0.5 * dt, out=work.stage)
         stage += y
-        k2 = _rhs_values(geom, stage, flow_sign, work=work)[0]
+        k2 = _rhs_values(geom, stage, work=work)[0]
         np.multiply(k2, 0.5 * dt, out=stage)
         stage += y
-        k3 = _rhs_values(geom, stage, flow_sign, out=work.k3, work=work)[0]
+        k3 = _rhs_values(geom, stage, out=work.k3, work=work)[0]
         np.multiply(k3, dt, out=stage)
         stage += y
-        k4 = _rhs_values(geom, stage, flow_sign, out=work.k4, work=work)[0]
+        k4 = _rhs_values(geom, stage, out=work.k4, work=work)[0]
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
@@ -368,10 +367,10 @@ def step_explicit(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
         k2 *= dt / 6.0
         k2 += y
     return make_state(ScalarField(geom, k2), state.time + dt,
-                      state.step_index + 1, flow_sign, work=work)
+                      state.step_index + 1, work=work)
 
 
-def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
+def step_imex(state: FlowState, dt: float, *,
               work: Workspace | None = None) -> FlowState:
     """One implicit-explicit Euler step with biharmonic stabilization,
     solved for the increment:
@@ -413,8 +412,7 @@ def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
         return make_state(ScalarField(geom, np.full_like(y, np.nan)),
-                          state.time + dt, state.step_index + 1, flow_sign,
-                          work=work)
+                          state.time + dt, state.step_index + 1, work=work)
 
     def shifted(v: np.ndarray) -> np.ndarray:
         inner = _div_form_values(geom, v, out=work.k3, work=work)
@@ -433,8 +431,7 @@ def step_imex(state: FlowState, dt: float, flow_sign: float = DESCENT, *,
         v_new = _weighted_sum(geom, np.exp(m4, out=m4))
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
         sol.values += 0.25 * math.log(v_old / v_new)
-    return make_state(sol, state.time + dt, state.step_index + 1, flow_sign,
-                      work=work)
+    return make_state(sol, state.time + dt, state.step_index + 1, work=work)
 
 
 def auto_dt(geom: ModelGeometry) -> float:
@@ -471,16 +468,13 @@ def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
 _PLATEAU_FLOOR = 1e-300
 
 
-def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every,
-                    flow_sign=DESCENT) -> None:
+def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every) -> None:
     """The one rule for ``run``'s arguments, which ``RunConfig`` applies
     to a config file too.  Numbers are read by manifold's readers:
     booleans and strings are refused, and an integer may be an integral
-    float.  ``flow_sign`` is -1.0 (descent) or 1.0 (the ascending probe
-    of the blow-up check).  Raises ValueError naming the first bad
-    argument."""
+    float.  Raises ValueError naming the first bad argument."""
     if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {integrator!r}")
+        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {_shown(integrator)}")
     try:
         if dt != "auto" and _as_finite(dt, "dt") <= 0:
             raise ValueError(f"dt must be 'auto' or positive, got {_shown(dt)}")
@@ -494,14 +488,11 @@ def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every,
                 f"snapshot_every must be at least 0, got {_shown(snapshot_every)}")
     except GeometryError as exc:    # the readers' error type names the geometry
         raise ValueError(str(exc)) from None
-    if isinstance(flow_sign, bool) or flow_sign not in (-1.0, 1.0):
-        raise ValueError(f"flow_sign must be -1.0 or 1.0, got {_shown(flow_sign)}")
 
 
 def run(lam0: ScalarField, *, integrator: str = "explicit",
         dt: float | str = "auto", max_time: float = 1.0,
-        max_steps: int | None = None, snapshot_every: int = 0,
-        flow_sign: float = DESCENT) -> Trajectory:
+        max_steps: int | None = None, snapshot_every: int = 0) -> Trajectory:
     """March the flow from ``lam0``, on its geometry, to one of five outcomes.
 
     Outcomes: ``blowup`` (non-finite state or |lambda| past threshold),
@@ -520,7 +511,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     ``_check_run_args``, and the resolved dt must be positive and
     finite; a bad one raises ValueError.
     """
-    _check_run_args(integrator, dt, max_time, max_steps, snapshot_every, flow_sign)
+    _check_run_args(integrator, dt, max_time, max_steps, snapshot_every)
     geom = lam0.geometry
     dt_val = resolve_dt(geom, dt)
     # read from the module at call time, so a patched step is the one run
@@ -532,7 +523,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         max_steps = int(np.ceil(budget)) + 1 if math.isfinite(budget) else math.inf
 
     work = Workspace(geom)      # every step's scratch, released on return
-    state = make_state(lam0, 0.0, 0, flow_sign, work=work)
+    state = make_state(lam0, 0.0, 0, work=work)
     traj = Trajectory(outcome="max_time", dt=dt_val)
 
     def record(st: FlowState) -> None:
@@ -558,7 +549,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
             break
         e_old = state.diagnostics.energy
         try:
-            state = stepper(state, dt_val, flow_sign, work=work)
+            state = stepper(state, dt_val, work=work)
         except LinearSolveError as exc:
             traj.outcome = "solver_failure"
             traj.solver_error = str(exc)

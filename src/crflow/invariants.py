@@ -470,16 +470,33 @@ def _bondi_reported():
 
 def _blowup_taxonomy():
     geom = _sector(32)
-    traj = flow.run(
-        _smooth(geom, 7, 0.15, 2), dt=5e-10, max_time=1.0,
-        max_steps=20000, flow_sign=1.0,
-    )
-    finite = [d for d in traj.diagnostics if np.isfinite(d.lam_max)]
+    lam0 = _smooth(geom, 7, 0.15, 2)
+
+    def ascent(v):
+        return -flow.flow_rhs(ScalarField(geom, v)).values
+
+    # the probe: classical RK4 up the energy gradient at dt 5e-10
+    dt = 5e-10
+    probe = [flow.make_state(lam0, 0.0, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not flow.detect_blowup(probe[-1]) and probe[-1].step_index < 20000:
+            state = probe[-1]
+            y = state.lam.values
+            k1 = -state.rhs
+            k2 = ascent(y + 0.5 * dt * k1)
+            k3 = ascent(y + 0.5 * dt * k2)
+            k4 = ascent(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            probe.append(flow.make_state(ScalarField(geom, y), state.time + dt,
+                                         state.step_index + 1))
+    finite = [s.diagnostics for s in probe if np.isfinite(s.diagnostics.lam_max)]
     cells = {d.lam_argmax for d in finite[-5:]}
     peaks = [d.lam_max for d in finite[-5:]]
-    blew_up = traj.outcome == "blowup" and len(traj.diagnostics) - 1 < 20000
+    blew_up = flow.detect_blowup(probe[-1])
     ascending = all(b > a for a, b in zip(peaks, peaks[1:]))
     localized = len(cells) <= 3
+    # run's own label: descent RK4 past its stability edge
+    unstable = flow.run(lam0, dt=1e-7, max_steps=60).outcome
 
     clean = True
     outcomes = []
@@ -492,10 +509,12 @@ def _blowup_taxonomy():
             for d in t.diagnostics
         ):
             clean = False
-    return blew_up and ascending and localized and clean, (
-        f"ascending probe: outcome {traj.outcome!r} after "
-        f"{len(traj.diagnostics) - 1} steps, last five peaks strictly rising: "
-        f"{ascending}, final argmax cells {sorted(cells)}; standard runs: "
+    ok = blew_up and ascending and localized and unstable == "blowup" and clean
+    return ok, (
+        f"ascending probe: blow-up {blew_up} after {probe[-1].step_index} "
+        f"steps, last five peaks strictly rising: {ascending}, final argmax "
+        f"cells {sorted(cells)}; RK4 at dt 1e-7: outcome {unstable!r} (need "
+        f"'blowup'); standard runs: "
         f"outcomes {outcomes} (need all 'max_time'), NaN-free: {clean}"
     )
 

@@ -171,9 +171,9 @@ class ModelGeometry:
         if not 0 <= axis < len(self.resolution):
             raise GeometryError(
                 f"grid shifts move along axis 0 to {len(self.resolution) - 1}, "
-                f"got axis {axis!r}")
+                f"got axis {_shown(axis)}")
         if step not in (1, -1):
-            raise GeometryError(f"grid shifts move one cell (step +-1), got {step!r}")
+            raise GeometryError(f"grid shifts move one cell (step +-1), got {_shown(step)}")
         lattice = self.kind == HEISENBERG_LATTICE
         # the gather tables hold only in-range indices, and mode="wrap"
         # writes into ``out`` directly where "raise" buffers a copy
@@ -306,7 +306,7 @@ def _refuse_unread_keys(spec: dict, read: tuple, what: str) -> None:
     place without a word."""
     unread = sorted(set(spec) - set(read), key=str)
     if unread:
-        raise GeometryError(f"{what} does not read the keys {unread}")
+        raise GeometryError(f"{what} does not read the keys {_shown(unread)}")
 
 
 def build_geometry(config: dict) -> ModelGeometry:

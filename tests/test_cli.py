@@ -80,8 +80,12 @@ def test_config_round_trips_through_json(tmp_path):
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        RunConfig.from_dict(base_config(tmp_path, typo_key=1))
+    # a long key and many keys are shown by their head and length
+    for unknown in ({"typo_key": 1}, {"k" * 300: 1},
+                    {f"unknown{i}": i for i in range(40)}):
+        with pytest.raises(ConfigError, match="unknown config keys") as exc:
+            RunConfig.from_dict(base_config(tmp_path, **unknown))
+        assert len(str(exc.value)) <= 200
 
 
 def test_config_requires_geometry_and_data(tmp_path):
@@ -133,6 +137,9 @@ FIXED_KEYS = ("conventions", "plateau_tol", "plateau_window")
         # a numeric string and NaN
         {"dt": "1e-9"},
         {"max_time": math.nan},
+        # long strings are shown by their head and length
+        {"integrator": "k" * 300},
+        {"dt": "k" * 300},
         # the fixed conventions, even at the values a run uses
         {"conventions": {}},
         {"conventions": {"flow_sign": DESCENT}},
@@ -146,16 +153,18 @@ FIXED_KEYS = ("conventions", "plateau_tol", "plateau_window")
 def test_config_validation_failures(tmp_path, overrides):
     (key, value), = overrides.items()
     with pytest.raises(ConfigError,
-                       match="unknown config keys" if key in FIXED_KEYS else None):
+                       match="unknown config keys" if key in FIXED_KEYS else None) as exc:
         RunConfig.from_dict(base_config(tmp_path, **overrides))
+    assert len(str(exc.value)) <= 200
     # flow.run refuses the same run-argument values, and has no fixed ones
     geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8]})
     if key in FIXED_KEYS:
         with pytest.raises(TypeError, match="unexpected keyword"):
             flow.run(geom.constant(0.0), **{key: value})
     elif key in RunConfig.from_dict(base_config(tmp_path)).run_args():
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             flow.run(geom.constant(0.0), **{key: value})
+        assert len(str(exc.value)) <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +311,7 @@ def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
         {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]})
     lam0 = initial_data(geom, {"kind": "random", "seed": 7, "amplitude": 0.15,
                                "cutoff": 2})
-    probe = flow.run(lam0, dt=5e-10, max_steps=20000, flow_sign=1.0)
+    probe = flow.run(lam0, dt=1e-7, max_steps=60)
     assert probe.outcome == "blowup"
     assert not math.isfinite(probe.diagnostics[-1].energy)
     for name, traj in (("synthetic", synthetic), ("probe", probe)):
@@ -416,9 +425,13 @@ def test_missing_config_file_exits_with_the_config_code(tmp_path, capsys):
 def test_output_dir_naming_a_file_exits_with_the_config_code(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
-    cfg_path, _ = write_config(tmp_path, output_dir=str(taken))
-    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    # a name too long for the file system is shown by its head and length
+    for outdir in (taken, tmp_path / ("o" * 300)):
+        cfg_path, _ = write_config(tmp_path, output_dir=str(outdir))
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err[0].encode()) <= 200
 
 
 def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):

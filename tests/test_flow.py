@@ -173,15 +173,6 @@ def test_explicit_step_advances_bookkeeping():
     assert nxt.diagnostics.energy <= state.diagnostics.energy
 
 
-def test_explicit_step_is_deterministic():
-    geom = sector()
-    a = step_explicit(make_state(random_data(geom, 42), 0.0, 0),
-                      1e-9)
-    b = step_explicit(make_state(random_data(geom, 42), 0.0, 0),
-                      1e-9)
-    np.testing.assert_array_equal(a.lam.values, b.lam.values)
-
-
 # The three kinds, the lattice with a non-trivial x-wrap twist (8 of 16
 # tau-cells) and twisted vertical modes in its data.
 FSAL_CASES = [
@@ -207,7 +198,7 @@ def reference_diagnostics(lam, time):
     """The Diagnostics record computed from the public functionals and a
     fresh right-hand side, independently of ``make_state``."""
     geom = lam.geometry
-    rhs = _rhs_values(geom, lam.values, DESCENT)[0]
+    rhs = _rhs_values(geom, lam.values)[0]
     w = webster_curvature(lam).values
     abs_lam = np.abs(lam.values)
     argmax = int(np.argmax(abs_lam))
@@ -226,7 +217,7 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
     dt = auto_dt(geom)
 
     def f(v):
-        return _rhs_values(geom, v, DESCENT)[0]
+        return _rhs_values(geom, v)[0]
 
     state = make_state(lam0, 0.0, 0)
     y, t = lam0.values, 0.0
@@ -251,7 +242,7 @@ def test_imex_step_is_the_same_with_a_fresh_rhs(make, data):
     state = make_state(lam0, 0.0, 0)
     for _ in range(5):
         fresh = dataclasses.replace(
-            state, rhs=_rhs_values(geom, state.lam.values, DESCENT)[0])
+            state, rhs=_rhs_values(geom, state.lam.values)[0])
         a = step_imex(state, dt)
         b = step_imex(fresh, dt)
         assert np.array_equal(a.lam.values, b.lam.values)
@@ -273,25 +264,25 @@ def expression_webster_core(geom, lam_values):
     return u, m2, em3, w
 
 
-def expression_rhs_values(geom, values, flow_sign):
+def expression_rhs_values(geom, values):
     u, m2, em3, w = expression_webster_core(geom, values)
     if not np.isfinite(values).all():
         return np.full_like(values, np.nan), w
     uw = u * w
     cov = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, uw)) \
         + (geom.background_curvature * m2) * w
-    return flow_sign * 2.0 * (cov - w * w), w
+    return DESCENT * 2.0 * (cov - w * w), w
 
 
-def expression_state(geom, values, time, flow_sign):
+def expression_state(geom, values, time):
     """(rhs, w, Diagnostics) of ``values``, as make_state assembled them
     with one whole-array temporary per operation."""
-    rhs, w = expression_rhs_values(geom, values, flow_sign)
+    rhs, w = expression_rhs_values(geom, values)
     m4 = np.exp(4.0 * values)
     vol = _weighted_sum(geom, m4)
     ene = _weighted_sum(geom, w * w * m4)
     bon = _weighted_sum(geom, np.exp(5.0 * values))
-    dis = flow_sign * _weighted_sum(geom, rhs * rhs * m4)
+    dis = DESCENT * _weighted_sum(geom, rhs * rhs * m4)
     finite_w = bool(np.isfinite(w).all())
     w_min = float(w.min()) if finite_w else float("nan")
     w_max = float(w.max()) if finite_w else float("nan")
@@ -308,9 +299,9 @@ def expression_state(geom, values, time, flow_sign):
     return rhs, w, diag
 
 
-def expression_rk4(geom, y, dt, flow_sign):
+def expression_rk4(geom, y, dt):
     def f(v):
-        return expression_rhs_values(geom, v, flow_sign)[0]
+        return expression_rhs_values(geom, v)[0]
 
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
@@ -345,13 +336,13 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a[a == 0]), np.signbit(b[b == 0]))
 
 
-def assert_pinned(state, y, time, flow_sign):
+def assert_pinned(state, y, time):
     """``state`` and a fresh ``_rhs_values`` at ``y`` hold the expression
     form's bits; returns the expression form's (rhs, Diagnostics)."""
     geom = state.lam.geometry
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_rhs, ref_w, ref_diag = expression_state(geom, y, time, flow_sign)
-        rhs, w = _rhs_values(geom, y, flow_sign)
+        ref_rhs, ref_w, ref_diag = expression_state(geom, y, time)
+        rhs, w = _rhs_values(geom, y)
     assert_same_bits(state.lam.values, y)
     for got in (rhs, state.rhs):
         assert_same_bits(got, ref_rhs)
@@ -369,16 +360,16 @@ def test_steps_keep_the_expression_form_bits(name):
     for stepper, steps, h in ((step_explicit, 20, dt), (step_imex, 5, 10.0 * dt)):
         state = make_state(lam0, 0.0, 0)
         y, t = lam0.values, 0.0
-        rhs, diag = assert_pinned(state, y, t, DESCENT)
+        rhs, diag = assert_pinned(state, y, t)
         for _ in range(steps):
             with np.errstate(over="ignore", invalid="ignore"):
                 if stepper is step_explicit:
-                    y = expression_rk4(geom, y, h, DESCENT)
+                    y = expression_rk4(geom, y, h)
                 else:
                     y = expression_imex(geom, y, rhs, diag.volume, h)
             t = t + h
             state = stepper(state, h)
-            rhs, diag = assert_pinned(state, y, t, DESCENT)
+            rhs, diag = assert_pinned(state, y, t)
         assert not state.diagnostics.overflow_flag
 
 
@@ -406,20 +397,19 @@ def test_kernels_keep_the_expression_form_bits_past_overflow(name):
         near_bound.append(near)
     for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan,
                    bondi_only, two_huge, lam0.values - 300.0, *near_bound):
-        for sign in (DESCENT, -DESCENT):
-            state = make_state(ScalarField(geom, values), 0.0, 0, sign)
-            rhs, diag = assert_pinned(state, values, 0.0, sign)
-            assert diag.overflow_flag
-            if values is two_huge:
-                assert np.isfinite(rhs).any()
-            elif values is bondi_only:
-                assert math.isinf(diag.bondi)
-                assert math.isfinite(diag.energy) and math.isfinite(diag.w_min)
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_rk4 = expression_rk4(geom, values, dt, sign)
-                y_imex = expression_imex(geom, values, rhs, diag.volume, 10.0 * dt)
-            assert_pinned(step_explicit(state, dt, sign), y_rk4, dt, sign)
-            assert_pinned(step_imex(state, 10.0 * dt, sign), y_imex, 10.0 * dt, sign)
+        state = make_state(ScalarField(geom, values), 0.0, 0)
+        rhs, diag = assert_pinned(state, values, 0.0)
+        assert diag.overflow_flag
+        if values is two_huge:
+            assert np.isfinite(rhs).any()
+        elif values is bondi_only:
+            assert math.isinf(diag.bondi)
+            assert math.isfinite(diag.energy) and math.isfinite(diag.w_min)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_rk4 = expression_rk4(geom, values, dt)
+            y_imex = expression_imex(geom, values, rhs, diag.volume, 10.0 * dt)
+        assert_pinned(step_explicit(state, dt), y_rk4, dt)
+        assert_pinned(step_imex(state, 10.0 * dt), y_imex, 10.0 * dt)
 
 
 def assert_untouched(arrays, before):
@@ -446,7 +436,7 @@ def test_kernels_and_steps_never_write_their_inputs(name):
                 assert np.array_equal(out, _div_form_values(geom, ints.astype(float), wf))
 
     before = v.copy()
-    rhs, w = _rhs_values(geom, v, DESCENT)
+    rhs, w = _rhs_values(geom, v)
     assert_untouched([v], [before])
     assert not (np.shares_memory(rhs, v) or np.shares_memory(w, v)
                 or np.shares_memory(rhs, w))
@@ -686,10 +676,13 @@ def test_run_validates_inputs():
     lam = random_data(geom, 54)
     for bad in ({"integrator": "leapfrog"}, {"dt": -1e-9}, {"dt": True},
                 {"dt": "1e-9"}, {"max_time": math.nan}, {"max_steps": 2.5},
-                {"snapshot_every": True}, {"max_time": 10**5000}, {"max_steps": -(10**5000)}):
+                {"snapshot_every": True}, {"max_time": 10**5000}, {"max_steps": -(10**5000)},
+                {"integrator": "k" * 300}, {"dt": "k" * 300}):
         with pytest.raises(ValueError, match=next(iter(bad))) as exc:
             run(lam, **bad)
-        assert len(str(exc.value)) <= 200    # a huge integer is named by its size
+        # a huge integer is named by its size, a long string by its head
+        # and length
+        assert len(str(exc.value)) <= 200
     # an integer argument may be an integral float, as in a config file
     traj = run(lam, dt=1e-9, max_steps=2.0, snapshot_every=1.0)
     assert len(traj.diagnostics) == 3
@@ -697,14 +690,8 @@ def test_run_validates_inputs():
 
 
 def test_run_refuses_a_bad_flow_sign():
-    geom = sector()
-    lam = random_data(geom, 54)
-    for bad in (2.0, True, 0.0, "up", 10**400, 10**5000):
-        with pytest.raises(ValueError, match="flow_sign") as exc:
-            run(lam, flow_sign=bad, max_steps=1)
-        assert len(str(exc.value)) <= 200    # a huge integer is named by its size
-    for good in (-1.0, 1.0):
-        assert len(run(lam, flow_sign=good, max_steps=1).diagnostics) == 2
+    with pytest.raises(TypeError, match="unexpected keyword argument 'flow_sign'"):
+        run(random_data(sector(), 54), flow_sign=-1.0)
 
 
 def test_dt_auto_resolves_to_the_formula_value():

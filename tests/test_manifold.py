@@ -98,6 +98,12 @@ def test_period_validation():
                 {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": periods}
             )
         assert len(str(exc.value)) <= 200    # a huge integer is named by its size
+    # a long key or kind is shown by its head and length
+    for spec in ({"kind": "HeisenbergSector2D", "resolution": [8, 8], "k" * 300: 1},
+                 {"kind": "k" * 300}):
+        with pytest.raises(GeometryError, match="characters") as exc:
+            build_geometry(spec)
+        assert len(str(exc.value)) <= 200
     for t_fiber in ([1], "1.0", math.inf, math.nan, None):
         with pytest.raises(GeometryError, match="t_fiber"):
             build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8],
@@ -456,6 +462,11 @@ def test_initial_data_validation_errors():
     for geom in (sector(8), sphere(16)):
         with pytest.raises(GeometryError, match="unknown initial-data kind 'bump'"):
             initial_data(geom, {"kind": "bump"})
+    # a long key or kind is shown by its head and length
+    for spec in ({"kind": "constant", "k" * 300: 1}, {"kind": "k" * 300}):
+        with pytest.raises(GeometryError, match="characters") as exc:
+            initial_data(sector(8), spec)
+        assert len(str(exc.value)) <= 200
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from crflow.conventions import (
     YAMABE_COEFFICIENT,
 )
 from crflow.flow import auto_dt, run
-from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data, integrate
+from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data
 from crflow.operators import (
     CalibrationError,
     LinearSolveError,
@@ -62,20 +62,6 @@ def rand_field(geom, seed, amplitude=1.0):
 # plain stencil
 
 
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_sector_symbol_matches_discrete_dispersion(k):
-    # one-axis cosine modes are exact eigenvectors; their eigenvalue is the
-    # half-weighted five-point symbol 0.5 * (4/dx^2) * sin^2(pi k dx)
-    n = 32
-    geom = sector(n)
-    dx = geom.spacing[0]
-    xs = geom.axes()[0]
-    mode = np.cos(2.0 * np.pi * k * xs)[:, None] * np.ones((1, n))
-    out = sublap(ScalarField(geom, mode)).values
-    sigma = 0.5 * (4.0 / dx**2) * math.sin(math.pi * k * dx) ** 2
-    assert np.max(np.abs(out - sigma * mode)) <= 1e-9 * sigma
-
-
 def test_sphere_stencil_exact_on_linear_profiles():
     geom = sphere(64)
     s = geom.axes()[0]
@@ -116,13 +102,6 @@ def test_conformal_sublap_at_zero_exponent_is_the_plain_stencil():
     np.testing.assert_array_equal(
         conformal_sublap(zero, f).values, sublap(f).values
     )
-
-
-def test_conformal_sublap_annihilates_constants_exactly():
-    geom = sector(16)
-    lam = rand_field(geom, 10, amplitude=0.3)
-    const = ScalarField(geom, np.full(geom.resolution, -0.8))
-    assert np.all(conformal_sublap(lam, const).values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +187,6 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
 # curvature
 
 
-@pytest.mark.parametrize("make", [sector, sphere, lattice])
-def test_constant_state_curvature_is_exactly_scaled_background(make):
-    geom = make()
-    for c in (0.0, 0.3, -0.6):
-        lam = ScalarField(geom, np.full(geom.resolution, c))
-        w = webster_curvature(lam).values
-        expected = math.exp(-2.0 * c) * geom.background_curvature
-        assert np.all(w == expected)
-
-
 def test_webster_curvature_rejects_non_finite():
     geom = sector(8)
     values = np.full((8, 8), np.inf)
@@ -254,14 +223,6 @@ def test_extremal_profile_closed_form():
 
 # ---------------------------------------------------------------------------
 # calibration
-
-
-def test_calibration_is_deterministic_and_constant():
-    value = calibrate_sphere_curvature()
-    mean, rel_std = _measure_curvature(extremal_profile)
-    assert value == mean
-    assert value > 0.0
-    assert rel_std <= 1e-3
 
 
 def test_calibration_flat_profile_reads_zero():
@@ -516,15 +477,6 @@ def test_stability_symbol_sector_closed_form():
     assert stability_symbol_max(geom) == pytest.approx(
         2.0 / dx**2 + 2.0 / dy**2, rel=1e-15
     )
-
-
-def test_stability_symbol_dominates_measured_eigenvalues():
-    for geom in (sector(16), sphere(32), lattice()):
-        bound = stability_symbol_max(geom)
-        f = rand_field(geom, 12)
-        quad = integrate(ScalarField(geom, sublap(f).values * f.values))
-        norm = integrate(ScalarField(geom, f.values * f.values))
-        assert quad / norm <= bound * (1.0 + 1e-12)
 
 
 def test_stability_symbol_against_the_spectral_basis():
