@@ -134,7 +134,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("run configuration must be a JSON object")
         allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - allowed)
+        unknown = sorted(set(raw) - allowed, key=str)
         if unknown:
             raise ConfigError(f"unknown config keys: {_shown(unknown)}")
         missing = sorted(k for k in ("geometry", "initial_data") if k not in raw)

@@ -45,7 +45,7 @@ def _shown(value) -> str:
     characters, which are bytes too: a longer text keeps its head and
     names its length.  An integer of more than 64 bits, any beyond float
     range included, is named by its size (past 4300 digits ``ascii``
-    raises), in a list or tuple too."""
+    raises), inside a list, tuple, dict, set or frozenset too."""
     text = _unbounded(value)
     if len(text) > _SHOWN_MAX:
         tail = f"... ({len(text)} characters)"
@@ -63,6 +63,12 @@ def _unbounded(value) -> str:
         if isinstance(value, list):
             return f"[{inner}]"
         return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_unbounded(k)}: {_unbounded(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, (set, frozenset)) and value:
+        inner = "{" + ", ".join(map(_unbounded, value)) + "}"
+        return inner if isinstance(value, set) else f"frozenset({inner})"
     return ascii(value)
 
 

@@ -301,14 +301,19 @@ def make_state(lam: ScalarField, time: float, step_index: int, *,
         finite_w = bool(np.isfinite(w).all())
         overflow = not (finite_w and math.isfinite(vol) and math.isfinite(ene)
                         and math.isfinite(bon) and np.isfinite(rhs).all())
-    w_min = float(w.min()) if finite_w else float("nan")
-    w_max = float(w.max()) if finite_w else float("nan")
+    # reductions and array methods: the work of min, max, argmax and
+    # flat without numpy's Python wrappers
+    if finite_w:
+        w_min = float(np.minimum.reduce(w, axis=None))
+        w_max = float(np.maximum.reduce(w, axis=None))
+    else:
+        w_min = w_max = float("nan")
     abs_lam = np.abs(values, out=scratch)
-    argmax = int(np.argmax(abs_lam))    # the first NaN, if there is one
-    lam_max = float(abs_lam.flat[argmax])
+    argmax = int(abs_lam.argmax())      # the first NaN, if there is one
+    lam_max = abs_lam.item(argmax)
     if math.isnan(lam_max):             # rank NaN like inf: first of either
-        argmax = int(np.argmax(np.where(np.isnan(abs_lam), np.inf, abs_lam)))
-        lam_max = float(abs_lam.flat[argmax])
+        argmax = int(np.where(np.isnan(abs_lam), np.inf, abs_lam).argmax())
+        lam_max = abs_lam.item(argmax)
     diag = Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
                        w_min=w_min, w_max=w_max, dissipation=dis,
                        overflow_flag=overflow,

@@ -95,13 +95,44 @@ class Workspace:
     ``k4`` the Runge-Kutta stages.  A kernel writes only its temporaries
     here, so what a workspace holds is valid only until the next call
     that is given it; anything a caller may keep is a fresh array.
+
+    On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
+    whose two end faces no call writes, and ``sphere`` holds what the
+    stencil reads on every call: the flux views r[1:-1], r[1:] and
+    r[:-1], the interior face weights, the spacing ds, the fused scale
+    of ``_sphere_scale``, and the views u[1:] and u[:-1] of the array
+    the curvature and the right-hand side apply it to.  On the flat
+    kinds ``sphere`` is None.
     """
 
-    __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4")
+    __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4", "sphere")
 
     def __init__(self, geom: ModelGeometry):
-        for name in self.__slots__:
+        for name in self.__slots__[:-1]:
             setattr(self, name, np.empty(geom.resolution))
+        self.sphere = None
+        if geom.kind == SPHERE_REDUCED:
+            n = geom.resolution[0]
+            ds = geom.spacing[0]
+            flux = self.r = np.zeros(n + 1)
+            self.sphere = (flux[1:-1], flux[1:], flux[:-1], _sphere_faces(n)[1:-1],
+                           ds, _sphere_scale(ds), self.u[1:], self.u[:-1])
+
+
+def _sphere_scale(ds: float) -> float | None:
+    """-c_s / ds, the one multiply that replaces the sphere stencil's
+    (x * -c_s) / ds where it keeps every bit, else None.
+
+    That is where c_s >= 1 and ds <= 1 are powers of two and c_s / ds is
+    finite.  Then each of the two operations scales by a power of two of
+    at least 1, which is exact (a subnormal x too) until it overflows, so
+    both forms give the exact x * (-c_s / ds), or the same infinity.
+    """
+    if (math.frexp(SPHERE_CS)[0] == 0.5 and SPHERE_CS >= 1.0
+            and math.frexp(ds)[0] == 0.5 and ds <= 1.0
+            and math.isfinite(SPHERE_CS / ds)):
+        return -SPHERE_CS / ds
+    return None
 
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
@@ -122,32 +153,44 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
     The result is written into ``out`` and returned, or into a fresh
     float array without it; ``out`` shares no memory with ``v``, ``g`` or
-    ``work``'s edge arrays ``e`` and ``r``, the flat kinds' scratch (a
-    workspace is built when ``work`` is None).  Both branches work in
-    place, commuting operands but never regrouping them, so each cell sees
-    the expression form's operations in its order.  The flat kinds work
-    the X term in ``out`` and the Y term in ``e``, with ``r`` for the
-    edge weights and the edges read back: (0.0 + t_x) + t_y, times
-    -1/2.  Their division by d * d is a multiply by 1 / (d * d) where
-    d * d is a power of two with a finite reciprocal: both round the same
-    real number once, so the bits are the division's.  Any other d * d,
-    a subnormal power of two among them, is divided by.  The sphere
-    works in the zero-padded flux array: (mu * d) / ds on the interior
-    faces, then (-c_s * (flux[1:] - flux[:-1])) / ds.
+    ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
+    ``work`` is None).  Both branches work in place, commuting operands
+    but never regrouping them, so each cell sees the expression form's
+    operations in its order.
+
+    The flat kinds work the X term in ``out`` and the Y term in ``e``,
+    with ``r`` for the edge weights and the edges read back:
+    (0.0 + t_x) + t_y, times -1/2.  Their division by d * d is a multiply
+    by 1 / (d * d) where d * d is a power of two with a finite
+    reciprocal: both round the same real number once, so the bits are
+    the division's.  Any other d * d, a subnormal power of two among
+    them, is divided by.
+
+    The sphere works in the zero-padded flux ``r`` through the views of
+    ``work.sphere``, and reads ``v`` through them where it is ``work.u``,
+    so without ``g`` it allocates nothing: (mu * d) / ds on the interior
+    faces, then (-c_s * (flux[1:] - flux[:-1])) / ds, whose two scalings
+    are one multiply by -c_s / ds where ``_sphere_scale`` finds that
+    keeps every bit (ds = 1/64, not 1/48).
     """
     if geom.kind == SPHERE_REDUCED:
-        n = geom.resolution[0]
-        ds = geom.spacing[0]
-        flux = np.zeros(n + 1)
-        d = flux[1:-1]
-        np.subtract(v[1:], v[:-1], out=d)
+        if work is None:
+            work = Workspace(geom)
+        d, upper, lower, mu, ds, scale, u_upper, u_lower = work.sphere
+        if v is work.u:     # the curvature's and the rhs's input: views kept
+            np.subtract(u_upper, u_lower, out=d)
+        else:
+            np.subtract(v[1:], v[:-1], out=d)
         if g is not None:
             d *= 0.5 * (g[1:] + g[:-1])
-        d *= _sphere_faces(n)[1:-1]
+        d *= mu
         d /= ds
-        out = np.subtract(flux[1:], flux[:-1], out=out)
-        out *= -SPHERE_CS
-        out /= ds
+        out = np.subtract(upper, lower, out=out)
+        if scale is None:
+            out *= -SPHERE_CS
+            out /= ds
+        else:
+            out *= scale
         return out
 
     shift = geom.shift

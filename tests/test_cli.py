@@ -86,6 +86,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         with pytest.raises(ConfigError, match="unknown config keys") as exc:
             RunConfig.from_dict(base_config(tmp_path, **unknown))
         assert len(str(exc.value)) <= 200
+    # keys of mixed types are sorted by their text, and each is named
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[1, 'a'\]"):
+        RunConfig.from_dict({1: 2, "a": 3, "geometry": {}, "initial_data": {}})
 
 
 def test_config_requires_geometry_and_data(tmp_path):

@@ -92,7 +92,7 @@ def test_period_validation():
             {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1.0, -1.0]}
         )
     for periods in ([1, "inf"], [1.0, math.inf], [1.0, math.nan], [1.0, True], 1.0,
-                    [1, 2, 10**400], [1, 2, 10**5000]):
+                    [1, 2, 10**400], [1, 2, 10**5000], {"a": 10**5000}, {10**5000}):
         with pytest.raises(GeometryError, match="periods") as exc:
             build_geometry(
                 {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": periods}
