@@ -76,6 +76,23 @@ class LinearSolveError(RuntimeError):
 # divergence-form assembly
 
 
+def _operand(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array, the form the sphere stencil
+    gives its scalar operands in.
+
+    A ufunc converts a Python float operand on every call, which on a
+    64-cell array costs about as much as the arithmetic; a 0-d array is
+    taken as it is.  Both are the float64 x, so the result is the same
+    to the bit.
+    """
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_MINUS_CS = _operand(-SPHERE_CS)
+
+
 @functools.lru_cache(maxsize=None)
 def _sphere_faces(n: int):
     """Face weights s(1 - s) of the n-cell sphere grid, 0 at both ends.
@@ -98,41 +115,29 @@ class Workspace:
 
     On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
     whose two end faces no call writes, and ``sphere`` holds what the
-    stencil reads on every call: the flux views r[1:-1], r[1:] and
-    r[:-1], the interior face weights, the spacing ds, the fused scale
-    of ``_sphere_scale``, and the views u[1:] and u[:-1] of the array
-    the curvature and the right-hand side apply it to.  On the flat
+    stencil reads of it on every call (``_sphere_stencil``).  On the flat
     kinds ``sphere`` is None.
     """
 
     __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4", "sphere")
 
     def __init__(self, geom: ModelGeometry):
-        for name in self.__slots__[:-1]:
+        for name in ("e", "u", "m2", "em3", "w", "stage", "k3", "k4"):
             setattr(self, name, np.empty(geom.resolution))
-        self.sphere = None
         if geom.kind == SPHERE_REDUCED:
-            n = geom.resolution[0]
-            ds = geom.spacing[0]
-            flux = self.r = np.zeros(n + 1)
-            self.sphere = (flux[1:-1], flux[1:], flux[:-1], _sphere_faces(n)[1:-1],
-                           ds, _sphere_scale(ds), self.u[1:], self.u[:-1])
+            self.r = np.zeros(geom.resolution[0] + 1)
+            self.sphere = _sphere_stencil(geom, self.r)
+        else:
+            self.r = np.empty(geom.resolution)
+            self.sphere = None
 
 
-def _sphere_scale(ds: float) -> float | None:
-    """-c_s / ds, the one multiply that replaces the sphere stencil's
-    (x * -c_s) / ds where it keeps every bit, else None.
-
-    That is where c_s >= 1 and ds <= 1 are powers of two and c_s / ds is
-    finite.  Then each of the two operations scales by a power of two of
-    at least 1, which is exact (a subnormal x too) until it overflows, so
-    both forms give the exact x * (-c_s / ds), or the same infinity.
-    """
-    if (math.frexp(SPHERE_CS)[0] == 0.5 and SPHERE_CS >= 1.0
-            and math.frexp(ds)[0] == 0.5 and ds <= 1.0
-            and math.isfinite(SPHERE_CS / ds)):
-        return -SPHERE_CS / ds
-    return None
+def _sphere_stencil(geom: ModelGeometry, flux: np.ndarray) -> tuple:
+    """What the sphere stencil reads of a zero-padded n + 1 face flux:
+    its views flux[1:-1], flux[1:] and flux[:-1], the interior face
+    weights and the spacing ds as an ``_operand``."""
+    return (flux[1:-1], flux[1:], flux[:-1], _sphere_faces(geom.resolution[0])[1:-1],
+            _operand(geom.spacing[0]))
 
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
@@ -153,10 +158,10 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
     The result is written into ``out`` and returned, or into a fresh
     float array without it; ``out`` shares no memory with ``v``, ``g`` or
-    ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
-    ``work`` is None).  Both branches work in place, commuting operands
-    but never regrouping them, so each cell sees the expression form's
-    operations in its order.
+    ``work``'s edge arrays ``e`` and ``r`` (on the flat kinds a workspace
+    is built when ``work`` is None).  Both branches work in place,
+    commuting operands but never regrouping them, so each cell sees the
+    expression form's operations in its order.
 
     The flat kinds work the X term in ``out`` and the Y term in ``e``,
     with ``r`` for the edge weights and the edges read back:
@@ -167,30 +172,25 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     them, is divided by.
 
     The sphere works in the zero-padded flux ``r`` through the views of
-    ``work.sphere``, and reads ``v`` through them where it is ``work.u``,
-    so without ``g`` it allocates nothing: (mu * d) / ds on the interior
-    faces, then (-c_s * (flux[1:] - flux[:-1])) / ds, whose two scalings
-    are one multiply by -c_s / ds where ``_sphere_scale`` finds that
-    keeps every bit (ds = 1/64, not 1/48).
+    ``work.sphere`` (a fresh flux when ``work`` is None), so without ``g``
+    it allocates nothing: (mu * d) / ds on the interior faces, then
+    (-c_s * (flux[1:] - flux[:-1])) / ds, with ds and -c_s as
+    ``_operand``s.
     """
     if geom.kind == SPHERE_REDUCED:
         if work is None:
-            work = Workspace(geom)
-        d, upper, lower, mu, ds, scale, u_upper, u_lower = work.sphere
-        if v is work.u:     # the curvature's and the rhs's input: views kept
-            np.subtract(u_upper, u_lower, out=d)
+            flux = np.zeros(geom.resolution[0] + 1)
+            d, upper, lower, mu, ds = _sphere_stencil(geom, flux)
         else:
-            np.subtract(v[1:], v[:-1], out=d)
+            d, upper, lower, mu, ds = work.sphere
+        np.subtract(v[1:], v[:-1], out=d)
         if g is not None:
             d *= 0.5 * (g[1:] + g[:-1])
         d *= mu
         d /= ds
         out = np.subtract(upper, lower, out=out)
-        if scale is None:
-            out *= -SPHERE_CS
-            out /= ds
-        else:
-            out *= scale
+        out *= _MINUS_CS
+        out /= ds
         return out
 
     shift = geom.shift

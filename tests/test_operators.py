@@ -21,7 +21,6 @@ from crflow.operators import (
     Workspace,
     _div_form_values,
     _measure_curvature,
-    _sphere_scale,
     calibrate_sphere_curvature,
     conformal_sublap,
     extremal_profile,
@@ -146,9 +145,6 @@ STENCIL_GEOMETRIES = {
     "lattice16x16x32": {"kind": "HeisenbergLattice3D", "resolution": [16, 16, 32],
                         "periods": [1.0, 1.0, 0.5]},
     "sphere64": {"kind": "SphereReduced1D", "resolution": [64]},
-    # ds = 1/48 is no power of two: the stencil's two final scalings stay
-    # two operations here, where on 64 cells they are one multiply
-    "sphere48": {"kind": "SphereReduced1D", "resolution": [48]},
 }
 
 
@@ -189,42 +185,23 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
                                   cells)
 
 
-def test_the_fused_sphere_scale_keeps_every_bit():
-    # x * (-c_s / ds) against (x * -c_s) / ds on magnitudes from 1e-320 to
-    # 1e308 of both signs, the zeros, the infinities and NaN, at every
-    # power-of-two spacing; any other spacing keeps the two operations
-    rng = np.random.default_rng(5)
-    x = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-320.0, 308.0, 100_000)
-    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
-    for n in (8, 64, 4096):
-        ds = sphere(n).spacing[0]
-        assert _sphere_scale(ds) == -SPHERE_CS * n
-        with np.errstate(over="ignore"):
-            assert (x * _sphere_scale(ds)).tobytes() == ((x * -SPHERE_CS) / ds).tobytes()
-    for n in (48, 100):
-        assert _sphere_scale(sphere(n).spacing[0]) is None
-
-
 def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
     # numpy reports its data buffers to tracemalloc: given a workspace and
-    # ``out``, a call on any input, the workspace's u among them, leaves
-    # only small objects
+    # ``out``, a call leaves only small objects
     geom = sphere(4096)
     work = Workspace(geom)
     out = np.empty(geom.resolution)
     v = rand_field(geom, 4).values
-    work.u[...] = v
-    for x in (v, work.u):
-        _div_form_values(geom, x, out=out, work=work)    # warm-up
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _div_form_values(geom, x, out=out, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < v.nbytes
-        assert np.array_equal(out, three_point_div_form(geom, v))
+    _div_form_values(geom, v, out=out, work=work)    # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _div_form_values(geom, v, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < v.nbytes
+    assert np.array_equal(out, three_point_div_form(geom, v))
 
 
 # ---------------------------------------------------------------------------
