@@ -30,11 +30,13 @@ Subcommands
 ``check`` imports ``invariants`` and ``invert`` imports ``inversion`` lazily,
 inside the subcommand, so a run never loads either.
 
+``run`` freezes the heap from the end of set-up until its artifacts are
+written: no collection inside the flow traverses the set-up's objects.
 ``main`` registers ``gc.freeze`` with ``atexit`` (once per process, however
 often it runs), so the interpreter's last cyclic collections skip every
-object still alive at exit and the OS reclaims that memory.  Every artifact
-is closed and in place before ``main`` returns; the std-stream flushes,
-the other atexit handlers and module teardown all still run.
+object still alive at exit and the OS reclaims that memory.  Every
+artifact is closed and in place before ``main`` returns; the std-stream
+flushes, the other atexit handlers and module teardown all still run.
 
 A run's arguments are checked by the rule ``flow.run`` applies to its own
 (``RunConfig.validate`` re-raises its message as ``ConfigError``), so the
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import flow
 from .conventions import _shown, conventions_record
-from .manifold import GeometryError, build_geometry, initial_data
+from .manifold import build_geometry, initial_data
 
 __all__ = [
     "ConfigError",
@@ -249,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
-    except (ConfigError, GeometryError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
         # MemoryError: a grid too large to allocate is a configuration error
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:
@@ -257,26 +259,30 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
-    started = time.perf_counter()
-    traj = flow.run(lam0, **dict(cfg.run_args(), dt=dt))
-    wall = time.perf_counter() - started
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        traj = flow.run(lam0, **dict(cfg.run_args(), dt=dt))
+        wall = time.perf_counter() - started
 
-    _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
-    _write_snapshots(outdir, cfg, traj)
-    final = traj.diagnostics[-1]
-    meta = {
-        "config": cfg.to_dict(),
-        "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
-        "conventions": conventions_record(),
-        "outcome": traj.outcome,
-        "n_steps": len(traj.diagnostics) - 1,
-        "final": dataclasses.asdict(final),
-        "bondi_sup_rate": traj.bondi_sup_rate,
-        "wall_time_seconds": wall,
-    }
-    if traj.solver_error is not None:
-        meta["solver_error"] = traj.solver_error
-    _dump_json(meta, os.path.join(outdir, "meta.json"))
+        _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
+        _write_snapshots(outdir, cfg, traj)
+        final = traj.diagnostics[-1]
+        meta = {
+            "config": cfg.to_dict(),
+            "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
+            "conventions": conventions_record(),
+            "outcome": traj.outcome,
+            "n_steps": len(traj.diagnostics) - 1,
+            "final": dataclasses.asdict(final),
+            "bondi_sup_rate": traj.bondi_sup_rate,
+            "wall_time_seconds": wall,
+        }
+        if traj.solver_error is not None:
+            meta["solver_error"] = traj.solver_error
+        _dump_json(meta, os.path.join(outdir, "meta.json"))
+    finally:
+        gc.unfreeze()
 
     print(
         f"outcome: {traj.outcome}  steps: {len(traj.diagnostics) - 1}  "

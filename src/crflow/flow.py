@@ -149,24 +149,21 @@ class Trajectory:
 # functionals
 
 
-# Overflow of e^{k lambda} is the blow-up signal, never a warning: each
-# public entry point sets np.errstate(over="ignore", invalid="ignore")
-# once, and the kernels it calls (_weighted_sum, _rhs_values,
-# _webster_core) set none of their own.  Their in-place ufuncs (out=,
-# *=, +=) run under that same single errstate.
+# The functionals and flow_rhs return make_state's values, their one
+# definition.  Overflow of e^{k lambda} is the blow-up signal, never a
+# warning: make_state, the steppers and gradient_check each set
+# np.errstate(over="ignore", invalid="ignore") once, and the kernels they
+# call (_weighted_sum, _rhs_values, _webster_core) set none of their own.
 
 
 def energy(lam: ScalarField) -> float:
     """Curvature energy integrate(W^2 e^{4 lambda}) of e^{2 lambda} theta-hat."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _webster_core(lam.geometry, lam.values)[3]
-        return _weighted_sum(lam.geometry, w * w * np.exp(4.0 * lam.values))
+    return make_state(lam, 0.0, 0).diagnostics.energy
 
 
 def volume(lam: ScalarField) -> float:
     """Total volume integrate(e^{4 lambda}) of the rescaled structure."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_sum(lam.geometry, np.exp(4.0 * lam.values))
+    return make_state(lam, 0.0, 0).diagnostics.volume
 
 
 def bondi(lam: ScalarField) -> float:
@@ -175,8 +172,7 @@ def bondi(lam: ScalarField) -> float:
     Its discrete time-derivative is recorded along runs and its running
     supremum reported; no bound on it is asserted anywhere.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weighted_sum(lam.geometry, np.exp(5.0 * lam.values))
+    return make_state(lam, 0.0, 0).diagnostics.bondi
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +200,14 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
 
         DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
 
-    Where the curvature skipped m2 (What == 0 and m2 finite), What * m2
-    is exactly +0.0, so the background term is w * 0.0: the same bits.
+    bg = What * m2 is the curvature's own product; where it skipped it
+    (What == 0, m2 finite) it is exactly +0.0, and w * 0.0 has the same bits.
     """
     if out is None:
         out = np.empty(geom.resolution)
     if work is None:
         work = Workspace(geom)
-    u, m2, em3, w = _webster_core(geom, values, work=work)
+    u, bg, em3, w = _webster_core(geom, values, work=work)
     # a finite sum has no inf or NaN summand, so only a non-finite one
     # needs the cell scan
     if not math.isfinite(np.add.reduce(values, axis=None)) \
@@ -222,12 +218,7 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     cov = _div_form_values(geom, u, out=out, work=work)
     cov *= YAMABE_COEFFICIENT
     cov *= em3
-    if m2 is None:
-        cov += np.multiply(w, 0.0, out=work.m2)
-    else:
-        m2 *= geom.background_curvature
-        m2 *= w
-        cov += m2
+    cov += np.multiply(w, 0.0, out=work.m2) if bg is None else np.multiply(bg, w, out=bg)
     cov -= np.multiply(w, w, out=work.m2)
     cov *= DESCENT * 2.0
     return cov, w
@@ -241,9 +232,7 @@ def flow_rhs(lam: ScalarField) -> ScalarField:
     input produces an all-NaN output rather than an exception, so
     blow-up propagates to the detector.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ScalarField(lam.geometry,
-                           _rhs_values(lam.geometry, lam.values)[0])
+    return ScalarField(lam.geometry, make_state(lam, 0.0, 0).rhs)
 
 
 def gradient_check(lam: ScalarField, phi: ScalarField) -> float:

@@ -265,14 +265,15 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
 
 def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
                   work: Workspace | None = None):
-    """Shared curvature assembly: returns (u, m2, em3, w) with u = e^lam,
-    m2 = e^{-2 lam} or None, em3 = e^{-3 lam} and w the curvature values.
+    """Shared curvature assembly: returns (u, bg, em3, w) with u = e^lam,
+    bg = What * m2 (m2 = e^{-2 lam}) or None, em3 = e^{-3 lam} and w the
+    curvature values.
 
     The background term is taken as What * m2 (not em3 * What * u), so a
     constant lambda = c yields w bitwise equal to e^{-2c} * What, and the
     flow right-hand side of constant states cancels to exactly zero.
 
-    m2 is None, and never computed, when What == 0 and every lambda is
+    bg is None, and m2 never computed, when What == 0 and every lambda is
     above -354: there e^{-2 lam} < e^708 is finite, What * m2 is exactly
     +0.0, and w gets + 0.0 in its place.  A NaN lambda, or any lambda
     <= -354, takes the full path, where an infinite m2 makes w NaN.
@@ -280,10 +281,9 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     A kernel: overflow is the caller's blow-up signal, so callers run it
     under ``np.errstate(over="ignore", invalid="ignore")``.  The four
     arrays are ``work``'s ``u``, ``m2``, ``em3`` and ``w`` (``e`` and
-    ``r`` are the stencil's scratch), so the caller may use u, em3 and
-    ``work.m2`` as scratch until its next call on ``work``; a workspace
-    is built when ``work`` is None.  ``lam_values`` is never written and
-    shares no memory with those six arrays.
+    ``r`` are the stencil's scratch), so the caller may use u, bg and em3
+    as scratch until its next call on ``work`` (built when None).
+    ``lam_values`` is never written and shares no memory with the six.
     """
     if work is None:
         work = Workspace(geom)
@@ -297,10 +297,11 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
             and np.minimum.reduce(lam_values, axis=None) > -354.0:
         w += 0.0
         return u, None, em3, w
-    m2 = np.multiply(lam_values, -2.0, out=work.m2)
-    np.exp(m2, out=m2)
-    w += np.multiply(m2, geom.background_curvature, out=work.e)
-    return u, m2, em3, w
+    bg = np.multiply(lam_values, -2.0, out=work.m2)
+    np.exp(bg, out=bg)
+    bg *= geom.background_curvature
+    w += bg
+    return u, bg, em3, w
 
 
 def webster_curvature(lam: ScalarField) -> ScalarField:

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, artifacts, exit codes."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -549,6 +550,22 @@ def test_run_process_freezes_the_heap_at_exit_only_from_main(tmp_path):
             assert stdout.startswith(outcome)
         if code == EXIT_CONFIG:
             assert "error:" in proc.stderr
+
+
+def test_run_freezes_the_set_up_heap_for_the_flow_only(tmp_path, monkeypatch):
+    cfg_path, _ = write_config(tmp_path)
+    at_entry = []
+    run = flow.run
+
+    def wrapped(*args, **kwargs):
+        at_entry.append(gc.get_freeze_count())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "run", wrapped)
+    before = gc.get_freeze_count()
+    assert main(["run", str(cfg_path)]) == EXIT_OK
+    assert at_entry[0] > 0
+    assert gc.get_freeze_count() == before
 
 
 def test_removed_bump_data_exits_with_the_config_code(tmp_path, capsys):

@@ -194,23 +194,6 @@ def assert_same_diagnostics(a, b):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
-def reference_diagnostics(lam, time):
-    """The Diagnostics record computed from the public functionals and a
-    fresh right-hand side, independently of ``make_state``."""
-    geom = lam.geometry
-    rhs = _rhs_values(geom, lam.values)[0]
-    w = webster_curvature(lam).values
-    abs_lam = np.abs(lam.values)
-    argmax = int(np.argmax(abs_lam))
-    return flow.Diagnostics(
-        time=time, volume=volume(lam), energy=energy(lam), bondi=bondi(lam),
-        w_min=float(w.min()), w_max=float(w.max()),
-        dissipation=DESCENT * _weighted_sum(
-            geom, rhs * rhs * np.exp(4.0 * lam.values)),
-        overflow_flag=False, lam_max=float(abs_lam.flat[argmax]),
-        lam_argmax=argmax)
-
-
 @pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
 def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
     geom, lam0 = fsal_case(make, data)
@@ -231,8 +214,7 @@ def test_fsal_step_matches_a_naive_rk4_bitwise(make, data):
         state = step_explicit(state, dt)
         assert np.array_equal(state.lam.values, y)
         assert np.array_equal(state.rhs, f(y))
-        assert_same_diagnostics(state.diagnostics,
-                                reference_diagnostics(ScalarField(geom, y), t))
+        assert_same_diagnostics(state.diagnostics, expression_state(geom, y, t)[2])
 
 
 @pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
@@ -397,8 +379,12 @@ def test_kernels_keep_the_expression_form_bits_past_overflow(name):
         near_bound.append(near)
     for values in (lam0.values + 400.0, lam0.values - 400.0, one_nan,
                    bondi_only, two_huge, lam0.values - 300.0, *near_bound):
-        state = make_state(ScalarField(geom, values), 0.0, 0)
+        lam = ScalarField(geom, values)
+        state = make_state(lam, 0.0, 0)
         rhs, diag = assert_pinned(state, values, 0.0)
+        for functional in (energy, volume, bondi):
+            assert repr(functional(lam)) == repr(getattr(diag, functional.__name__))
+        assert_same_bits(flow_rhs(lam).values, rhs)
         assert diag.overflow_flag
         if values is two_huge:
             assert np.isfinite(rhs).any()
