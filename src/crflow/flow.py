@@ -39,33 +39,13 @@ from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
                           PLATEAU_WINDOW, YAMABE_COEFFICIENT, _shown)
 from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
                        _weighted_sum)
-from .operators import (
-    LinearSolveError,
-    Workspace,
-    _div_form_values,
-    _webster_core,
-    linear_solve,
-    shifted_bilap_inverse,
-    stability_symbol_max,
-)
+from .operators import (LinearSolveError, Workspace, _div_form_values, _webster_core,
+                        linear_solve, shifted_bilap_inverse, stability_symbol_max)
 
 __all__ = [
-    "Diagnostics",
-    "FlowState",
-    "Trajectory",
-    "energy",
-    "volume",
-    "bondi",
-    "flow_rhs",
-    "gradient_check",
-    "make_state",
-    "step_explicit",
-    "step_imex",
-    "detect_blowup",
-    "auto_dt",
-    "resolve_dt",
-    "INTEGRATORS",
-    "run",
+    "Diagnostics", "FlowState", "Trajectory", "energy", "volume", "bondi",
+    "flow_rhs", "gradient_check", "make_state", "step_explicit", "step_imex",
+    "detect_blowup", "auto_dt", "resolve_dt", "INTEGRATORS", "run",
 ]
 
 INTEGRATORS = ("explicit", "imex")   # stepped by step_explicit, step_imex
@@ -336,8 +316,7 @@ def step_explicit(state: FlowState, dt: float, *,
     array: it becomes the new state's ``lam``.  The old state's ``lam``
     and ``rhs`` are never written.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt, "dt")
     geom = state.lam.geometry
     y = state.lam.values
     if work is None:
@@ -360,8 +339,7 @@ def step_explicit(state: FlowState, dt: float, *,
         k2 += k4
         k2 *= dt / 6.0
         k2 += y
-    return make_state(ScalarField(geom, k2), state.time + dt,
-                      state.step_index + 1, work=work)
+    return _accept(state, k2, dt, work)
 
 
 def step_imex(state: FlowState, dt: float, *,
@@ -383,19 +361,13 @@ def step_imex(state: FlowState, dt: float, *,
     automatic step the residual passes 1e-10 and the step raises
     ``LinearSolveError``.
 
-    The step then restores the volume of the incoming state exactly, by
-    the constant shift lambda' += log(V / V') / 4.  The energy is
-    invariant under constant shifts, so this removes the implicit
-    step's volume drift without touching the energy.
-
-    The explicit term dt * rhs, the shifted operator's values and the
-    new volume's integrand are scratch of ``work`` (a workspace is built
-    when it is None); the solved increment is fresh and becomes the new
-    state's ``lam``.  The old state's ``lam`` and ``rhs`` are never
-    written.
+    The explicit term dt * rhs and the shifted operator's values are
+    scratch of ``work`` (a workspace is built when it is None); the
+    solved increment is fresh and becomes the new state's ``lam``, whose
+    volume ``_accept`` restores.  The old state's ``lam`` and ``rhs`` are
+    never written.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt, "dt")
     geom = state.lam.geometry
     s = dt * C_STAB
     y = state.lam.values
@@ -405,8 +377,7 @@ def step_imex(state: FlowState, dt: float, *,
         b = np.multiply(state.rhs, dt, out=work.stage)
     if not np.isfinite(b).all():
         # blown-up state: skip the solve, propagate for classification
-        return make_state(ScalarField(geom, np.full_like(y, np.nan)),
-                          state.time + dt, state.step_index + 1, work=work)
+        return _accept(state, np.full_like(y, np.nan), dt, work)
 
     def shifted(v: np.ndarray) -> np.ndarray:
         inner = _div_form_values(geom, v, out=work.k3, work=work)
@@ -415,17 +386,31 @@ def step_imex(state: FlowState, dt: float, *,
         out += v
         return out
 
-    # the solved increment is fresh: lambda' and its volume shift are
-    # added into it in place
+    # the solved increment is fresh: lambda' is added into it in place
     sol = linear_solve(shifted, ScalarField(geom, b), shifted_bilap_inverse(geom, s))
     sol.values += y
-    v_old = state.diagnostics.volume
-    with np.errstate(over="ignore", invalid="ignore"):
-        m4 = np.multiply(sol.values, 4.0, out=work.k3)    # volume(sol)
-        v_new = _weighted_sum(geom, np.exp(m4, out=m4))
-    if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
-        sol.values += 0.25 * math.log(v_old / v_new)
-    return make_state(sol, state.time + dt, state.step_index + 1, work=work)
+    return _accept(state, sol.values, dt, work, restore_volume=True)
+
+
+def _accept(state: FlowState, values: np.ndarray, dt: float, work: Workspace, *,
+            restore_volume: bool = False) -> FlowState:
+    """The state one step of dt after ``state``, at a stepper's fresh
+    lambda ``values``, which it keeps.  With ``restore_volume`` (IMEX),
+    the constant shift values += log(V / V') / 4 first restores the
+    volume V of ``state`` exactly, in place; the energy is invariant
+    under constant shifts, so only the step's volume drift goes.  It is
+    skipped unless V and V' are positive and finite, and V''s integrand
+    is scratch in ``work.k3``."""
+    geom = state.lam.geometry
+    if restore_volume:
+        v_old = state.diagnostics.volume
+        with np.errstate(over="ignore", invalid="ignore"):
+            m4 = np.multiply(values, 4.0, out=work.k3)    # volume(values)
+            v_new = _weighted_sum(geom, np.exp(m4, out=m4))
+        if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
+            values += 0.25 * math.log(v_old / v_new)
+    return make_state(ScalarField(geom, values), state.time + dt,
+                      state.step_index + 1, work=work)
 
 
 def auto_dt(geom: ModelGeometry) -> float:
@@ -453,10 +438,15 @@ def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
     Raises ValueError unless 0 < dt < inf.  An extreme cell spacing can
     make the automatic step 0 (C_STAB * sigma^2 overflows) or NaN (a
     subnormal squared spacing)."""
-    dt_val = auto_dt(geom) if dt == "auto" else float(dt)
-    if not 0.0 < dt_val < math.inf:
-        raise ValueError(f"the resolved dt {dt_val!r} is not a positive finite number")
-    return dt_val
+    return _check_dt(auto_dt(geom) if dt == "auto" else float(dt), "the resolved dt")
+
+
+def _check_dt(dt: float, what: str) -> float:
+    """The one rule for a step, which ``resolve_dt`` and both steppers
+    apply: dt, else ValueError unless 0 < dt < inf (NaN included)."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"{what} {dt!r} is not a positive finite number")
+    return dt
 
 
 _PLATEAU_FLOOR = 1e-300
@@ -489,14 +479,15 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         max_steps: int | None = None, snapshot_every: int = 0) -> Trajectory:
     """March the flow from ``lam0``, on its geometry, to one of five outcomes.
 
-    Outcomes: ``blowup`` (non-finite state or |lambda| past threshold),
-    ``converged`` (energy plateau after a genuine decrease),
-    ``plateau`` (energy plateau without one — e.g. data that starts
-    stationary), ``max_time`` (time or step budget exhausted first),
-    ``solver_failure`` (an implicit solve raised ``LinearSolveError``;
-    the record ends at the last accepted step).  A plateau is
-    ``PLATEAU_WINDOW`` consecutive steps whose relative energy change is
-    below ``PLATEAU_TOL``.
+    The loop reads stop, step, record.  Before each step ``_stop`` tests,
+    in this order, for ``blowup`` (non-finite state or |lambda| past
+    threshold), ``converged`` (energy plateau after a genuine decrease)
+    or ``plateau`` (energy plateau without one — e.g. data that starts
+    stationary), and ``max_time`` (time or step budget exhausted); the
+    first that holds ends the run.  ``solver_failure``: an implicit solve
+    raised ``LinearSolveError``, and the record ends at the last accepted
+    step.  A plateau is ``PLATEAU_WINDOW`` consecutive steps whose
+    relative energy change is below ``PLATEAU_TOL``.
     Deterministic for fixed inputs.  One Diagnostics record per step,
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
@@ -512,7 +503,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:
         # an overflowing quotient leaves the budget unbounded: the time
-        # test below still ends the run
+        # test still ends the run
         budget = max_time / dt_val
         max_steps = int(np.ceil(budget)) + 1 if math.isfinite(budget) else math.inf
 
@@ -529,31 +520,33 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     e_first = state.diagnostics.energy
     quiet = 0  # consecutive steps whose relative energy change is below tol
 
-    while True:
-        if detect_blowup(state):
-            traj.outcome = "blowup"
-            break
-        if quiet >= PLATEAU_WINDOW:
-            dropped = state.diagnostics.energy < 0.99 * e_first
-            traj.outcome = "converged" if dropped else "plateau"
-            break
-        if (state.step_index >= max_steps
-                or state.time + dt_val > max_time * (1.0 + 1e-12)):
-            traj.outcome = "max_time"
-            break
+    while (outcome := _stop(state, quiet, e_first, max_steps, max_time, dt_val)) is None:
         e_old = state.diagnostics.energy
         try:
             state = stepper(state, dt_val, work=work)
         except LinearSolveError as exc:
-            traj.outcome = "solver_failure"
-            traj.solver_error = str(exc)
+            outcome, traj.solver_error = "solver_failure", str(exc)
             break
         record(state)
         rel = abs(state.diagnostics.energy - e_old) / max(abs(e_old), _PLATEAU_FLOOR)
         quiet = quiet + 1 if rel < PLATEAU_TOL else 0  # a NaN change is never quiet
 
+    traj.outcome = outcome
     if snapshot_every > 0 and (not traj.snapshots
                                or traj.snapshots[-1][0] != state.step_index):
         traj.snapshots.append((state.step_index, state.lam.copy()))
     traj.final_state = state
     return traj
+
+
+def _stop(state: FlowState, quiet: int, e_first: float, max_steps: float,
+          max_time: float, dt: float) -> str | None:
+    """``run``'s outcome at ``state``, or None to step on; ``quiet`` counts
+    the steps of energy plateau and ``e_first`` is step 0's energy."""
+    if detect_blowup(state):
+        return "blowup"
+    if quiet >= PLATEAU_WINDOW:
+        return "converged" if state.diagnostics.energy < 0.99 * e_first else "plateau"
+    if state.step_index >= max_steps or state.time + dt > max_time * (1.0 + 1e-12):
+        return "max_time"
+    return None

@@ -173,6 +173,17 @@ def test_explicit_step_advances_bookkeeping():
     assert nxt.diagnostics.energy <= state.diagnostics.energy
 
 
+@pytest.mark.parametrize("stepper", [step_explicit, step_imex], ids=["rk4", "imex"])
+@pytest.mark.parametrize("dt", [0.0, -1e-9, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_steppers_refuse_a_step_that_is_not_positive_and_finite(stepper, dt):
+    # resolve_dt's rule, 0 < dt < inf: a NaN passes a test of dt <= 0,
+    # and an infinite step gives a state at time inf
+    state = make_state(random_data(sector(), 3), 0.0, 0)
+    with pytest.raises(ValueError, match="positive"):
+        stepper(state, dt)
+
+
 # The three kinds, the lattice with a non-trivial x-wrap twist (8 of 16
 # tau-cells) and twisted vertical modes in its data.
 FSAL_CASES = [
@@ -520,6 +531,26 @@ def test_right_hand_side_and_curvature_evaluations_per_step(
         assert counts == dict.fromkeys(counts, 1 + per_step * steps)
 
 
+def test_run_calls_the_module_steppers_once_per_step(monkeypatch):
+    # run looks step_explicit and step_imex up in the module at call
+    # time, so a wrapper put there, such as perfbench's flow.step span,
+    # sees every step
+    counts = dict.fromkeys(("step_explicit", "step_imex"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(flow, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(flow, name, counted)
+    geom = sector()
+    lam0 = random_data(geom, 3)
+    for integrator, name in (("explicit", "step_explicit"), ("imex", "step_imex")):
+        counts.update(dict.fromkeys(counts, 0))
+        traj = run(lam0, integrator=integrator, dt=auto_dt(geom), max_steps=3)
+        assert traj.final_state.step_index == 3
+        assert counts == {n: 3 if n == name else 0 for n in counts}
+
+
 @pytest.mark.parametrize(
     "make, amplitude, cutoff",
     [(lambda: sector(32), 0.1, 3), (lambda: sphere(64), 0.05, 16)],
@@ -619,6 +650,22 @@ def test_zero_data_plateaus_at_the_window():
     assert traj.outcome == "plateau"
     assert len(traj.diagnostics) - 1 == PLATEAU_WINDOW
     assert all(e == 0.0 for e in traj.energies)
+
+
+@pytest.mark.parametrize("data, dt, max_steps, outcome, steps", [
+    ({"kind": "random", "seed": 7, "amplitude": 0.15, "cutoff": 2}, 1e-7, 2, "blowup", 2),
+    ({"kind": "constant", "value": 0.0}, 1e-9, PLATEAU_WINDOW, "plateau", PLATEAU_WINDOW),
+    ({"kind": "constant", "value": 0.0}, 1e-9, PLATEAU_WINDOW - 1, "max_time",
+     PLATEAU_WINDOW - 1),
+], ids=["blowup-and-budget", "plateau-and-budget", "budget-first"])
+def test_stop_order_when_two_stop_tests_hold(data, dt, max_steps, outcome, steps):
+    # blow-up is tested before the plateau, and the plateau before the
+    # step budget: RK4 at about 270 times auto overflows at step 2, and
+    # zero data fill the plateau window at step 50
+    geom = sector(32)
+    traj = run(initial_data(geom, data), dt=dt, max_steps=max_steps)
+    assert traj.outcome == outcome
+    assert len(traj.diagnostics) - 1 == steps
 
 
 def test_converged_outcome_after_a_real_drop():

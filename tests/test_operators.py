@@ -479,6 +479,20 @@ def test_exact_preconditioner_solves_in_one_matvec(make, mult):
     assert np.linalg.norm(residual) <= SOLVE_TOL * np.linalg.norm(b.values)
 
 
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_sphere_spectrum_is_the_closed_form(n):
+    # The sphere stencil is c_s / ds^2 = 8 n^2 times the three-point
+    # operator with face weights s (1 - s) at s = j / n, that is
+    # j (n - j) / n^2: 8 times the difference operator of the Hahn
+    # polynomials Q_k(x; 0, 0, n - 1), whose eigenvalues are k (k + 1)
+    # (Koekoek, Lesky & Swarttouw 2010, section 9.5).  eigh is backward
+    # stable, so its eigenvalues are off by a small multiple of
+    # eps * sigma_max; 8 ulps of sigma_max bound them
+    sigma = np.sort(spectral_basis(sphere(n))[2])
+    k = np.arange(n, dtype=float)
+    assert np.max(np.abs(sigma - 8.0 * k * (k + 1.0))) <= 8 * np.finfo(float).eps * sigma[-1]
+
+
 def test_explicit_runs_build_no_spectral_basis():
     before = spectral_basis.cache_info().misses
     for geom in (build_geometry({"kind": "HeisenbergSector2D", "resolution": [9, 11]}),
