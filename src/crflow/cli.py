@@ -6,13 +6,12 @@ Subcommands
 ``crflow run CONFIG.json``
     Execute one flow run described by a JSON configuration and write its
     artifacts (``diagnostics.csv``, ``meta.json``, optional raw snapshots)
-    into the configured output directory.  Exit 0 for the scientific
-    outcomes ``converged``/``plateau``/``max_time``, exit 3 for ``blowup``
-    (a labeled result, not a failure), exit 4 for ``solver_failure`` (an
-    implicit solve missed its residual tolerance; the artifacts cover the
-    steps accepted before it), exit 1 for configuration errors (among
-    them a degenerate cell spacing, a grid too large to allocate and a
-    resolved step that is not positive and finite).
+    into the configured output directory.  A run has one of four
+    outcomes: exit 0 for the scientific outcomes
+    ``converged``/``plateau``/``max_time``, exit 3 for ``blowup`` (a
+    labeled result, not a failure).  Exit 1 for configuration errors
+    (among them a degenerate cell spacing, a grid too large to allocate
+    and a resolved step that is not positive and finite).
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -73,7 +72,6 @@ __all__ = [
     "EXIT_CONFIG",
     "EXIT_INVARIANT",
     "EXIT_BLOWUP",
-    "EXIT_SOLVER",
     "cmd_check",
     "cmd_invert",
     "cmd_run",
@@ -84,7 +82,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_BLOWUP = 3
-EXIT_SOLVER = 4
 
 _CSV_COLUMNS = (
     "step",
@@ -278,8 +275,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "bondi_sup_rate": traj.bondi_sup_rate,
             "wall_time_seconds": wall,
         }
-        if traj.solver_error is not None:
-            meta["solver_error"] = traj.solver_error
         _dump_json(meta, os.path.join(outdir, "meta.json"))
     finally:
         gc.unfreeze()
@@ -288,9 +283,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"outcome: {traj.outcome}  steps: {len(traj.diagnostics) - 1}  "
         f"final energy: {_fmt(final.energy)}  artifacts: {outdir}"
     )
-    if traj.solver_error is not None:
-        print(f"error: {traj.solver_error}", file=sys.stderr)
-        return EXIT_SOLVER
     return EXIT_BLOWUP if traj.outcome == "blowup" else EXIT_OK
 
 

@@ -15,7 +15,9 @@ constant is pinned exactly once.  The conventions are:
   of the flat one (derivation: tests/oracles/sphere_reduction.py);
 * the background curvature of the sphere kind is *calibrated at runtime*
   (``operators.calibrate_sphere_curvature()``, measured once per process
-  and cached), never transcribed.
+  and cached), never transcribed;
+* no solver tolerance is a convention: every implicit solve is an exact
+  spectral division (``operators.shifted_bilap_inverse``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ SPHERE_CS = 8.0                       # reduced operator -c_s (s(1-s) f')'
 SPHERE_KAPPA = math.pi**2             # total volume of the round model
 # linearized flat-state stiffness: the rhs linearizes to -(2b^2) sublap^2
 C_STAB = 2.0 * YAMABE_COEFFICIENT**2
-SOLVE_TOL = 1e-10                     # relative residual of a linear solve
 BLOWUP_THRESHOLD = 20.0               # max |lambda| before declaring blow-up
 PLATEAU_WINDOW = 50                   # steps per plateau comparison
 PLATEAU_TOL = 1e-10                   # |dE|/E threshold for a plateau
@@ -81,7 +82,6 @@ def conventions_record() -> dict:
         "sphere_cs": SPHERE_CS,
         "sphere_kappa": SPHERE_KAPPA,
         "c_stab": C_STAB,
-        "solve_tol": SOLVE_TOL,
         "blowup_threshold": BLOWUP_THRESHOLD,
         "plateau_window": PLATEAU_WINDOW,
         "plateau_tol": PLATEAU_TOL,

@@ -36,8 +36,7 @@ import math
 
 import numpy as np
 
-from .conventions import (HEISENBERG_HORIZONTAL_FACTOR, SOLVE_TOL, SPHERE_CS,
-                          YAMABE_COEFFICIENT)
+from .conventions import HEISENBERG_HORIZONTAL_FACTOR, SPHERE_CS, YAMABE_COEFFICIENT
 from .manifold import (
     HEISENBERG_SECTOR,
     SPHERE_REDUCED,
@@ -48,7 +47,6 @@ from .manifold import (
 
 __all__ = [
     "CalibrationError",
-    "LinearSolveError",
     "Workspace",
     "sublap",
     "conformal_sublap",
@@ -66,10 +64,6 @@ __all__ = [
 
 class CalibrationError(RuntimeError):
     """The calibration pipeline produced a non-constant result."""
-
-
-class LinearSolveError(RuntimeError):
-    """A linear solve missed the residual tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +415,17 @@ def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
                        YAMABE_COEFFICIENT * lap.values + w.values * phi.values)
 
 
-def linear_solve(operator, rhs: ScalarField, inverse) -> ScalarField:
-    """Solve operator(x) = b as x = inverse(b), checked by one operator
-    application: the true relative residual ||b - operator(x)|| must be
-    <= SOLVE_TOL ||b||, so a wrong or ill-conditioned inverse never
-    silently degrades a solve; a non-finite or larger residual raises
-    ``LinearSolveError``.  A zero right-hand side returns zeros unsolved.
-    ``operator`` and ``inverse`` map value arrays to value arrays, and
-    ``inverse`` returns a fresh one: the caller owns the solution's values.
-    """
-    b = rhs.values
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return rhs.geometry.zeros()
-    x = inverse(b)
-    res = float(np.linalg.norm(b - operator(x)))
-    if not res <= SOLVE_TOL * bnorm:
-        raise LinearSolveError(
-            f"relative residual {res / bnorm:.3e} of the exact inverse exceeds "
-            f"the {SOLVE_TOL:.0e} tolerance")
-    return ScalarField(rhs.geometry, x)
+def linear_solve(inverse, b: np.ndarray) -> np.ndarray:
+    """The solution inverse(b) of a linear system given by its exact
+    ``inverse``, a map of value arrays that returns a fresh one: the
+    caller owns the solution.  A zero right-hand side returns fresh
+    zeros unsolved.
+
+    A function of its own so that ``perfbench``'s tracer can time each
+    solve by this name and count the calls of its first argument."""
+    if float(np.linalg.norm(b)) == 0.0:
+        return np.zeros_like(b)
+    return inverse(b)
 
 
 def _sector_basis(geom: ModelGeometry):

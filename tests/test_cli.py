@@ -22,7 +22,6 @@ from crflow.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
-    EXIT_SOLVER,
     ConfigError,
     RunConfig,
     _fmt,
@@ -371,48 +370,6 @@ def test_unstable_step_exits_with_the_blowup_code(tmp_path, capsys):
     assert meta["outcome"] == "blowup"
     assert meta["final"]["overflow_flag"]
     assert meta["n_steps"] < 60
-
-
-def test_solver_failure_exits_with_the_solver_code(tmp_path, capsys, monkeypatch):
-    cfg_path, cfg = write_config(
-        tmp_path,
-        geometry={
-            "kind": "HeisenbergLattice3D",
-            "resolution": [16, 16, 16],
-            "periods": [1.0, 1.0, 0.125],
-        },
-        initial_data={"kind": "random", "seed": 3},
-        integrator="imex",
-        dt=1e-7,
-        max_time=1e-6,
-        max_steps=None,
-    )
-    calls = []
-    solve = flow.linear_solve
-    message = "relative residual 1.0e+00 of the exact inverse exceeds the tolerance"
-
-    def failing(operator, rhs, inverse):   # the third solve misses
-        calls.append(1)
-        if len(calls) == 3:
-            raise operators.LinearSolveError(message)
-        return solve(operator, rhs, inverse)
-
-    monkeypatch.setattr(flow, "linear_solve", failing)
-    assert main(["run", str(cfg_path)]) == EXIT_SOLVER
-    captured = capsys.readouterr()
-    assert "outcome: solver_failure" in captured.out
-    assert message in captured.err
-
-    outdir = tmp_path / "out"
-    rows = read_rows(outdir / "diagnostics.csv")
-    meta = json.loads((outdir / "meta.json").read_text())
-    assert RunConfig.from_dict(meta["config"]) == RunConfig.from_dict(cfg)
-    assert meta["outcome"] == "solver_failure"
-    assert meta["solver_error"] == message
-    assert meta["n_steps"] == 2
-    assert len(rows) == 1 + 1 + meta["n_steps"]
-    assert int(rows[-1][0]) == meta["n_steps"]
-    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
 
 
 def test_bad_config_exits_with_the_config_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from crflow.conventions import (
     C_STAB,
     HEISENBERG_HORIZONTAL_FACTOR,
-    SOLVE_TOL,
     SPHERE_CS,
     YAMABE_COEFFICIENT,
 )
@@ -17,7 +16,6 @@ from crflow.flow import auto_dt, run
 from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data
 from crflow.operators import (
     CalibrationError,
-    LinearSolveError,
     Workspace,
     _div_form_values,
     _measure_curvature,
@@ -322,49 +320,21 @@ def test_linear_solve_resolvent_amplitude_on_an_eigenmode():
     v = ScalarField(geom, mode)
     sigma = float(np.max(np.abs(sublap(v).values)) / np.max(np.abs(mode)))
     alpha = 1.0 / sigma**2
-
-    def operator(values):
-        inner = sublap(ScalarField(geom, values)).values
-        return values + alpha * sublap(ScalarField(geom, inner)).values
-
-    x = linear_solve(operator, v, shifted_bilap_inverse(geom, alpha))
+    x = shifted_bilap_inverse(geom, alpha)(mode)
     np.testing.assert_allclose(
-        x.values, mode / 2.0, rtol=0, atol=1e-9 * np.max(np.abs(mode))
+        x, mode / 2.0, rtol=0, atol=1e-9 * np.max(np.abs(mode))
     )
 
 
 def test_linear_solve_zero_rhs_returns_zeros():
-    geom = sector(8)
-    rhs = ScalarField(geom, np.zeros((8, 8)))
+    rhs = np.zeros((8, 8))
 
     def never(v):
         raise AssertionError("a zero right-hand side needs no solve")
 
-    out = linear_solve(never, rhs, never)
-    np.testing.assert_array_equal(out.values, np.zeros((8, 8)))
-
-
-def test_linear_solve_reports_breakdown_on_indefinite_systems():
-    # an indefinite operator is no shifted biharmonic: its residual is 2 ||b||
-    geom = sector(8)
-    rhs = ScalarField(geom, np.ones((8, 8)))
-    with pytest.raises(LinearSolveError):
-        linear_solve(lambda v: -v, rhs, lambda v: v)
-    with pytest.raises(LinearSolveError):   # a non-finite residual never passes
-        linear_solve(lambda v: v, rhs, lambda v: np.full_like(v, np.nan))
-
-
-def test_linear_solve_reports_non_convergence():
-    # the inverse of another shift misses the residual tolerance
-    geom = sector(8)
-
-    def stiff(values):
-        inner = sublap(ScalarField(geom, values)).values
-        return values + 10.0 * sublap(ScalarField(geom, inner)).values
-
-    rhs = rand_field(geom, 13)
-    with pytest.raises(LinearSolveError):
-        linear_solve(stiff, rhs, shifted_bilap_inverse(geom, 10.0 * (1.0 + 1e-6)))
+    out = linear_solve(never, rhs)
+    assert out is not rhs
+    np.testing.assert_array_equal(out, np.zeros((8, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,43 +410,38 @@ def dense_stencil(geom):
     return np.array(cols).T
 
 
-@pytest.mark.parametrize("mult", [10.0, 1e4])
+@pytest.mark.parametrize("mult", [1.0, 10.0, 1e4, 1e6, 1e8])
 @pytest.mark.parametrize("make", [
     lambda: build_geometry({"kind": "HeisenbergSector2D", "resolution": [12, 20]}),
     lambda: sphere(32),
     lattice,
 ], ids=["sector12x20", "sphere32", "lattice8x8x16"])
 def test_shifted_bilap_inverse_matches_a_dense_solve(make, mult):
+    # the reference divides by 1 + s sigma^2 in the dense stencil's own
+    # eigenbasis: a dense solve of I + s L^2 loses digits at large s, an
+    # orthonormal change of basis does not, so the error stays at n eps
     geom = make()
     s = mult * auto_dt(geom) * C_STAB
-    lap = dense_stencil(geom)
-    a = np.eye(len(lap)) + s * lap @ lap
+    sigma, vecs = np.linalg.eigh(dense_stencil(geom))
     b = rand_field(geom, 23).values
-    ref = np.linalg.solve(a, b.ravel()).reshape(geom.resolution)
+    ref = (vecs @ ((vecs.T @ b.ravel()) / (1.0 + s * sigma * sigma))).reshape(geom.resolution)
     x = shifted_bilap_inverse(geom, s)(b)
-    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    n = b.size
+    assert np.linalg.norm(x - ref) <= n * np.finfo(float).eps * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("mult", [10.0, 1e3, 1e4])
 @pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64), lattice],
                          ids=["sector", "sphere", "lattice"])
 def test_exact_preconditioner_solves_in_one_matvec(make, mult):
-    # the exact spectral inverse: one operator application checks the
-    # solve, whatever the step size
+    # the exact spectral inverse solves the shifted system, whatever the
+    # step size
     geom = make()
     s = mult * auto_dt(geom) * C_STAB
-    matvecs = []
-
-    def operator(v):
-        matvecs.append(1)
-        return v + s * _div_form_values(geom, _div_form_values(geom, v))
-
-    b = rand_field(geom, 21)
-    x = linear_solve(operator, b, shifted_bilap_inverse(geom, s))
-    assert len(matvecs) == 1
-    residual = b.values - (x.values + s * _div_form_values(
-        geom, _div_form_values(geom, x.values)))
-    assert np.linalg.norm(residual) <= SOLVE_TOL * np.linalg.norm(b.values)
+    b = rand_field(geom, 21).values
+    x = shifted_bilap_inverse(geom, s)(b)
+    residual = b - (x + s * _div_form_values(geom, _div_form_values(geom, x)))
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
