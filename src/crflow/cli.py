@@ -40,7 +40,8 @@ flushes, the other atexit handlers and module teardown all still run.
 A run's arguments are checked by the rule ``flow.run`` applies to its own
 (``RunConfig.validate`` re-raises its message as ``ConfigError``), so the
 config file and the Python API accept the same values.  The output path is
-``output_dir``, or ``--output-dir``, which overrides it.  All emitted files
+``output_dir``, or ``--output-dir``, which overrides it whenever it is given
+and is checked like the key.  All emitted files
 are deterministic for a fixed configuration and seed — CSV rows carry
 17-significant-digit floats, JSON is written with sorted keys — except the
 single ``wall_time_seconds`` field of ``meta.json``.
@@ -241,8 +242,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = RunConfig.from_dict(raw)
-        if args.output_dir:
+        if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
+            cfg.validate()
         geom = build_geometry(cfg.geometry)
         dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)

@@ -128,7 +128,8 @@ class Trajectory:
 # definition.  Overflow of e^{k lambda} is the blow-up signal, never a
 # warning: make_state, the steppers and gradient_check each set
 # np.errstate(over="ignore", invalid="ignore") once, and the kernels they
-# call (_weighted_sum, _rhs_values, _webster_core) set none of their own.
+# call (_weighted_sum, _rhs_values, _webster_core, _accept) set none of
+# their own.
 
 
 def energy(lam: ScalarField) -> float:
@@ -306,10 +307,10 @@ def step_explicit(state: FlowState, dt: float, *,
 
     The stage inputs share ``work.stage``, k3 and k4 are ``work.k3`` and
     ``work.k4`` (a workspace is built when ``work`` is None), and the
-    update accumulates into k2, in place and with the grouping of
-    y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4).  k2 is the one fresh stage
-    array: it becomes the new state's ``lam``.  The old state's ``lam``
-    and ``rhs`` are never written.
+    increment (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) accumulates into k2,
+    in place.  k2 is the one fresh stage array, which ``_accept`` turns
+    into the new state's ``lam``.  The old state's ``lam`` and ``rhs``
+    are never written.
     """
     _check_dt(dt, "dt")
     geom = state.lam.geometry
@@ -333,8 +334,7 @@ def step_explicit(state: FlowState, dt: float, *,
         k2 += k3
         k2 += k4
         k2 *= dt / 6.0
-        k2 += y
-    return _accept(state, k2, dt, work)
+        return _accept(state, k2, dt, work)
 
 
 def step_imex(state: FlowState, dt: float, *,
@@ -346,53 +346,61 @@ def step_imex(state: FlowState, dt: float, *,
 
     with c = C_STAB: in exact arithmetic the step (I + dt c Delta-hat^2)
     lambda' = lambda + dt (rhs + c Delta-hat^2 lambda), but a zero rhs
-    gives a zero increment, so constant states stay fixed to the last bit
-    on every kind.  The shifted operator is symmetric positive definite,
-    so the solve is well posed at any dt.  On every kind it is the exact
-    spectral inverse (``shifted_bilap_inverse``), a division by
-    1 + s sigma^2 between orthonormal transforms, whose rounding does not
-    grow with s (only applying the shifted operator amplifies it, by
-    s sigma_max^2): it is applied unchecked at any dt.
+    gives a zero increment, which ``_accept`` turns into lambda itself,
+    so constant states stay fixed to the last bit on every kind.  The
+    shifted operator is symmetric positive definite, so the solve is well
+    posed at any dt.  On every kind it is the exact spectral inverse
+    (``shifted_bilap_inverse``), a division by 1 + s sigma^2 between
+    orthonormal transforms, whose rounding does not grow with s (only
+    applying the shifted operator amplifies it, by s sigma_max^2): it is
+    applied unchecked at any dt.
 
     The explicit term dt * rhs is scratch of ``work`` (a workspace is
-    built when it is None); the solved increment is fresh and becomes the
-    new state's ``lam``, whose volume ``_accept`` restores.  The old
-    state's ``lam`` and ``rhs`` are never written.
+    built when it is None).  The solved increment is fresh, or all NaN
+    when dt * rhs is not finite (the blown-up state propagates for
+    classification, unsolved); ``_accept`` turns it into the new state's
+    ``lam`` and restores the volume.  The old state's ``lam`` and ``rhs``
+    are never written.
     """
     _check_dt(dt, "dt")
     geom = state.lam.geometry
-    s = dt * C_STAB
-    y = state.lam.values
     if work is None:
         work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.multiply(state.rhs, dt, out=work.stage)
-    if not np.isfinite(b).all():
-        # blown-up state: skip the solve, propagate for classification
-        return _accept(state, np.full_like(y, np.nan), dt, work)
-    # the solved increment is fresh: lambda' is added into it in place
-    sol = linear_solve(shifted_bilap_inverse(geom, s), b)
-    sol += y
-    return _accept(state, sol, dt, work, restore_volume=True)
+        if np.isfinite(b).all():
+            increment = linear_solve(shifted_bilap_inverse(geom, dt * C_STAB), b)
+        else:
+            increment = np.full_like(b, np.nan)
+        return _accept(state, increment, dt, work, restore_volume=True)
 
 
-def _accept(state: FlowState, values: np.ndarray, dt: float, work: Workspace, *,
+def _accept(state: FlowState, increment: np.ndarray, dt: float, work: Workspace, *,
             restore_volume: bool = False) -> FlowState:
-    """The state one step of dt after ``state``, at a stepper's fresh
-    lambda ``values``, which it keeps.  With ``restore_volume`` (IMEX),
-    the constant shift values += log(V / V') / 4 first restores the
-    volume V of ``state`` exactly, in place; the energy is invariant
-    under constant shifts, so only the step's volume drift goes.  It is
-    skipped unless V and V' are positive and finite, and V''s integrand
-    is scratch in ``work.k3``."""
+    """The state one step of dt after ``state``, whose lambda is ``state``'s
+    plus a stepper's fresh ``increment``: the one place a step changes
+    lambda.
+
+    An increment with no nonzero cell leaves a fresh copy of lambda's own
+    bytes, -0.0 included, and nothing else is done.  Otherwise lambda is
+    added into the increment, in place, and with ``restore_volume``
+    (IMEX) the constant shift += log(V / V') / 4 then restores the volume
+    V of ``state`` exactly; the energy is invariant under constant shifts,
+    so only the step's volume drift goes.  The shift is skipped unless V
+    and V' are positive and finite, and V''s integrand is scratch in
+    ``work.k3``.  A kernel of the steppers, run under their errstate."""
     geom = state.lam.geometry
-    if restore_volume:
-        v_old = state.diagnostics.volume
-        with np.errstate(over="ignore", invalid="ignore"):
+    if not increment.any():
+        values = state.lam.values.copy()
+    else:
+        values = increment
+        values += state.lam.values
+        if restore_volume:
+            v_old = state.diagnostics.volume
             m4 = np.multiply(values, 4.0, out=work.k3)    # volume(values)
             v_new = _weighted_sum(geom, np.exp(m4, out=m4))
-        if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
-            values += 0.25 * math.log(v_old / v_new)
+            if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
+                values += 0.25 * math.log(v_old / v_new)
     return make_state(ScalarField(geom, values), state.time + dt,
                       state.step_index + 1, work=work)
 
@@ -417,12 +425,14 @@ def auto_dt(geom: ModelGeometry) -> float:
 
 
 def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
-    """The step a run takes: ``auto_dt(geom)`` for ``"auto"``, else dt.
+    """The step a run takes: ``auto_dt(geom)`` for ``"auto"``, else dt
+    read as ``_check_run_args`` reads it (booleans and strings refused).
 
     Raises ValueError unless 0 < dt < inf.  An extreme cell spacing can
     make the automatic step 0 (C_STAB * sigma^2 overflows) or NaN (a
     subnormal squared spacing)."""
-    return _check_dt(auto_dt(geom) if dt == "auto" else float(dt), "the resolved dt")
+    return _check_dt(auto_dt(geom) if dt == "auto" else _as_finite(dt, "dt"),
+                     "the resolved dt")
 
 
 def _check_dt(dt: float, what: str) -> float:
@@ -510,8 +520,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         quiet = quiet + 1 if rel < PLATEAU_TOL else 0  # a NaN change is never quiet
 
     traj.outcome = outcome
-    if snapshot_every > 0 and (not traj.snapshots
-                               or traj.snapshots[-1][0] != state.step_index):
+    if snapshot_every > 0 and state.step_index % snapshot_every:
         traj.snapshots.append((state.step_index, state.lam.copy()))
     traj.final_state = state
     return traj

@@ -386,7 +386,7 @@ def _gradient_consistency():
 def _fixed_points():
     models = _models()
     constants = [ScalarField(g, np.full(g.resolution, c))
-                 for g in models for c in (0.0, 0.4, -0.9)]
+                 for g in models for c in (-0.0, 0.0, 0.4, -0.9)]
     stationary = all(np.all(flow.flow_rhs(lam).values == 0.0) for lam in constants)
     fixed = True
     for lam in constants:
@@ -397,7 +397,7 @@ def _fixed_points():
             fixed = fixed and (
                 traj.outcome == "max_time"
                 and len(traj.diagnostics) == 21
-                and np.array_equal(traj.final_state.lam.values, lam.values)
+                and traj.final_state.lam.values.tobytes() == lam.values.tobytes()
             )
     flat_zero = all(
         flow.energy(ScalarField(g, np.full(g.resolution, c))) == 0.0

@@ -138,9 +138,6 @@ class ModelGeometry:
             out.append(np.arange(n) * (p / n))
         return tuple(out)
 
-    def zeros(self) -> "ScalarField":
-        return ScalarField(self, np.zeros(self.resolution))
-
     def constant(self, value: float) -> "ScalarField":
         return ScalarField(self, np.full(self.resolution, float(value)))
 

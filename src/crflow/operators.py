@@ -109,8 +109,9 @@ class Workspace:
 
     On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
     whose two end faces no call writes, and ``sphere`` holds what the
-    stencil reads of it on every call (``_sphere_stencil``).  On the flat
-    kinds ``sphere`` is None.
+    stencil reads on every call: the views r[1:-1], r[1:] and r[:-1],
+    the interior face weights and the spacing ds as an ``_operand``.  On
+    the flat kinds ``sphere`` is None.
     """
 
     __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4", "sphere")
@@ -119,19 +120,13 @@ class Workspace:
         for name in ("e", "u", "m2", "em3", "w", "stage", "k3", "k4"):
             setattr(self, name, np.empty(geom.resolution))
         if geom.kind == SPHERE_REDUCED:
-            self.r = np.zeros(geom.resolution[0] + 1)
-            self.sphere = _sphere_stencil(geom, self.r)
+            n = geom.resolution[0]
+            r = self.r = np.zeros(n + 1)
+            self.sphere = (r[1:-1], r[1:], r[:-1], _sphere_faces(n)[1:-1],
+                           _operand(geom.spacing[0]))
         else:
             self.r = np.empty(geom.resolution)
             self.sphere = None
-
-
-def _sphere_stencil(geom: ModelGeometry, flux: np.ndarray) -> tuple:
-    """What the sphere stencil reads of a zero-padded n + 1 face flux:
-    its views flux[1:-1], flux[1:] and flux[:-1], the interior face
-    weights and the spacing ds as an ``_operand``."""
-    return (flux[1:-1], flux[1:], flux[:-1], _sphere_faces(geom.resolution[0])[1:-1],
-            _operand(geom.spacing[0]))
 
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
@@ -152,10 +147,10 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
     The result is written into ``out`` and returned, or into a fresh
     float array without it; ``out`` shares no memory with ``v``, ``g`` or
-    ``work``'s edge arrays ``e`` and ``r`` (on the flat kinds a workspace
-    is built when ``work`` is None).  Both branches work in place,
-    commuting operands but never regrouping them, so each cell sees the
-    expression form's operations in its order.
+    ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
+    ``work`` is None).  Both branches work in place, commuting operands
+    but never regrouping them, so each cell sees the expression form's
+    operations in its order.
 
     The flat kinds work the X term in ``out`` and the Y term in ``e``,
     with ``r`` for the edge weights and the edges read back:
@@ -166,17 +161,15 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     them, is divided by.
 
     The sphere works in the zero-padded flux ``r`` through the views of
-    ``work.sphere`` (a fresh flux when ``work`` is None), so without ``g``
-    it allocates nothing: (mu * d) / ds on the interior faces, then
+    ``work.sphere``, so given ``work`` and no ``g`` it allocates nothing:
+    (mu * d) / ds on the interior faces, then
     (-c_s * (flux[1:] - flux[:-1])) / ds, with ds and -c_s as
     ``_operand``s.
     """
+    if work is None:
+        work = Workspace(geom)
     if geom.kind == SPHERE_REDUCED:
-        if work is None:
-            flux = np.zeros(geom.resolution[0] + 1)
-            d, upper, lower, mu, ds = _sphere_stencil(geom, flux)
-        else:
-            d, upper, lower, mu, ds = work.sphere
+        d, upper, lower, mu, ds = work.sphere
         np.subtract(v[1:], v[:-1], out=d)
         if g is not None:
             d *= 0.5 * (g[1:] + g[:-1])
@@ -193,8 +186,6 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
         g = np.asarray(g, dtype=float)
     if out is None:
         out = np.empty(geom.resolution)
-    if work is None:
-        work = Workspace(geom)
     r = work.r
     for axis in (0, 1):
         d = geom.spacing[axis]
@@ -418,13 +409,12 @@ def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
 def linear_solve(inverse, b: np.ndarray) -> np.ndarray:
     """The solution inverse(b) of a linear system given by its exact
     ``inverse``, a map of value arrays that returns a fresh one: the
-    caller owns the solution.  A zero right-hand side returns fresh
-    zeros unsolved.
+    caller owns the solution.  Every b is solved, a zero one too: the
+    spectral inverses map zeros to zeros.
 
-    A function of its own so that ``perfbench``'s tracer can time each
-    solve by this name and count the calls of its first argument."""
-    if float(np.linalg.norm(b)) == 0.0:
-        return np.zeros_like(b)
+    A function of its own, and nothing more, so that ``perfbench``'s
+    tracer can time each solve by this name and count the calls of its
+    first argument."""
     return inverse(b)
 
 

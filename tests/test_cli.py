@@ -333,6 +333,14 @@ def test_run_honors_the_output_dir_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_empty_output_dir_flag_exits_with_the_config_code(tmp_path, capsys):
+    # the flag is read whenever it is given, and refused as the key is
+    cfg_path, _ = write_config(tmp_path)
+    assert main(["run", str(cfg_path), "--output-dir", ""]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: output_dir must be a nonempty string\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_data_run_plateaus(tmp_path, capsys):
     # max_time / dt overflows in the second run: its step budget is
     # unbounded, and the plateau test still ends it

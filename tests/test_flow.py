@@ -307,8 +307,9 @@ def expression_imex(geom, y, rhs, v_old, dt):
     b = dt * rhs
     if not np.isfinite(b).all():
         return np.full_like(y, np.nan)
-    inc = (np.zeros_like(y) if np.linalg.norm(b) == 0.0
-           else shifted_bilap_inverse(geom, dt * C_STAB)(b))
+    inc = shifted_bilap_inverse(geom, dt * C_STAB)(b)
+    if not inc.any():
+        return y.copy()
     sol = y + inc
     v_new = _weighted_sum(geom, np.exp(4.0 * sol))
     if 0.0 < v_old < math.inf and 0.0 < v_new < math.inf:
@@ -732,6 +733,16 @@ def test_dt_auto_resolves_to_the_formula_value():
     geom = sector()
     traj = run(random_data(geom, 55), dt="auto", max_time=1.0, max_steps=2)
     assert traj.dt == auto_dt(geom)
+
+
+@pytest.mark.parametrize("dt", [True, "1e-9"], ids=["bool", "string"])
+def test_resolve_dt_refuses_what_run_refuses(dt):
+    # resolve_dt reads dt as run's argument check does, not by float()
+    lam0 = random_data(sector(), 55)
+    for call in (lambda: flow.resolve_dt(lam0.geometry, dt),
+                 lambda: run(lam0, dt=dt, max_steps=1)):
+        with pytest.raises(ValueError, match="dt must be a finite number"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -326,15 +326,27 @@ def test_linear_solve_resolvent_amplitude_on_an_eigenmode():
     )
 
 
-def test_linear_solve_zero_rhs_returns_zeros():
-    rhs = np.zeros((8, 8))
+@pytest.mark.parametrize("make", [lambda: sector(8), lambda: sphere(16), lattice],
+                         ids=["sector", "sphere", "lattice"])
+def test_linear_solve_applies_the_inverse_to_every_rhs(make):
+    # a zero right-hand side is solved like any other, and the spectral
+    # inverse maps it to zeros; a tiny one, whose 2-norm underflows to 0,
+    # is not mistaken for zero
+    geom = make()
+    inverse = shifted_bilap_inverse(geom, 10.0 * auto_dt(geom))
+    calls = []
 
-    def never(v):
-        raise AssertionError("a zero right-hand side needs no solve")
+    def counted(v):
+        calls.append(v)
+        return inverse(v)
 
-    out = linear_solve(never, rhs)
-    assert out is not rhs
-    np.testing.assert_array_equal(out, np.zeros((8, 8)))
+    tiny = 1e-170 * rand_field(geom, 5).values
+    assert np.linalg.norm(tiny) == 0.0
+    for b in (np.zeros(geom.resolution), tiny):
+        out = linear_solve(counted, b)
+        assert calls.pop() is b and not calls
+        assert out.tobytes() == inverse(b).tobytes()
+        assert out.any() == (b is tiny)
 
 
 # ---------------------------------------------------------------------------
