@@ -55,12 +55,11 @@ import dataclasses
 import gc
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import flow
 from .conventions import _shown, conventions_record
@@ -83,22 +82,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_BLOWUP = 3
-
-_CSV_COLUMNS = (
-    "step",
-    "time",
-    "volume",
-    "energy",
-    "bondi",
-    "w_min",
-    "w_max",
-    "dissipation",
-    "lam_max",
-    "lam_argmax",
-)
-# One diagnostics.csv row: the bytes csv.writer gives for these cells
-# (none needs quoting) with every float as _fmt writes it.
-_CSV_ROW = "%d," + "%.17g," * 8 + "%d\r\n"
 
 
 class ConfigError(ValueError):
@@ -182,8 +165,6 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -206,12 +187,18 @@ def _dump_json(payload: dict, path: str) -> None:
 
 
 def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
+    """diagnostics.csv: ``step``, then every ``flow.Diagnostics`` field in
+    field order.  Each row is the bytes csv.writer gives for its cells
+    (none needs quoting): ``%d`` for an int field, every other value as
+    _fmt writes it."""
+    fields = dataclasses.fields(flow.Diagnostics)
+    names = [f.name for f in fields]
+    row = ",".join(["%d"] + ["%d" if f.type in (int, "int") else "%.17g"
+                             for f in fields]) + "\r\n"
+    cells = operator.attrgetter(*names)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\r\n")
-        fh.writelines(
-            _CSV_ROW % (step, d.time, d.volume, d.energy, d.bondi, d.w_min,
-                        d.w_max, d.dissipation, d.lam_max, d.lam_argmax)
-            for step, d in enumerate(traj.diagnostics))
+        fh.write(",".join(["step"] + names) + "\r\n")
+        fh.writelines(row % (step, *cells(d)) for step, d in enumerate(traj.diagnostics))
 
 
 def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None:

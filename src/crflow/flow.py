@@ -53,11 +53,16 @@ INTEGRATORS = ("explicit", "imex")   # stepped by step_explicit, step_imex
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-step scalar monitors of a flow state at flow time ``time``.
+    """Per-step scalar monitors of a flow state at flow time ``time``: the
+    one schema of a run's record.  ``diagnostics.csv`` is ``step`` and
+    then these fields in this order, and ``meta.json``'s ``final`` is the
+    last row.
 
-    ``lam_max`` is max |lambda| and ``lam_argmax`` its flat C-order cell
-    index; non-finite cells rank highest, so the record still localizes
-    an incipient singularity.
+    ``w_min`` and ``w_max`` are NaN iff the curvature has a non-finite
+    cell.  ``lam_max`` is max |lambda| and ``lam_argmax`` its flat
+    C-order cell index; non-finite cells rank highest, so the record
+    still localizes an incipient singularity.  Overflow needs no flag of
+    its own: it leaves a non-finite value in the row.
     """
 
     time: float
@@ -67,7 +72,6 @@ class Diagnostics:
     w_min: float
     w_max: float
     dissipation: float
-    overflow_flag: bool
     lam_max: float
     lam_argmax: int
 
@@ -233,7 +237,9 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
 def make_state(lam: ScalarField, time: float, step_index: int, *,
                work: Workspace | None = None) -> FlowState:
     """Assemble a FlowState with its right-hand side and freshly computed
-    diagnostics: one rhs and one curvature evaluation.
+    diagnostics: one rhs and one curvature evaluation.  Every Diagnostics
+    field is computed here and nowhere else, so a new per-row quantity is
+    one field there and one line here.
 
     ``lam`` is kept, never written, and ``rhs`` is a fresh array; every
     other array is scratch of ``work`` (a workspace is built when it is
@@ -256,19 +262,12 @@ def make_state(lam: ScalarField, time: float, step_index: int, *,
         np.multiply(rhs, rhs, out=scratch)
         scratch *= m4
         dis = DESCENT * _weighted_sum(geom, scratch)
-    if (math.isfinite(vol) and math.isfinite(ene) and math.isfinite(bon)
-            and math.isfinite(dis)):
-        # energy and dissipation sum w^2 e^{4 lambda} and rhs^2 e^{4 lambda},
-        # never negative: a finite sum has finite terms, and a finite term
-        # has finite factors even where e^{4 lambda} is 0 (inf * 0 is NaN)
-        finite_w, overflow = True, False
-    else:
-        finite_w = bool(np.isfinite(w).all())
-        overflow = not (finite_w and math.isfinite(vol) and math.isfinite(ene)
-                        and math.isfinite(bon) and np.isfinite(rhs).all())
-    # reductions and array methods: the work of min, max, argmax and
-    # flat without numpy's Python wrappers
-    if finite_w:
+    # the energy sums w^2 e^{4 lambda}, never negative: a finite sum has
+    # finite terms, and a finite term has a finite w even where
+    # e^{4 lambda} is 0 (inf * 0 is NaN), so only a non-finite energy needs
+    # the cell scan.  Reductions and array methods: the work of min, max,
+    # argmax and flat without numpy's Python wrappers
+    if math.isfinite(ene) or np.isfinite(w).all():
         w_min = float(np.minimum.reduce(w, axis=None))
         w_max = float(np.maximum.reduce(w, axis=None))
     else:
@@ -281,7 +280,6 @@ def make_state(lam: ScalarField, time: float, step_index: int, *,
         lam_max = abs_lam.item(argmax)
     diag = Diagnostics(time=time, volume=vol, energy=ene, bondi=bon,
                        w_min=w_min, w_max=w_max, dissipation=dis,
-                       overflow_flag=overflow,
                        lam_max=lam_max, lam_argmax=argmax)
     return FlowState(lam=lam, rhs=rhs, step_index=step_index, diagnostics=diag)
 
@@ -477,9 +475,10 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     in this order, for ``blowup`` (non-finite state or |lambda| past
     threshold), ``converged`` (energy plateau after a genuine decrease)
     or ``plateau`` (energy plateau without one — e.g. data that starts
-    stationary), and ``max_time`` (time or step budget exhausted); the
-    first that holds ends the run.  A plateau is ``PLATEAU_WINDOW``
-    consecutive steps whose relative energy change is below ``PLATEAU_TOL``.
+    stationary), and ``max_time`` (the next step would pass ``max_time``,
+    or ``max_steps`` steps are done); the first that holds ends the run.
+    A plateau is ``PLATEAU_WINDOW`` consecutive steps whose relative
+    energy change is below ``PLATEAU_TOL``.
     Deterministic for fixed inputs.  One Diagnostics record per step,
     including step 0; snapshots of lambda every ``snapshot_every`` steps
     (0 disables them) plus the final state.
@@ -494,10 +493,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:
-        # an overflowing quotient leaves the budget unbounded: the time
-        # test still ends the run
-        budget = max_time / dt_val
-        max_steps = int(np.ceil(budget)) + 1 if math.isfinite(budget) else math.inf
+        max_steps = math.inf    # the time test alone ends the run
 
     work = Workspace(geom)      # every step's scratch, released on return
     state = make_state(lam0, 0.0, 0, work=work)

@@ -62,6 +62,9 @@ SPHERE_REDUCED = "SphereReduced1D"
 KNOWN_KINDS = (HEISENBERG_SECTOR, HEISENBERG_LATTICE, SPHERE_REDUCED)
 
 MIN_RESOLUTION = 4
+# the largest random-data frequency: the set-up builds up to about
+# 2 * cutoff^2 planar modes, so an unbounded one never finishes it
+MAX_CUTOFF = 64
 
 _GEOMETRY_KEYS = {
     HEISENBERG_SECTOR: ("kind", "resolution", "periods", "t_fiber"),
@@ -438,7 +441,8 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
       the twisted identification (default 0: vertical-invariant data,
       identical cell-for-cell to the 2D sector field of the same seed).
 
-    A key the kind does not read raises ``GeometryError``.  The same seed
+    A key the kind does not read, and a K outside 1..MAX_CUTOFF or a Kt
+    outside 0..MAX_CUTOFF, raise ``GeometryError``.  The same seed
     always yields bitwise-identical values.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -457,13 +461,17 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
         seed = _as_int(spec.get("seed", 0), "seed")
         amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
         cutoff = _as_int(spec.get("cutoff", 4), "cutoff")
-        if cutoff < 1:
-            raise GeometryError("cutoff frequency must be >= 1")
+        if not 1 <= cutoff <= MAX_CUTOFF:
+            raise GeometryError(
+                f"cutoff must be between 1 and {MAX_CUTOFF}, got {_shown(cutoff)}")
         if geom.kind == SPHERE_REDUCED:
             return ScalarField(geom, _random_sphere(geom, seed, amplitude, cutoff))
         if geom.kind == HEISENBERG_SECTOR:
             return ScalarField(geom, _random_planar(geom, seed, amplitude, cutoff))
         cutoff_t = _as_int(spec.get("cutoff_t", 0), "cutoff_t")
+        if not 0 <= cutoff_t <= MAX_CUTOFF:
+            raise GeometryError(
+                f"cutoff_t must be between 0 and {MAX_CUTOFF}, got {_shown(cutoff_t)}")
         return ScalarField(
             geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
 

@@ -17,7 +17,6 @@ import crflow.flow as flow
 import crflow.invariants as invariants
 import crflow.operators as operators
 from crflow.cli import (
-    _CSV_COLUMNS,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -291,7 +290,8 @@ def csv_writer_reference(path, traj):
     """diagnostics.csv as csv.writer writes it, every float through _fmt."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(["step", "time", "volume", "energy", "bondi", "w_min",
+                         "w_max", "dissipation", "lam_max", "lam_argmax"])
         for step, d in enumerate(traj.diagnostics):
             writer.writerow([step] + [_fmt(x) for x in (
                 d.time, d.volume, d.energy, d.bondi, d.w_min, d.w_max,
@@ -307,8 +307,7 @@ def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
     ]
     synthetic = flow.Trajectory(outcome="blowup", dt=1.0, diagnostics=[
         flow.Diagnostics(time=t, volume=v, energy=e, bondi=b, w_min=lo,
-                         w_max=hi, dissipation=dis, overflow_flag=True,
-                         lam_max=lm, lam_argmax=am)
+                         w_max=hi, dissipation=dis, lam_max=lm, lam_argmax=am)
         for t, v, e, b, lo, hi, dis, lm, am in odd])
     geom = build_geometry(
         {"kind": "HeisenbergSector2D", "resolution": [32, 32], "periods": [1.0, 1.0]})
@@ -342,8 +341,8 @@ def test_an_empty_output_dir_flag_exits_with_the_config_code(tmp_path, capsys):
 
 
 def test_zero_data_run_plateaus(tmp_path, capsys):
-    # max_time / dt overflows in the second run: its step budget is
-    # unbounded, and the plateau test still ends it
+    # with no max_steps only the time test bounds a run: at max_time /
+    # dt = 1e310 in the second run, the plateau test ends it first
     huge_budget = {"geometry": {"kind": "HeisenbergSector2D", "resolution": [8, 8]},
                    "max_time": 1e300, "dt": 1e-10}
     for overrides in ({}, huge_budget):
@@ -376,7 +375,7 @@ def test_unstable_step_exits_with_the_blowup_code(tmp_path, capsys):
     assert "outcome: blowup" in capsys.readouterr().out
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["outcome"] == "blowup"
-    assert meta["final"]["overflow_flag"]
+    assert meta["final"]["energy"] == "nan"
     assert meta["n_steps"] < 60
 
 

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import crflow.manifold as manifold
 from crflow.manifold import (
     GeometryError,
     ScalarField,
@@ -104,12 +105,13 @@ def test_period_validation():
         with pytest.raises(GeometryError, match="characters") as exc:
             build_geometry(spec)
         assert len(str(exc.value)) <= 200
-    for t_fiber in ([1], "1.0", math.inf, math.nan, None):
+    for t_fiber in ([1], "1.0", math.inf, math.nan, None, 0.0, -0.0, -1.0):
         with pytest.raises(GeometryError, match="t_fiber"):
             build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 8],
                             "t_fiber": t_fiber})
-    with pytest.raises(GeometryError, match="resolution"):
-        build_geometry({"kind": "HeisenbergSector2D", "resolution": [8, 1e400]})
+    for resolution in ([8, 1e400], [8, 8, 8], [8]):
+        with pytest.raises(GeometryError, match="resolution"):
+            build_geometry({"kind": "HeisenbergSector2D", "resolution": resolution})
     # a key the kind does not read is named, not ignored
     for spec, key in (({"kind": "HeisenbergSector2D", "resolution": [8, 8],
                         "period": [2, 1]}, "period"),
@@ -136,6 +138,11 @@ def test_unsatisfiable_wrap_shift_rejected():
     # 16 tau-cells on a unit fiber make the frame shift a quarter cell
     with pytest.raises(GeometryError, match="wrap-shift constraint unsatisfiable"):
         lattice(16, 16, 16, lt=1.0)
+    # the degree 4 Px Py / Lt = 4/3 or 0.04: the quotient does not close
+    for periods in ([1.0, 1.0, 3.0], [0.1, 0.1, 1.0]):
+        with pytest.raises(GeometryError, match="the degree 4\\*Px\\*Py/Lt"):
+            build_geometry({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
+                            "periods": periods})
 
 
 def test_lattice_wrap_numbers():
@@ -451,6 +458,20 @@ def test_initial_data_validation_errors():
     for spec in bad_specs:
         with pytest.raises(GeometryError):
             initial_data(geom, spec)
+    # past the bound the set-up would loop cutoff times on the sphere and
+    # build about 2 cutoff^2 planar modes: the key is refused, by name,
+    # before any mode is built; so is a negative cutoff_t
+    bound = manifold.MAX_CUTOFF
+    for geom, key, value in ((sphere(16), "cutoff", bound + 1),
+                             (sector(8), "cutoff", bound + 1),
+                             (lattice(), "cutoff", bound + 1),
+                             (lattice(), "cutoff_t", bound + 1),
+                             (lattice(), "cutoff_t", -1)):
+        with pytest.raises(GeometryError, match=f"^{key} must be between"):
+            initial_data(geom, {"kind": "random", key: value})
+    assert initial_data(sphere(16), {"kind": "random", "cutoff": bound}).is_finite()
+    assert initial_data(lattice(), {"kind": "random", "cutoff": 2,
+                                    "cutoff_t": bound}).is_finite()
     # a key the kind does not read is named, not ignored; cutoff_t is read
     # on the lattice only
     for geom, spec, key in ((sector(8), {"kind": "random", "sed": 4}, "sed"),

@@ -228,6 +228,12 @@ def test_webster_pointwise_refines_at_second_order():
     assert abs(w_h - rich) / abs(rich) > 3.0 * abs(w_h2 - rich) / abs(rich)
 
 
+def test_webster_pointwise_rejects_a_nonpositive_step():
+    for h in (0.0, -0.05):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            webster_pointwise(extremal_profile, (0.0, 0.5, 0.5), h)
+
+
 def test_webster_pointwise_rejects_nonpositive_profiles():
     dips = lambda t, x, y: t  # changes sign near the sample path
     with pytest.raises(ValueError):
@@ -309,7 +315,7 @@ def test_yamabe_apply_rejects_mismatched_geometries():
 # linear solver
 
 
-def test_linear_solve_resolvent_amplitude_on_an_eigenmode():
+def test_shifted_bilap_inverse_divides_an_eigenmode_by_its_symbol():
     # for A = I + alpha * L^2 and an eigenmode L v = sigma v the solution of
     # A x = v is x = v / (1 + alpha * sigma^2); sigma is measured from the
     # operator itself, not assumed
@@ -445,9 +451,9 @@ def test_shifted_bilap_inverse_matches_a_dense_solve(make, mult):
 @pytest.mark.parametrize("mult", [10.0, 1e3, 1e4])
 @pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64), lattice],
                          ids=["sector", "sphere", "lattice"])
-def test_exact_preconditioner_solves_in_one_matvec(make, mult):
+def test_shifted_bilap_inverse_leaves_a_small_residual(make, mult):
     # the exact spectral inverse solves the shifted system, whatever the
-    # step size
+    # step size: I + s L^2 applied to its solution gives b back
     geom = make()
     s = mult * auto_dt(geom) * C_STAB
     b = rand_field(geom, 21).values
