@@ -180,8 +180,11 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
 
         DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
 
-    bg = What * m2 is the curvature's own product; where it skipped it
-    (What == 0, m2 finite) it is exactly +0.0, and w * 0.0 has the same bits.
+    bg = What * m2 is the curvature's own product, held in ``work.m2``;
+    where it skipped it (What == 0, m2 finite) it is exactly +0.0, and
+    w * 0.0 has the same bits.  That term and w * w go into the stencil's
+    ``work.e``, free once ``_div_form_values`` returns, so ``work.m2`` is
+    written only where a background term is formed.
     """
     if out is None:
         out = np.empty(geom.resolution)
@@ -198,8 +201,8 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     cov = _div_form_values(geom, u, out=out, work=work)
     cov *= YAMABE_COEFFICIENT
     cov *= em3
-    cov += np.multiply(w, 0.0, out=work.m2) if bg is None else np.multiply(bg, w, out=bg)
-    cov -= np.multiply(w, w, out=work.m2)
+    cov += np.multiply(w, 0.0, out=work.e) if bg is None else np.multiply(bg, w, out=bg)
+    cov -= np.multiply(w, w, out=work.e)
     cov *= DESCENT * 2.0
     return cov, w
 
@@ -243,7 +246,7 @@ def make_state(lam: ScalarField, time: float, step_index: int, *,
 
     ``lam`` is kept, never written, and ``rhs`` is a fresh array; every
     other array is scratch of ``work`` (a workspace is built when it is
-    None), whose ``u`` and ``m2`` hold the integrands once the rhs is
+    None), whose ``u`` and ``e`` hold the integrands once the rhs is
     done."""
     geom = lam.geometry
     values = lam.values
@@ -254,7 +257,7 @@ def make_state(lam: ScalarField, time: float, step_index: int, *,
         m4 = np.multiply(values, 4.0, out=work.u)
         np.exp(m4, out=m4)
         vol = _weighted_sum(geom, m4)
-        scratch = np.multiply(w, w, out=work.m2)
+        scratch = np.multiply(w, w, out=work.e)
         scratch *= m4
         ene = _weighted_sum(geom, scratch)
         np.multiply(values, 5.0, out=scratch)
@@ -303,12 +306,13 @@ def step_explicit(state: FlowState, dt: float, *,
     The first stage is the state's stored rhs (first same as last), so a
     step makes three stage evaluations plus the one in ``make_state``.
 
-    The stage inputs share ``work.stage``, k3 and k4 are ``work.k3`` and
-    ``work.k4`` (a workspace is built when ``work`` is None), and the
-    increment (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) accumulates into k2,
-    in place.  k2 is the one fresh stage array, which ``_accept`` turns
-    into the new state's ``lam``.  The old state's ``lam`` and ``rhs``
-    are never written.
+    The stage inputs share ``work.stage`` and k3 is ``work.k3`` (a
+    workspace is built when ``work`` is None).  The increment
+    (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) accumulates into k2, in place:
+    (k1 + 2 k2) + 2 k3 once stage 4's input is formed, which frees k3's
+    buffer for k4, and then k4 and the factor dt/6.  k2 is the one fresh
+    stage array, which ``_accept`` turns into the new state's ``lam``.
+    The old state's ``lam`` and ``rhs`` are never written.
     """
     _check_dt(dt, "dt")
     geom = state.lam.geometry
@@ -325,11 +329,11 @@ def step_explicit(state: FlowState, dt: float, *,
         k3 = _rhs_values(geom, stage, out=work.k3, work=work)[0]
         np.multiply(k3, dt, out=stage)
         stage += y
-        k4 = _rhs_values(geom, stage, out=work.k4, work=work)[0]
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
         k2 += k3
+        k4 = _rhs_values(geom, stage, out=k3, work=work)[0]     # k3 is summed
         k2 += k4
         k2 *= dt / 6.0
         return _accept(state, k2, dt, work)

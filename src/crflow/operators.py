@@ -102,10 +102,17 @@ class Workspace:
     by every kernel call that is given them.
 
     ``e`` and ``r`` hold the stencil's edge differences, ``u``, ``m2``,
-    ``em3`` and ``w`` the curvature assembly, and ``stage``, ``k3`` and
-    ``k4`` the Runge-Kutta stages.  A kernel writes only its temporaries
+    ``em3`` and ``w`` the curvature assembly, ``stage`` the Runge-Kutta
+    stage inputs and ``k3`` the third stage and then the fourth.  Between
+    stencil calls ``e`` is the flow's scratch for the rhs's products and
+    the diagnostics' integrands.  A kernel writes only its temporaries
     here, so what a workspace holds is valid only until the next call
     that is given it; anything a caller may keep is a fresh array.
+
+    ``m2`` is written only where a background term What * e^{-2 lambda}
+    is formed: on the sphere, and on the flat kinds at a state with a
+    lambda <= -354 or NaN.  A normal flat run never touches it, so its
+    pages need not become resident.
 
     On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
     whose two end faces no call writes, and ``sphere`` holds what the
@@ -114,10 +121,10 @@ class Workspace:
     the flat kinds ``sphere`` is None.
     """
 
-    __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "k4", "sphere")
+    __slots__ = ("e", "r", "u", "m2", "em3", "w", "stage", "k3", "sphere")
 
     def __init__(self, geom: ModelGeometry):
-        for name in ("e", "u", "m2", "em3", "w", "stage", "k3", "k4"):
+        for name in ("e", "u", "m2", "em3", "w", "stage", "k3"):
             setattr(self, name, np.empty(geom.resolution))
         if geom.kind == SPHERE_REDUCED:
             n = geom.resolution[0]
@@ -265,9 +272,10 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
 
     A kernel: overflow is the caller's blow-up signal, so callers run it
     under ``np.errstate(over="ignore", invalid="ignore")``.  The four
-    arrays are ``work``'s ``u``, ``m2``, ``em3`` and ``w`` (``e`` and
-    ``r`` are the stencil's scratch), so the caller may use u, bg and em3
-    as scratch until its next call on ``work`` (built when None).
+    arrays are ``work``'s ``u``, ``m2`` (written on the full path only),
+    ``em3`` and ``w`` (``e`` and ``r`` are the stencil's scratch), so the
+    caller may use u, bg and em3 as scratch until its next call on
+    ``work`` (built when None).
     ``lam_values`` is never written and shares no memory with the six.
     """
     if work is None:
@@ -522,7 +530,13 @@ def shifted_bilap_inverse(geom: ModelGeometry, s: float):
     value arrays: a division by 1 + s sigma^2 in the spectral basis."""
     forward, inverse, sigma = spectral_basis(geom)
     denom = 1.0 + s * sigma * sigma
-    return lambda v: inverse(forward(v) / denom)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        c = forward(v)      # fresh on every basis: divided in place
+        c /= denom
+        return inverse(c)
+
+    return solve
 
 
 def stability_symbol_max(geom: ModelGeometry) -> float:

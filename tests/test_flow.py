@@ -506,6 +506,65 @@ def test_an_rk4_step_on_a_workspace_allocates_only_the_new_state(config):
     assert peak - start <= 3 * lam.values.nbytes
 
 
+@pytest.mark.parametrize("config, arrays", [
+    ({"kind": "HeisenbergSector2D", "resolution": [128, 128]}, 5),
+    ({"kind": "HeisenbergLattice3D", "resolution": [16, 16, 32], "periods": [1, 1, 0.5]}, 7),
+    ({"kind": "SphereReduced1D", "resolution": [4096]}, 5),
+], ids=["sector128", "lattice16x16x32", "sphere4096"])
+def test_an_imex_step_on_a_workspace_peaks_at_its_transforms(config, arrays):
+    # the companion of the RK4 test above.  The spectral solve divides
+    # its fresh forward transform in place, and the step's peak is the
+    # transforms' own arrays: 3.56 grid arrays on the 128^2 sector (the
+    # inverse rfft2 holds its input, a complex intermediate and the
+    # result), 5.82 on the lattice (its gathers hold more) and 3.04 on
+    # the sphere, with numpy 2.4.  The bound is that peak rounded up to
+    # whole arrays, plus one of room for the small objects
+    geom = build_geometry(config)
+    lam = random_data(geom, 3)
+    dt = 10.0 * auto_dt(geom)
+    work = Workspace(geom)
+    state = step_imex(make_state(lam, 0.0, 0, work=work), dt, work=work)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = step_imex(state, dt, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.step_index == 2
+    assert peak - start <= arrays * lam.values.nbytes
+
+
+def test_a_workspace_holds_no_fourth_stage():
+    # k4 lands in k3's buffer once k3 is summed into k2
+    assert set(Workspace.__slots__) == {"e", "r", "u", "m2", "em3", "w", "stage",
+                                        "k3", "sphere"}
+
+
+@pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
+def test_only_a_background_term_writes_m2(make, data):
+    # the flat kinds form What * e^{-2 lambda} only at a lambda <= -354
+    # or NaN, so on a normal flat run no step writes work.m2 and its
+    # pages never become resident; the sphere's background term is m2
+    geom, lam = fsal_case(make, data)
+    flat = geom.background_curvature == 0.0
+    work = Workspace(geom)
+    sentinel = np.arange(lam.values.size, dtype=float).reshape(geom.resolution) + 0.5
+    work.m2[...] = sentinel
+    dt = auto_dt(geom)
+    state = make_state(lam, 0.0, 0, work=work)
+    assert (work.m2.tobytes() == sentinel.tobytes()) == flat
+    for stepper, h in ((step_explicit, dt), (step_imex, 10.0 * dt)):
+        work.m2[...] = sentinel
+        state = stepper(state, h, work=work)
+        assert state.lam.values.min() > -354.0
+        assert (work.m2.tobytes() == sentinel.tobytes()) == flat
+    deep = lam.values.copy()
+    deep.flat[5] = -400.0
+    make_state(ScalarField(geom, deep), 0.0, 0, work=work)
+    assert work.m2.tobytes() != sentinel.tobytes()
+
+
 @pytest.mark.parametrize("integrator, per_step", [("explicit", 4), ("imex", 1)])
 def test_right_hand_side_and_curvature_evaluations_per_step(
     monkeypatch, integrator, per_step

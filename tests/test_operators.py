@@ -448,6 +448,39 @@ def test_shifted_bilap_inverse_matches_a_dense_solve(make, mult):
     assert np.linalg.norm(x - ref) <= n * np.finfo(float).eps * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-3, 1e3])
+@pytest.mark.parametrize("make", [
+    lambda: build_geometry({"kind": "HeisenbergSector2D", "resolution": [64, 48]}),
+    lambda: sphere(64),
+    lambda: lattice_geometry([16, 16, 32], [1.0, 1.0, 0.5]),
+], ids=["sector64x48", "sphere64", "lattice16x16x32"])
+def test_shifted_bilap_inverse_divides_the_fresh_transform_in_place(make, s, monkeypatch):
+    # bitwise inverse(forward(v) / denom), with the quotient written over
+    # the forward transform: the array the inverse gets is the one
+    # forward returned, and v is never written
+    geom = make()
+    forward, inverse, sigma = spectral_basis(geom)
+    seen = []
+
+    def recorded(fn):
+        def call(a):
+            seen.append(a)
+            out = fn(a)
+            seen.append(out)
+            return out
+        return call
+
+    monkeypatch.setattr("crflow.operators.spectral_basis",
+                        lambda g: (recorded(forward), recorded(inverse), sigma))
+    v = rand_field(geom, 29).values
+    before = v.copy()
+    x = shifted_bilap_inverse(geom, s)(v)
+    assert x.tobytes() == inverse(forward(v) / (1.0 + s * sigma * sigma)).tobytes()
+    assert v.tobytes() == before.tobytes()
+    v_in, c, c_in, x_out = seen
+    assert v_in is v and c_in is c and x_out is x
+
+
 @pytest.mark.parametrize("mult", [10.0, 1e3, 1e4])
 @pytest.mark.parametrize("make", [lambda: sector(64), lambda: sphere(64), lattice],
                          ids=["sector", "sphere", "lattice"])
