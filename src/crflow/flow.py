@@ -12,8 +12,8 @@ with u = e^lambda, L-hat = 4 * sublap + What, and W = u^{-3} L-hat(u),
     grad E = 2 * ( u^{-3} L-hat(u W) - W^2 ),
 
 which in the continuum collapses to 8 * conformal-sublaplacian of W (the
-8 being 2 * yamabe_coefficient; gradient_check verifies rather than
-assumes it).  Two consequences hold to rounding, not merely to
+8 being 2 * yamabe_coefficient; ``invariants.gradient_check`` verifies
+rather than assumes it).  Two consequences hold to rounding, not merely to
 discretization order, because L-hat is exactly self-adjoint:
 
 * integrate(rhs * e^{4 lambda}) = 0  — the flow is exactly tangent to
@@ -21,7 +21,7 @@ discretization order, because L-hat is exactly self-adjoint:
   stepping error of the integrator's order;
 * the weighted pairing <-rhs, phi> reproduces the finite-difference
   derivative of E in any direction phi, which is the gradient check
-  ``gradient_check(lam, phi)`` (descent sign, step h = 1e-5).
+  ``invariants.gradient_check(lam, phi)`` (descent sign, step h = 1e-5).
 
 Blow-up handling: overflow of e^{k lambda} is a *signal*, not an error.
 Functionals return non-finite values, the right-hand side propagates
@@ -44,7 +44,7 @@ from .operators import (Workspace, _div_form_values, _webster_core, linear_solve
 
 __all__ = [
     "Diagnostics", "FlowState", "Trajectory", "energy", "volume", "bondi",
-    "flow_rhs", "gradient_check", "make_state", "step_explicit", "step_imex",
+    "flow_rhs", "make_state", "step_explicit", "step_imex",
     "detect_blowup", "auto_dt", "resolve_dt", "INTEGRATORS", "run",
 ]
 
@@ -130,7 +130,7 @@ class Trajectory:
 
 # The functionals and flow_rhs return make_state's values, their one
 # definition.  Overflow of e^{k lambda} is the blow-up signal, never a
-# warning: make_state, the steppers and gradient_check each set
+# warning: make_state and the steppers each set
 # np.errstate(over="ignore", invalid="ignore") once, and the kernels they
 # call (_weighted_sum, _rhs_values, _webster_core, _accept) set none of
 # their own.
@@ -183,8 +183,7 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     bg = What * m2 is the curvature's own product, held in ``work.m2``;
     where it skipped it (What == 0, m2 finite) it is exactly +0.0, and
     w * 0.0 has the same bits.  That term and w * w go into the stencil's
-    ``work.e``, free once ``_div_form_values`` returns, so ``work.m2`` is
-    written only where a background term is formed.
+    ``work.e``, free once it returns, so ``work.m2`` holds only bg.
     """
     if out is None:
         out = np.empty(geom.resolution)
@@ -198,8 +197,7 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
         out.fill(np.nan)
         return out, w
     u *= w
-    cov = _div_form_values(geom, u, out=out, work=work)
-    cov *= YAMABE_COEFFICIENT
+    cov = _div_form_values(geom, u, out=out, work=work, yamabe=True)
     cov *= em3
     cov += np.multiply(w, 0.0, out=work.e) if bg is None else np.multiply(bg, w, out=bg)
     cov -= np.multiply(w, w, out=work.e)
@@ -216,21 +214,6 @@ def flow_rhs(lam: ScalarField) -> ScalarField:
     blow-up propagates to the detector.
     """
     return ScalarField(lam.geometry, make_state(lam, 0.0, 0).rhs)
-
-
-def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
-    """Relative defect between the weighted pairing of the descent
-    direction -rhs with phi and the central finite difference of the
-    energy in direction phi, at step h = 1e-5."""
-    geom = lam.geometry
-    h = 1e-5
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(geom, lam.values)[0]
-        lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
-    e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
-    e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
-    d_h = (e_plus - e_minus) / (2.0 * h)
-    return abs(lhs - d_h) / max(abs(d_h), 1e-30)
 
 
 # ---------------------------------------------------------------------------

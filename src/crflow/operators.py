@@ -12,9 +12,10 @@ exact discrete properties the whole scheme rests on:
   e^{4 lambda}-weighted mean (telescoping edge sums).
 
 The flow's volume conservation rests on the first property, not the
-third: its right-hand side never calls ``conformal_sublap``, and its zero
-weighted mean follows from the self-adjointness of L-hat = 4 * sublap +
-What (derivation in ``crflow.flow``).
+third: its right-hand side never forms the conformal sublaplacian
+(``invariants.conformal_sublap``, a check), and its zero weighted mean
+follows from the self-adjointness of L-hat = 4 * sublap + What
+(derivation in ``crflow.flow``).
 
 Conventions (see ``crflow.conventions``): the sublaplacian is
 positive, -(X^2 + Y^2)/2 on the flat group and -c_s (s(1-s) f')' with
@@ -40,7 +41,6 @@ from .conventions import HEISENBERG_HORIZONTAL_FACTOR, SPHERE_CS, YAMABE_COEFFIC
 from .manifold import (
     HEISENBERG_SECTOR,
     SPHERE_REDUCED,
-    GeometryError,
     ModelGeometry,
     ScalarField,
 )
@@ -49,12 +49,10 @@ __all__ = [
     "CalibrationError",
     "Workspace",
     "sublap",
-    "conformal_sublap",
     "webster_curvature",
     "webster_pointwise",
     "extremal_profile",
     "calibrate_sphere_curvature",
-    "yamabe_apply",
     "linear_solve",
     "spectral_basis",
     "shifted_bilap_inverse",
@@ -71,20 +69,15 @@ class CalibrationError(RuntimeError):
 
 
 def _operand(x: float) -> np.ndarray:
-    """x as a read-only 0-d float64 array, the form the sphere stencil
-    gives its scalar operands in.
-
-    A ufunc converts a Python float operand on every call, which on a
-    64-cell array costs about as much as the arithmetic; a 0-d array is
-    taken as it is.  Both are the float64 x, so the result is the same
-    to the bit.
-    """
+    """x as a read-only 0-d float64 array: a ufunc takes it as it is, but
+    converts a Python float operand on every call, at about the cost of
+    a 64-cell array's arithmetic.  Both are the float64 x, bit for bit."""
     a = np.array(x, dtype=float)
     a.setflags(write=False)
     return a
 
 
-_MINUS_CS = _operand(-SPHERE_CS)
+_MINUS_CS = (_operand(-SPHERE_CS), _operand(-SPHERE_CS * YAMABE_COEFFICIENT))
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,6 +88,20 @@ def _sphere_faces(n: int):
     mu = faces * (1.0 - faces)          # degenerate weight, 0 at both ends
     mu.setflags(write=False)
     return mu
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_constants(spacing: tuple, yamabe: bool):
+    """(op, operands, factors): a flat stencil call ops each axis term by
+    its operand (not None), then multiplies the sum by each factor; the
+    fold of ``_div_form_values`` where it applies.  Cached per grid."""
+    d2 = tuple(d * d for d in spacing[:2])
+    ratios = tuple(max(d2) / x for x in d2)
+    factors = (-HEISENBERG_HORIZONTAL_FACTOR,) + (YAMABE_COEFFICIENT,) * yamabe
+    fold = math.prod(factors) / max(d2)
+    if all(abs(math.frexp(x)[0]) == 0.5 for x in (*d2, *ratios, fold)):
+        return np.multiply, tuple(None if x == 1.0 else x for x in ratios), (fold,)
+    return np.divide, d2, factors
 
 
 class Workspace:
@@ -110,9 +117,8 @@ class Workspace:
     that is given it; anything a caller may keep is a fresh array.
 
     ``m2`` is written only where a background term What * e^{-2 lambda}
-    is formed: on the sphere, and on the flat kinds at a state with a
-    lambda <= -354 or NaN.  A normal flat run never touches it, so its
-    pages need not become resident.
+    is formed: on the sphere, or at a flat state with a lambda <= -354
+    or NaN, so a normal flat run never makes its pages resident.
 
     On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
     whose two end faces no call writes, and ``sphere`` holds what the
@@ -138,40 +144,38 @@ class Workspace:
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
                      out: np.ndarray | None = None,
-                     work: Workspace | None = None) -> np.ndarray:
-    """Apply the (possibly weighted) positive sublaplacian to raw values.
+                     work: Workspace | None = None,
+                     yamabe: bool = False) -> np.ndarray:
+    """Apply the (possibly weighted) positive sublaplacian to raw values,
+    times YAMABE_COEFFICIENT with ``yamabe``.
 
     ``g`` is the cell array of conformal weights e^{2 lambda}; ``None``
     means the background operator.  Edge weights are arithmetic means of
     the two adjacent cells, so the weighted operator with g = 1 runs the
-    identical floating-point operations as the background one.
-
-    Flux form: each edge difference e = v[S p] - v[p] (weighted by the
-    edge mean of g) is computed once and read back at the cell behind,
-    e[S^-1 p] = v[p] - v[S^-1 p], so the result is bitwise the three-point
-    ((v[S p] - v) - (v - v[S^-1 p])) and its weighted counterpart.
+    identical floating-point operations as the background one.  Flux
+    form: each edge difference e = v[S p] - v[p] (weighted by the edge
+    mean of g) is computed once and read back at the cell behind,
+    e[S^-1 p] = v[p] - v[S^-1 p], so each axis term t is bitwise the
+    three-point ((v[S p] - v) - (v - v[S^-1 p])) or its weighted form.
 
     Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
     The result is written into ``out`` and returned, or into a fresh
     float array without it; ``out`` shares no memory with ``v``, ``g`` or
     ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
-    ``work`` is None).  Both branches work in place, commuting operands
-    but never regrouping them, so each cell sees the expression form's
-    operations in its order.
+    ``work`` is None).  The flat kinds work the X term in ``out`` and the
+    Y term in ``e``, with ``r`` for the edge weights and the edges read
+    back; the sphere, given ``work`` and no ``g``, allocates nothing.
 
-    The flat kinds work the X term in ``out`` and the Y term in ``e``,
-    with ``r`` for the edge weights and the edges read back:
-    (0.0 + t_x) + t_y, times -1/2.  Their division by d * d is a multiply
-    by 1 / (d * d) where d * d is a power of two with a finite
-    reciprocal: both round the same real number once, so the bits are
-    the division's.  Any other d * d, a subnormal power of two among
-    them, is divided by.
-
-    The sphere works in the zero-padded flux ``r`` through the views of
-    ``work.sphere``, so given ``work`` and no ``g`` it allocates nothing:
-    (mu * d) / ds on the interior faces, then
-    (-c_s * (flux[1:] - flux[:-1])) / ds, with ds and -c_s as
-    ``_operand``s.
+    The bits are those of ((0.0 + t_x / dx^2) + t_y / dy^2) * -1/2 on the
+    flat kinds and (t * -c_s) / ds on the sphere, each times 4 with
+    ``yamabe``.  Scaling by a power of two commutes with rounding unless
+    a value overflows or is subnormal.  So the sphere multiplies by
+    -c_s * 4 at once, and where every d^2, D / d^2 (D = max d^2) and
+    -1/2 (* 4) / D are finite powers of two, the flat sum is
+    (0.0 + t_x * D / dx^2) + t_y * D / dy^2 times that one factor.  The
+    bits can differ only where a stencil intermediate overflows or is
+    subnormal: e^lambda above about 1e304 or below about 1e-300, far
+    past the |lambda| <= 20 blow-up threshold.
     """
     if work is None:
         work = Workspace(geom)
@@ -183,7 +187,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
         d *= mu
         d /= ds
         out = np.subtract(upper, lower, out=out)
-        out *= _MINUS_CS
+        out *= _MINUS_CS[yamabe]
         out /= ds
         return out
 
@@ -193,9 +197,9 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
         g = np.asarray(g, dtype=float)
     if out is None:
         out = np.empty(geom.resolution)
+    op, operands, factors = _flat_constants(geom.spacing, yamabe)
     r = work.r
     for axis in (0, 1):
-        d = geom.spacing[axis]
         e = out if axis == 0 else work.e
         shift(v, axis, 1, out=e)
         e -= v
@@ -206,16 +210,14 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
             e *= r
         shift(e, axis, -1, out=r)
         e -= r
-        d2 = d * d
-        if math.frexp(d2)[0] == 0.5 and math.isfinite(1.0 / d2):
-            e *= 1.0 / d2
-        else:
-            e /= d2
+        if operands[axis] is not None:
+            op(e, operands[axis], out=e)
         if axis == 0:
             e += 0.0        # a sum started at 0.0: -0.0 becomes +0.0
         else:
             out += e
-    out *= -HEISENBERG_HORIZONTAL_FACTOR
+    for factor in factors:
+        out *= factor
     return out
 
 
@@ -230,25 +232,6 @@ def sublap(f: ScalarField) -> ScalarField:
     if not f.is_finite():
         raise ValueError("sublap: non-finite field values")
     return ScalarField(f.geometry, _div_form_values(f.geometry, f.values))
-
-
-def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
-    """Positive sublaplacian of the rescaled structure e^{2 lambda}.
-
-    Weak form: the operator whose e^{4 lambda}-weighted pairing with g
-    equals the e^{2 lambda}-weighted pairing of horizontal gradients.
-    Assembled as (divergence form with e^{2 lambda} edge weights) divided
-    by the e^{4 lambda} cell mass.  Overflow of the exponentials yields
-    non-finite output (a blow-up signal for the caller), never an
-    exception.
-    """
-    if lam.geometry != f.geometry:
-        raise GeometryError("conformal_sublap: fields on different geometries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.exp(2.0 * lam.values)
-        num = _div_form_values(f.geometry, f.values, g)
-        out = num * np.exp(-4.0 * lam.values)
-    return ScalarField(f.geometry, out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +253,18 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     +0.0, and w gets + 0.0 in its place.  A NaN lambda, or any lambda
     <= -354, takes the full path, where an infinite m2 makes w NaN.
 
-    A kernel: overflow is the caller's blow-up signal, so callers run it
-    under ``np.errstate(over="ignore", invalid="ignore")``.  The four
-    arrays are ``work``'s ``u``, ``m2`` (written on the full path only),
-    ``em3`` and ``w`` (``e`` and ``r`` are the stencil's scratch), so the
-    caller may use u, bg and em3 as scratch until its next call on
-    ``work`` (built when None).
-    ``lam_values`` is never written and shares no memory with the six.
+    A kernel, run under the caller's errstate: overflow is the blow-up
+    signal.  The four arrays are ``work``'s ``u``, ``m2`` (full path
+    only), ``em3`` and ``w``, scratch for the caller until its next call
+    on ``work`` (built when None).  ``lam_values`` is never written and
+    shares no memory with ``work``.
     """
     if work is None:
         work = Workspace(geom)
     u = np.exp(lam_values, out=work.u)
     em3 = np.multiply(lam_values, -3.0, out=work.em3)
     np.exp(em3, out=em3)
-    w = _div_form_values(geom, u, out=work.w, work=work)
-    w *= YAMABE_COEFFICIENT
+    w = _div_form_values(geom, u, out=work.w, work=work, yamabe=True)
     w *= em3
     if geom.background_curvature == 0.0 \
             and np.minimum.reduce(lam_values, axis=None) > -354.0:
@@ -403,22 +383,10 @@ def calibrate_sphere_curvature() -> float:
     return mean
 
 
-def yamabe_apply(lam: ScalarField, phi: ScalarField) -> ScalarField:
-    """Covariant second-order operator of the rescaled structure:
-    4 * conformal_sublap(lambda, phi) + W(lambda) * phi."""
-    if lam.geometry != phi.geometry:
-        raise GeometryError("yamabe_apply: fields on different geometries")
-    w = webster_curvature(lam)
-    lap = conformal_sublap(lam, phi)
-    return ScalarField(phi.geometry,
-                       YAMABE_COEFFICIENT * lap.values + w.values * phi.values)
-
-
 def linear_solve(inverse, b: np.ndarray) -> np.ndarray:
     """The solution inverse(b) of a linear system given by its exact
     ``inverse``, a map of value arrays that returns a fresh one: the
-    caller owns the solution.  Every b is solved, a zero one too: the
-    spectral inverses map zeros to zeros.
+    caller owns the solution.
 
     A function of its own, and nothing more, so that ``perfbench``'s
     tracer can time each solve by this name and count the calls of its

@@ -13,14 +13,15 @@ from crflow.conventions import (
     YAMABE_COEFFICIENT,
 )
 from crflow.flow import auto_dt, run
+from crflow.invariants import conformal_sublap, yamabe_apply
 from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data
 from crflow.operators import (
     CalibrationError,
     Workspace,
     _div_form_values,
+    _flat_constants,
     _measure_curvature,
     calibrate_sphere_curvature,
-    conformal_sublap,
     extremal_profile,
     linear_solve,
     shifted_bilap_inverse,
@@ -29,7 +30,6 @@ from crflow.operators import (
     sublap,
     webster_curvature,
     webster_pointwise,
-    yamabe_apply,
 )
 
 
@@ -165,14 +165,15 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
     if name == "sector8x8-subnormal":
         v = 1e-300 * v
     g = np.exp(2.0 * rand_field(geom, 22, amplitude=0.3).values)
-    for weight in (None, g):
-        assert np.array_equal(_div_form_values(geom, v, weight),
-                              three_point_div_form(geom, v, weight))
     # signed zeros: the zero-initialised sum's 0.0 + t turns -0.0 into 0.0
     zeros = np.where(rand_field(geom, 23).values > 0.0, 0.0, -0.0)
-    for weight in (None, g):
-        assert _div_form_values(geom, zeros, weight).tobytes() \
-            == three_point_div_form(geom, zeros, weight).tobytes()
+    for x in (v, zeros):
+        for weight in (None, g):
+            ref = three_point_div_form(geom, x, weight)
+            assert _div_form_values(geom, x, weight).tobytes() == ref.tobytes()
+            # the run path's call, whose constants include the 4
+            assert _div_form_values(geom, x, weight, yamabe=True).tobytes() \
+                == (YAMABE_COEFFICIENT * ref).tobytes()
     if geom.kind == "HeisenbergLattice3D":
         # the flux form reads e[S^-1 p]: the -1 gather must invert the +1
         cells = np.arange(v.size).reshape(geom.resolution)
@@ -181,6 +182,26 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
             assert np.array_equal(geom.shift(there, axis, -1), cells)
             assert np.array_equal(geom.shift(geom.shift(cells, axis, -1), axis, 1),
                                   cells)
+
+
+@pytest.mark.parametrize("name, folds", [("sector16x32", (None, 4.0)),
+                                         ("lattice8x8x16", (None, None)),
+                                         ("sector12x20", None),
+                                         ("sector8x8-subnormal", None)])
+def test_flat_constants_fold_where_every_factor_is_a_power_of_two(name, folds):
+    # a folded call scales the finer axis by the ratio of squared spacings
+    # and the sum by -1/2 * 4 / max(d^2) alone; 1/144 and 1/400 are no
+    # powers of two, and 2^1034 overflows
+    geom = build_geometry({**STENCIL_GEOMETRIES, **RECIPROCAL_GEOMETRIES}[name])
+    top = max(d * d for d in geom.spacing[:2])
+    for yamabe, scale in ((False, 1.0), (True, YAMABE_COEFFICIENT)):
+        op, operands, factors = _flat_constants(geom.spacing, yamabe)
+        if folds is None:
+            assert op is np.divide
+            assert factors == (-HEISENBERG_HORIZONTAL_FACTOR, scale)[:1 + yamabe]
+        else:
+            assert op is np.multiply and operands == folds
+            assert factors == (-HEISENBERG_HORIZONTAL_FACTOR * scale / top,)
 
 
 def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
