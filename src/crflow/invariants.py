@@ -29,23 +29,29 @@ import tempfile
 import numpy as np
 
 from . import cli, flow, inversion, operators
-from .conventions import SPHERE_KAPPA, YAMABE_COEFFICIENT
+from .conventions import (
+    HEISENBERG_HORIZONTAL_FACTOR,
+    SPHERE_CS,
+    SPHERE_KAPPA,
+    YAMABE_COEFFICIENT,
+)
 from .flow import _rhs_values, energy
 from .manifold import (
     HEISENBERG_LATTICE,
     HEISENBERG_SECTOR,
     SPHERE_REDUCED,
     GeometryError,
+    ModelGeometry,
     ScalarField,
     _weighted_sum,
     build_geometry,
     initial_data,
     integrate,
 )
-from .operators import _div_form_values, sublap, webster_curvature
+from .operators import sublap, webster_curvature
 
-__all__ = ["REGISTRY", "MODULES", "evaluate", "conformal_sublap", "yamabe_apply",
-           "gradient_check"]
+__all__ = ["REGISTRY", "MODULES", "evaluate", "three_point_div_form",
+           "conformal_sublap", "yamabe_apply", "gradient_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +59,41 @@ __all__ = ["REGISTRY", "MODULES", "evaluate", "conformal_sublap", "yamabe_apply"
 # the modules a run loads
 
 
+def three_point_div_form(geom: ModelGeometry, v: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """The sublaplacian with conformal weights ``g`` (e^{2 lambda}) in its
+    plainest form: per cell, both neighbour differences times the
+    arithmetic mean of their two cells' weights, ``np.diff`` on the
+    sphere.  At g = 1 every weight is exactly 1.0, so it is the
+    background operator, bit for bit the run's ``_div_form_values``
+    wherever no stencil intermediate overflows or is subnormal: the
+    tests' reference for it."""
+    if geom.kind == SPHERE_REDUCED:
+        n, ds = geom.resolution[0], geom.spacing[0]
+        faces = np.arange(n + 1) / n
+        mu = faces * (1.0 - faces)
+        flux = np.zeros(n + 1)
+        flux[1:-1] = mu[1:-1] * ((0.5 * (g[1:] + g[:-1])) * np.diff(v)) / ds
+        return -SPHERE_CS * np.diff(flux) / ds
+    acc = np.zeros_like(v)
+    for axis in (0, 1):
+        d = geom.spacing[axis]
+        wp = 0.5 * (g + geom.shift(g, axis, 1))
+        wm = 0.5 * (g + geom.shift(g, axis, -1))
+        acc += (wp * (geom.shift(v, axis, 1) - v)
+                - wm * (v - geom.shift(v, axis, -1))) / (d * d)
+    return -HEISENBERG_HORIZONTAL_FACTOR * acc
+
+
 def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
     """Positive sublaplacian of the rescaled structure e^{2 lambda}.
 
     Weak form: the operator whose e^{4 lambda}-weighted pairing with g
     equals the e^{2 lambda}-weighted pairing of horizontal gradients.
-    Assembled as (divergence form with e^{2 lambda} edge weights) divided
-    by the e^{4 lambda} cell mass.  Overflow of the exponentials yields
+    Assembled as ``three_point_div_form`` with e^{2 lambda} weights
+    divided by the e^{4 lambda} cell mass, so it is e^{4 lambda}-weighted
+    self-adjoint to rounding and its image has exactly zero weighted
+    mean (telescoping edge sums).  Overflow of the exponentials yields
     non-finite output (a blow-up signal for the caller), never an
     exception.
     """
@@ -67,7 +101,7 @@ def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:
         raise GeometryError("conformal_sublap: fields on different geometries")
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.exp(2.0 * lam.values)
-        num = _div_form_values(f.geometry, f.values, g)
+        num = three_point_div_form(f.geometry, f.values, g)
         out = num * np.exp(-4.0 * lam.values)
     return ScalarField(f.geometry, out)
 

@@ -319,7 +319,8 @@ def build_geometry(config: dict) -> ModelGeometry:
     Raises ``GeometryError`` for an unknown kind, a key the kind does not
     read, a resolution below 4 cells per axis, an X or Y cell spacing
     whose square is 0 or not finite, or a 3D lattice whose grid cannot
-    represent the twisted identification by whole-cell shifts.
+    represent the twisted identification by whole-cell shifts below
+    2**53.
     """
     if not isinstance(config, dict):
         raise GeometryError("geometry description must be a mapping")
@@ -383,6 +384,12 @@ def build_geometry(config: dict) -> ModelGeometry:
         raise GeometryError(
             "wrap-shift constraint unsatisfiable: the degree 4*Px*Py/Lt = "
             f"{degree_f!r} must be a positive integer for the quotient to close")
+    if degree * nt >= 2 ** 53:
+        # = 4*dx*dy/dtau * nx*ny, the largest index product of the gather
+        # tables; past 2**53 every float is an integer
+        raise GeometryError(
+            "wrap-shift constraint unsatisfiable: the degree 4*Px*Py/Lt times "
+            f"the tau resolution, {_shown(degree * nt)}, must be below 2**53")
 
     s_unit_f = 4.0 * dx * dy / dtau
     s_unit = int(round(s_unit_f))
@@ -443,7 +450,9 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
 
     A key the kind does not read, and a K outside 1..MAX_CUTOFF or a Kt
     outside 0..MAX_CUTOFF, raise ``GeometryError``.  The same seed
-    always yields bitwise-identical values.
+    always yields bitwise-identical values.  An amplitude whose sum
+    overflows gives non-finite values, the flow's blow-up signal, and
+    no warning.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeometryError("initial-data spec must be a mapping with a 'kind'")
@@ -464,16 +473,18 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
         if not 1 <= cutoff <= MAX_CUTOFF:
             raise GeometryError(
                 f"cutoff must be between 1 and {MAX_CUTOFF}, got {_shown(cutoff)}")
-        if geom.kind == SPHERE_REDUCED:
-            return ScalarField(geom, _random_sphere(geom, seed, amplitude, cutoff))
-        if geom.kind == HEISENBERG_SECTOR:
-            return ScalarField(geom, _random_planar(geom, seed, amplitude, cutoff))
-        cutoff_t = _as_int(spec.get("cutoff_t", 0), "cutoff_t")
-        if not 0 <= cutoff_t <= MAX_CUTOFF:
-            raise GeometryError(
-                f"cutoff_t must be between 0 and {MAX_CUTOFF}, got {_shown(cutoff_t)}")
-        return ScalarField(
-            geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
+        if geom.kind == HEISENBERG_LATTICE:
+            cutoff_t = _as_int(spec.get("cutoff_t", 0), "cutoff_t")
+            if not 0 <= cutoff_t <= MAX_CUTOFF:
+                raise GeometryError(
+                    f"cutoff_t must be between 0 and {MAX_CUTOFF}, got {_shown(cutoff_t)}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if geom.kind == SPHERE_REDUCED:
+                return ScalarField(geom, _random_sphere(geom, seed, amplitude, cutoff))
+            if geom.kind == HEISENBERG_SECTOR:
+                return ScalarField(geom, _random_planar(geom, seed, amplitude, cutoff))
+            return ScalarField(
+                geom, _random_lattice(geom, seed, amplitude, cutoff, cutoff_t))
 
     raise GeometryError(f"unknown initial-data kind {_shown(kind)}")
 

@@ -1,21 +1,18 @@
 """Discrete horizontal calculus on the model geometries.
 
-Every second-order operator here is assembled in divergence form: a
-difference onto edges (or faces), a diagonal weight, and the adjoint
-difference back to cells.  That single structural choice buys the three
-exact discrete properties the whole scheme rests on:
+The sublaplacian here is assembled in divergence form: a difference
+onto edges (or faces), a diagonal face weight, and the adjoint
+difference back to cells.  That structural choice buys the two exact
+discrete properties the flow rests on:
 
-* self-adjointness of the background sublaplacian, and e^{4 lambda}-
-  weighted self-adjointness of the conformal one, to rounding;
-* constants are annihilated exactly (differences of equal values);
-* the image of the conformal sublaplacian has exactly zero
-  e^{4 lambda}-weighted mean (telescoping edge sums).
+* self-adjointness of the background sublaplacian, to rounding;
+* constants are annihilated exactly (differences of equal values).
 
-The flow's volume conservation rests on the first property, not the
-third: its right-hand side never forms the conformal sublaplacian
-(``invariants.conformal_sublap``, a check), and its zero weighted mean
+The flow's volume conservation rests on the first: its right-hand side
+never forms the conformal sublaplacian, and its zero weighted mean
 follows from the self-adjointness of L-hat = 4 * sublap + What
-(derivation in ``crflow.flow``).
+(derivation in ``crflow.flow``).  The conformally weighted operator
+is the check-only ``invariants.conformal_sublap``.
 
 Conventions (see ``crflow.conventions``): the sublaplacian is
 positive, -(X^2 + Y^2)/2 on the flat group and -c_s (s(1-s) f')' with
@@ -142,29 +139,24 @@ class Workspace:
             self.sphere = None
 
 
-def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
+def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
                      out: np.ndarray | None = None,
                      work: Workspace | None = None,
                      yamabe: bool = False) -> np.ndarray:
-    """Apply the (possibly weighted) positive sublaplacian to raw values,
-    times YAMABE_COEFFICIENT with ``yamabe``.
+    """Apply the positive background sublaplacian to the float64 value
+    array ``v``, times YAMABE_COEFFICIENT with ``yamabe``.
 
-    ``g`` is the cell array of conformal weights e^{2 lambda}; ``None``
-    means the background operator.  Edge weights are arithmetic means of
-    the two adjacent cells, so the weighted operator with g = 1 runs the
-    identical floating-point operations as the background one.  Flux
-    form: each edge difference e = v[S p] - v[p] (weighted by the edge
-    mean of g) is computed once and read back at the cell behind,
-    e[S^-1 p] = v[p] - v[S^-1 p], so each axis term t is bitwise the
-    three-point ((v[S p] - v) - (v - v[S^-1 p])) or its weighted form.
+    Flux form: each edge difference e = v[S p] - v[p] is computed once
+    and read back at the cell behind, e[S^-1 p] = v[p] - v[S^-1 p], so
+    each axis term t is bitwise the three-point (v[S p] - v) - (v -
+    v[S^-1 p]) of ``invariants.three_point_div_form``.
 
-    Never writes ``v`` or ``g``; integer ``v`` and ``g`` are accepted.
-    The result is written into ``out`` and returned, or into a fresh
-    float array without it; ``out`` shares no memory with ``v``, ``g`` or
-    ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
+    Never writes ``v``.  The result is written into ``out`` and returned,
+    or into a fresh array without it; ``out`` shares no memory with ``v``
+    or ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
     ``work`` is None).  The flat kinds work the X term in ``out`` and the
-    Y term in ``e``, with ``r`` for the edge weights and the edges read
-    back; the sphere, given ``work`` and no ``g``, allocates nothing.
+    Y term in ``e``, with ``r`` for the edges read back; the sphere,
+    given ``work``, allocates nothing.
 
     The bits are those of ((0.0 + t_x / dx^2) + t_y / dy^2) * -1/2 on the
     flat kinds and (t * -c_s) / ds on the sphere, each times 4 with
@@ -182,8 +174,6 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
     if geom.kind == SPHERE_REDUCED:
         d, upper, lower, mu, ds = work.sphere
         np.subtract(v[1:], v[:-1], out=d)
-        if g is not None:
-            d *= 0.5 * (g[1:] + g[:-1])
         d *= mu
         d /= ds
         out = np.subtract(upper, lower, out=out)
@@ -192,9 +182,6 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
         return out
 
     shift = geom.shift
-    v = np.asarray(v, dtype=float)
-    if g is not None:
-        g = np.asarray(g, dtype=float)
     if out is None:
         out = np.empty(geom.resolution)
     op, operands, factors = _flat_constants(geom.spacing, yamabe)
@@ -203,11 +190,6 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, g=None, *,
         e = out if axis == 0 else work.e
         shift(v, axis, 1, out=e)
         e -= v
-        if g is not None:
-            shift(g, axis, 1, out=r)    # the edge weight
-            r += g
-            r *= 0.5
-            e *= r
         shift(e, axis, -1, out=r)
         e -= r
         if operands[axis] is not None:

@@ -379,6 +379,22 @@ def test_unstable_step_exits_with_the_blowup_code(tmp_path, capsys):
     assert meta["n_steps"] < 60
 
 
+@pytest.mark.parametrize("geometry, extra", [
+    ({"kind": "HeisenbergSector2D", "resolution": [32, 32]}, {}),
+    ({"kind": "SphereReduced1D", "resolution": [64]}, {}),
+    ({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16], "periods": [1, 1, 1]},
+     {"cutoff_t": 2}),
+], ids=["sector", "sphere", "lattice"])
+def test_overflowing_random_data_blow_up_at_step_zero(tmp_path, capsys, geometry, extra):
+    # a data sum past float range is the blow-up signal, never a
+    # RuntimeWarning (an error under pytest's and CI's warning filters)
+    data = {"kind": "random", "seed": 3, "amplitude": 1e308, **extra}
+    assert not initial_data(build_geometry(geometry), data).is_finite()
+    cfg_path, _ = write_config(tmp_path, geometry=geometry, initial_data=data)
+    assert main(["run", str(cfg_path)]) == EXIT_BLOWUP
+    assert "outcome: blowup  steps: 0 " in capsys.readouterr().out
+
+
 def test_bad_config_exits_with_the_config_code(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, integrator="leapfrog")
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG

@@ -143,6 +143,14 @@ def test_unsatisfiable_wrap_shift_rejected():
         with pytest.raises(GeometryError, match="the degree 4\\*Px\\*Py/Lt"):
             build_geometry({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
                             "periods": periods})
+    # degree * nt = 4e19 * 16 (a shift unit of 1e19, past int64) and
+    # 1.6e18 * 12 (a shift unit of 3e17, whose int64 index products
+    # wrap): past 2**53 every float is an integer, so only the size of
+    # the products can refuse them
+    for resolution, lt in (([8, 8, 16], 1e-19), ([8, 8, 12], 2.5e-18)):
+        with pytest.raises(GeometryError, match="must be below 2\\*\\*53"):
+            build_geometry({"kind": "HeisenbergLattice3D", "resolution": resolution,
+                            "periods": [1.0, 1.0, lt]})
 
 
 def test_lattice_wrap_numbers():

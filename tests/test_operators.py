@@ -13,7 +13,7 @@ from crflow.conventions import (
     YAMABE_COEFFICIENT,
 )
 from crflow.flow import auto_dt, run
-from crflow.invariants import conformal_sublap, yamabe_apply
+from crflow.invariants import conformal_sublap, three_point_div_form, yamabe_apply
 from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data
 from crflow.operators import (
     CalibrationError,
@@ -108,33 +108,6 @@ def test_conformal_sublap_at_zero_exponent_is_the_plain_stencil():
 # flux form against the three-point formulas
 
 
-def three_point_div_form(geom, v, g=None):
-    """The stencil as first written: both neighbour differences per cell,
-    face weights from both sides, ``np.diff`` on the sphere."""
-    if geom.kind == "SphereReduced1D":
-        n, ds = geom.resolution[0], geom.spacing[0]
-        faces = np.arange(n + 1) / n
-        mu = faces * (1.0 - faces)
-        d = np.diff(v)
-        if g is not None:
-            d = (0.5 * (g[1:] + g[:-1])) * d
-        flux = np.zeros(n + 1)
-        flux[1:-1] = mu[1:-1] * d / ds
-        return -SPHERE_CS * np.diff(flux) / ds
-    acc = np.zeros_like(v)
-    for axis in (0, 1):
-        d = geom.spacing[axis]
-        fp = geom.shift(v, axis, 1)
-        fm = geom.shift(v, axis, -1)
-        if g is None:
-            acc += ((fp - v) - (v - fm)) / (d * d)
-        else:
-            wp = 0.5 * (g + geom.shift(g, axis, 1))
-            wm = 0.5 * (g + geom.shift(g, axis, -1))
-            acc += (wp * (fp - v) - wm * (v - fm)) / (d * d)
-    return -HEISENBERG_HORIZONTAL_FACTOR * acc
-
-
 STENCIL_GEOMETRIES = {
     "sector12x20": {"kind": "HeisenbergSector2D", "resolution": [12, 20]},
     "sector7x9": {"kind": "HeisenbergSector2D", "resolution": [7, 9]},
@@ -164,16 +137,15 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
     v = rand_field(geom, 21).values
     if name == "sector8x8-subnormal":
         v = 1e-300 * v
-    g = np.exp(2.0 * rand_field(geom, 22, amplitude=0.3).values)
+    ones = np.ones(geom.resolution)
     # signed zeros: the zero-initialised sum's 0.0 + t turns -0.0 into 0.0
     zeros = np.where(rand_field(geom, 23).values > 0.0, 0.0, -0.0)
     for x in (v, zeros):
-        for weight in (None, g):
-            ref = three_point_div_form(geom, x, weight)
-            assert _div_form_values(geom, x, weight).tobytes() == ref.tobytes()
-            # the run path's call, whose constants include the 4
-            assert _div_form_values(geom, x, weight, yamabe=True).tobytes() \
-                == (YAMABE_COEFFICIENT * ref).tobytes()
+        ref = three_point_div_form(geom, x, ones)
+        assert _div_form_values(geom, x).tobytes() == ref.tobytes()
+        # the run path's call, whose constants include the 4
+        assert _div_form_values(geom, x, yamabe=True).tobytes() \
+            == (YAMABE_COEFFICIENT * ref).tobytes()
     if geom.kind == "HeisenbergLattice3D":
         # the flux form reads e[S^-1 p]: the -1 gather must invert the +1
         cells = np.arange(v.size).reshape(geom.resolution)
@@ -220,7 +192,7 @@ def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
     finally:
         tracemalloc.stop()
     assert peak - start < v.nbytes
-    assert np.array_equal(out, three_point_div_form(geom, v))
+    assert np.array_equal(out, three_point_div_form(geom, v, np.ones(geom.resolution)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +306,6 @@ def test_yamabe_apply_rejects_mismatched_geometries():
 
 # ---------------------------------------------------------------------------
 # linear solver
-
-
-def test_shifted_bilap_inverse_divides_an_eigenmode_by_its_symbol():
-    # for A = I + alpha * L^2 and an eigenmode L v = sigma v the solution of
-    # A x = v is x = v / (1 + alpha * sigma^2); sigma is measured from the
-    # operator itself, not assumed
-    n = 32
-    geom = sector(n)
-    xs = geom.axes()[0]
-    mode = np.cos(2 * np.pi * 3 * xs)[:, None] * np.ones((1, n))
-    v = ScalarField(geom, mode)
-    sigma = float(np.max(np.abs(sublap(v).values)) / np.max(np.abs(mode)))
-    alpha = 1.0 / sigma**2
-    x = shifted_bilap_inverse(geom, alpha)(mode)
-    np.testing.assert_allclose(
-        x, mode / 2.0, rtol=0, atol=1e-9 * np.max(np.abs(mode))
-    )
 
 
 @pytest.mark.parametrize("make", [lambda: sector(8), lambda: sphere(16), lattice],
