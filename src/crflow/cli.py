@@ -163,7 +163,7 @@ def _json_safe(obj):
     """Replace non-finite floats with strings so the JSON stays standard."""
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
@@ -189,12 +189,10 @@ def _dump_json(payload: dict, path: str) -> None:
 def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
     """diagnostics.csv: ``step``, then every ``flow.Diagnostics`` field in
     field order.  Each row is the bytes csv.writer gives for its cells
-    (none needs quoting): ``%d`` for an int field, every other value as
-    _fmt writes it."""
-    fields = dataclasses.fields(flow.Diagnostics)
-    names = [f.name for f in fields]
-    row = ",".join(["%d"] + ["%d" if f.type in (int, "int") else "%.17g"
-                             for f in fields]) + "\r\n"
+    (none needs quoting): every value as _fmt writes it, which writes an
+    int field's digits, as ``%d`` does, below 10**17."""
+    names = [f.name for f in dataclasses.fields(flow.Diagnostics)]
+    row = ",".join(["%d"] + ["%.17g"] * len(names)) + "\r\n"
     cells = operator.attrgetter(*names)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(["step"] + names) + "\r\n")
@@ -238,7 +236,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         outdir = cfg.output_dir
         os.makedirs(outdir, exist_ok=True)
     except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
-        # MemoryError: a grid too large to allocate is a configuration error
+        # MemoryError: a grid or an IMEX basis too large to allocate is a
+        # configuration error, in set-up or in the run below
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:
             message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
@@ -265,6 +264,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             "wall_time_seconds": wall,
         }
         _dump_json(meta, os.path.join(outdir, "meta.json"))
+    except MemoryError as exc:      # an IMEX spectral basis, built on the first step
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         gc.unfreeze()
 

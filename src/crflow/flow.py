@@ -37,8 +37,7 @@ import numpy as np
 
 from .conventions import (BLOWUP_THRESHOLD, C_STAB, DESCENT, PLATEAU_TOL,
                           PLATEAU_WINDOW, YAMABE_COEFFICIENT, _shown)
-from .manifold import (GeometryError, ModelGeometry, ScalarField, _as_finite, _as_int,
-                       _weighted_sum)
+from .manifold import ModelGeometry, ScalarField, _as_finite, _as_int, _weighted_sum
 from .operators import (Workspace, _div_form_values, _webster_core, linear_solve,
                         shifted_bilap_inverse, stability_symbol_max)
 
@@ -341,9 +340,10 @@ def step_imex(state: FlowState, dt: float, *,
     applied unchecked at any dt.
 
     The explicit term dt * rhs is scratch of ``work`` (a workspace is
-    built when it is None).  The solved increment is fresh, or all NaN
-    when dt * rhs is not finite (the blown-up state propagates for
-    classification, unsolved); ``_accept`` turns it into the new state's
+    built when it is None).  The solved increment is fresh.  One
+    non-finite cell of dt * rhs makes every transformed coefficient and
+    every increment cell non-finite, so a blown-up state propagates for
+    classification.  ``_accept`` turns the increment into the new state's
     ``lam`` and restores the volume.  The old state's ``lam`` and ``rhs``
     are never written.
     """
@@ -353,10 +353,7 @@ def step_imex(state: FlowState, dt: float, *,
         work = Workspace(geom)
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.multiply(state.rhs, dt, out=work.stage)
-        if np.isfinite(b).all():
-            increment = linear_solve(shifted_bilap_inverse(geom, dt * C_STAB), b)
-        else:
-            increment = np.full_like(b, np.nan)
+        increment = linear_solve(shifted_bilap_inverse(geom, dt * C_STAB), b)
         return _accept(state, increment, dt, work, restore_volume=True)
 
 
@@ -401,12 +398,13 @@ def auto_dt(geom: ModelGeometry) -> float:
     the spectrum, so dt * rate <= 0.2.  On the sphere it is up to 2x
     below the top, and dt times the true stiffest rate is 0.65-0.79 (8
     to 256 cells): still inside RK4's real-axis limit 2.78, but not the
-    0.2 margin the flat kinds get.
+    0.2 margin the flat kinds get.  A rate that underflows to 0 (a huge
+    cell spacing) gives an infinite step, which ``resolve_dt`` refuses.
     """
     sigma = stability_symbol_max(geom)
     rate = C_STAB * sigma * sigma \
         + 4.0 * YAMABE_COEFFICIENT * abs(geom.background_curvature) * sigma
-    return 0.2 / rate
+    return 0.2 / rate if rate else math.inf
 
 
 def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
@@ -414,8 +412,8 @@ def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
     read as ``_check_run_args`` reads it (booleans and strings refused).
 
     Raises ValueError unless 0 < dt < inf.  An extreme cell spacing can
-    make the automatic step 0 (C_STAB * sigma^2 overflows) or NaN (a
-    subnormal squared spacing)."""
+    make the automatic step 0 (C_STAB * sigma^2 overflows), NaN (a
+    subnormal squared spacing) or infinite (the rate underflows)."""
     return _check_dt(auto_dt(geom) if dt == "auto" else _as_finite(dt, "dt"),
                      "the resolved dt")
 
@@ -435,22 +433,18 @@ def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every) -> None
     """The one rule for ``run``'s arguments, which ``RunConfig`` applies
     to a config file too.  Numbers are read by manifold's readers:
     booleans and strings are refused, and an integer may be an integral
-    float.  Raises ValueError naming the first bad argument."""
+    float.  Raises ValueError, or a reader's GeometryError (a ValueError),
+    naming the first bad argument."""
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}, got {_shown(integrator)}")
-    try:
-        if dt != "auto":
-            _check_dt(_as_finite(dt, "dt"), "dt")
-        if _as_finite(max_time, "max_time") <= 0:
-            raise ValueError(f"max_time must be positive, got {_shown(max_time)}")
-        if max_steps is not None and _as_int(max_steps, "max_steps") < 1:
-            raise ValueError(
-                f"max_steps must be None or at least 1, got {_shown(max_steps)}")
-        if _as_int(snapshot_every, "snapshot_every") < 0:
-            raise ValueError(
-                f"snapshot_every must be at least 0, got {_shown(snapshot_every)}")
-    except GeometryError as exc:    # the readers' error type names the geometry
-        raise ValueError(str(exc)) from None
+    if dt != "auto":
+        _check_dt(_as_finite(dt, "dt"), "dt")
+    if _as_finite(max_time, "max_time") <= 0:
+        raise ValueError(f"max_time must be positive, got {_shown(max_time)}")
+    if max_steps is not None and _as_int(max_steps, "max_steps") < 1:
+        raise ValueError(f"max_steps must be None or at least 1, got {_shown(max_steps)}")
+    if _as_int(snapshot_every, "snapshot_every") < 0:
+        raise ValueError(f"snapshot_every must be at least 0, got {_shown(snapshot_every)}")
 
 
 def run(lam0: ScalarField, *, integrator: str = "explicit",
@@ -472,7 +466,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
 
     The arguments are checked before the first step by the rule of
     ``_check_run_args``, and the resolved dt must be positive and
-    finite; a bad one raises ValueError.
+    finite; a bad one raises ValueError or its subclass GeometryError.
     """
     _check_run_args(integrator, dt, max_time, max_steps, snapshot_every)
     geom = lam0.geometry
@@ -499,7 +493,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
         e_old = state.diagnostics.energy
         state = stepper(state, dt_val, work=work)
         record(state)
-        rel = abs(state.diagnostics.energy - e_old) / max(abs(e_old), _PLATEAU_FLOOR)
+        rel = abs(state.diagnostics.energy - e_old) / max(e_old, _PLATEAU_FLOOR)
         quiet = quiet + 1 if rel < PLATEAU_TOL else 0  # a NaN change is never quiet
 
     traj.outcome = outcome

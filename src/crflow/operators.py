@@ -420,7 +420,9 @@ def _lattice_basis(geom: ModelGeometry):
         pos = np.arange(n)
         i, r = pos % nx, pos // nx
         q = (q0 - r * step) % ny                      # (ells, chains, n)
-        phase = 2.0 * np.pi * (q / ny - ell * i * geom.shift_unit / nt)
+        # l i shift_unit mod nt, each factor reduced first: no int64 overflow
+        tau = (ell * i % nt) * (geom.shift_unit % nt) % nt
+        phase = 2.0 * np.pi * (q / ny - tau / nt)
         diag = h * (2.0 / (dx * dx) + (2.0 - 2.0 * np.cos(phase)) / (dy * dy))
         link = np.roll(np.eye(n), 1, axis=1)          # cell p to cell p + 1
         mats = diag[..., None] * np.eye(n) - (h / (dx * dx)) * (link + link.T)

@@ -1,5 +1,6 @@
 """Command-line interface: config validation, artifacts, exit codes."""
 
+import atexit
 import csv
 import gc
 import json
@@ -23,11 +24,12 @@ from crflow.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
+    _dump_json,
     _fmt,
     _write_diagnostics,
     main,
 )
-from crflow.conventions import DESCENT, PLATEAU_TOL, PLATEAU_WINDOW
+from crflow.conventions import DESCENT, PLATEAU_TOL, PLATEAU_WINDOW, _shown
 from crflow.manifold import ScalarField, build_geometry, initial_data
 
 
@@ -98,8 +100,9 @@ def test_config_requires_geometry_and_data(tmp_path):
 
 
 def test_config_must_be_an_object():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(["not", "a", "mapping"])
+    for raw in (["not", "a", "mapping"], 5, None):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            RunConfig.from_dict(raw)
 
 
 # constants of crflow.conventions that no config key sets
@@ -212,6 +215,7 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
     assert meta["final"]["lam_argmax"] == int(rows[-1][9])
     assert meta["final"]["time"] == float(rows[-1][1])
     assert isinstance(meta["wall_time_seconds"], float)
+    assert sorted(os.listdir(outdir)) == ["diagnostics.csv", "meta.json"]   # no snapshots
 
 
 def plateau_entries(obj, path=()):
@@ -229,15 +233,15 @@ def plateau_entries(obj, path=()):
 @pytest.mark.parametrize("overrides, used", [
     ({}, {"outcome": "max_time", "n_steps": 12}),
     ({"initial_data": {"kind": "constant", "value": 0.0}, "max_steps": None},
-     {"outcome": "plateau", "n_steps": PLATEAU_WINDOW}),
+     {"outcome": "plateau", "n_steps": 50}),
 ])
 def test_meta_states_each_plateau_value_once(tmp_path, overrides, used):
     cfg_path, _ = write_config(tmp_path, **overrides)
     assert main(["run", str(cfg_path)]) == EXIT_OK
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert {k: meta[k] for k in used} == used
-    assert plateau_entries(meta) == [(("conventions", "plateau_tol"), PLATEAU_TOL),
-                                     (("conventions", "plateau_window"), PLATEAU_WINDOW)]
+    assert plateau_entries(meta) == [(("conventions", "plateau_tol"), 1e-10),
+                                     (("conventions", "plateau_window"), 50)]
     assert set(meta["resolved"]) == {"dt", "output_dir"}
 
 
@@ -323,6 +327,14 @@ def test_diagnostics_rows_are_the_csv_writer_bytes(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_a_failed_json_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        _dump_json({"x": object()}, str(path))
+    assert os.listdir(tmp_path) == ["meta.json"] and path.read_text() == "old\n"
+
+
 def test_run_honors_the_output_dir_flag(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path)
     override = tmp_path / "elsewhere"
@@ -377,6 +389,7 @@ def test_unstable_step_exits_with_the_blowup_code(tmp_path, capsys):
     assert meta["outcome"] == "blowup"
     assert meta["final"]["energy"] == "nan"
     assert meta["n_steps"] < 60
+    assert meta["bondi_sup_rate"] == "inf"      # a non-finite rate is unbounded
 
 
 @pytest.mark.parametrize("geometry, extra", [
@@ -393,6 +406,17 @@ def test_overflowing_random_data_blow_up_at_step_zero(tmp_path, capsys, geometry
     cfg_path, _ = write_config(tmp_path, geometry=geometry, initial_data=data)
     assert main(["run", str(cfg_path)]) == EXIT_BLOWUP
     assert "outcome: blowup  steps: 0 " in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["bondi_sup_rate"] == "-inf"      # the supremum of no rate
+
+
+def test_shown_is_ascii_cut_to_80_characters():
+    # an integer of more than 64 bits is named by its size, in a
+    # container too
+    for value in ((1,), ("k",), [2**64 - 1], {"k": {1}}, frozenset({2}), "k" * 78):
+        assert _shown(value) == ascii(value)
+    assert _shown([2**64]) == "[an integer of 65 bits]"
+    assert _shown("k" * 79) == "'" + "k" * 60 + "... (81 characters)"
 
 
 def test_bad_config_exits_with_the_config_code(tmp_path, capsys):
@@ -442,6 +466,8 @@ def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
     # overflows although dx^2 is a normal float)
     {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [8e-155, 1]},
     {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1e-80, 1]},
+    # or infinite: the stiff rate C_STAB * sigma^2 underflows to 0
+    {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1e83, 1e83]},
 ])
 def test_degenerate_or_unallocatable_grid_exits_with_the_config_code(
         tmp_path, capsys, geometry):
@@ -450,6 +476,21 @@ def test_degenerate_or_unallocatable_grid_exits_with_the_config_code(
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys,
+                                                               monkeypatch):
+    # the basis is built on the first IMEX step, inside flow.run; a sphere
+    # of 10**6 cells would ask np.diag for 7.28 TiB
+    def refuse(geom):
+        raise MemoryError("Unable to allocate 7.28 TiB for the spectral basis")
+
+    monkeypatch.setattr(operators, "spectral_basis", refuse)
+    cfg_path, _ = write_config(tmp_path, integrator="imex")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Unable to allocate 7.28 TiB for the spectral basis"]
+    assert gc.get_freeze_count() == 0
 
 
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
@@ -532,6 +573,19 @@ def test_run_process_freezes_the_heap_at_exit_only_from_main(tmp_path):
             assert "error:" in proc.stderr
 
 
+def test_main_registers_the_exit_freeze_once(monkeypatch, capsys):
+    registered = []
+
+    def unregister(fn):
+        registered[:] = [f for f in registered if f != fn]
+
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    for _ in range(2):
+        main(["invert", "1", "0.5", "-0.25"])
+    assert registered == [gc.freeze]
+
+
 def test_run_freezes_the_set_up_heap_for_the_flow_only(tmp_path, monkeypatch):
     cfg_path, _ = write_config(tmp_path)
     at_entry = []
@@ -560,10 +614,10 @@ def test_removed_bump_data_exits_with_the_config_code(tmp_path, capsys):
 
 def test_check_passes_on_one_module(capsys):
     assert main(["check", "--only", "inversion"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "[PASS] inversion: w-reciprocal" in out
-    assert "all invariants passed" in out
-    assert "[FAIL]" not in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[PASS] inversion: w-reciprocal")
+    assert all(line.startswith("[PASS] inversion: ") for line in out[:-1])
+    assert out[-1] == "all invariants passed"
 
 
 def test_check_names_the_corrupted_stencil(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from crflow.manifold import (
     integrate,
     lattice_mode,
 )
-from crflow.conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA
+from crflow.conventions import HEISENBERG_VOLUME_WEIGHT
 from crflow.operators import spectral_basis
 
 
@@ -88,10 +88,11 @@ def test_period_validation():
         build_geometry(
             {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1.0]}
         )
-    with pytest.raises(GeometryError, match="positive"):
-        build_geometry(
-            {"kind": "HeisenbergSector2D", "resolution": [8, 8], "periods": [1.0, -1.0]}
-        )
+    for kind, periods in (("HeisenbergSector2D", [1.0, -1.0]),
+                          ("HeisenbergLattice3D", [1.0, 1.0, 0.0])):
+        with pytest.raises(GeometryError, match="periods must be positive"):
+            build_geometry({"kind": kind, "resolution": [8] * len(periods),
+                            "periods": periods})
     for periods in ([1, "inf"], [1.0, math.inf], [1.0, math.nan], [1.0, True], 1.0,
                     [1, 2, 10**400], [1, 2, 10**5000], {"a": 10**5000}, {10**5000}):
         with pytest.raises(GeometryError, match="periods") as exc:
@@ -134,7 +135,7 @@ def test_period_validation():
                             "periods": periods})
 
 
-def test_unsatisfiable_wrap_shift_rejected():
+def test_unsatisfiable_wrap_shift_rejected(monkeypatch):
     # 16 tau-cells on a unit fiber make the frame shift a quarter cell
     with pytest.raises(GeometryError, match="wrap-shift constraint unsatisfiable"):
         lattice(16, 16, 16, lt=1.0)
@@ -143,11 +144,23 @@ def test_unsatisfiable_wrap_shift_rejected():
         with pytest.raises(GeometryError, match="the degree 4\\*Px\\*Py/Lt"):
             build_geometry({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
                             "periods": periods})
+    # the degree 1024 + 2**-10, 9.5e-7 of it past an integer (the bound is
+    # 1e-9), with the shift unit 4 dx dy / dtau = 1048577 whole
+    with pytest.raises(GeometryError, match="the degree 4\\*Px\\*Py/Lt"):
+        build_geometry({"kind": "HeisenbergLattice3D", "resolution": [4, 4, 16384],
+                        "periods": [1.0, 1.0, 4.0 / (1024 + 2**-10)]})
+    # a shift unit of 9.3e-10 rounds to 0 within the tolerance, on a grid
+    # of 2**34 cells whose gathers are never built
+    monkeypatch.setattr(manifold, "_lattice_gathers", lambda *args: {})
+    with pytest.raises(GeometryError, match="4\\*dx\\*dy/dtau"):
+        build_geometry({"kind": "HeisenbergLattice3D", "resolution": [65536, 65536, 4],
+                        "periods": [1.0, 1.0, 4.0]})
     # degree * nt = 4e19 * 16 (a shift unit of 1e19, past int64) and
     # 1.6e18 * 12 (a shift unit of 3e17, whose int64 index products
     # wrap): past 2**53 every float is an integer, so only the size of
-    # the products can refuse them
-    for resolution, lt in (([8, 8, 16], 1e-19), ([8, 8, 12], 2.5e-18)):
+    # the products can refuse them; so can a product of exactly 2**53
+    for resolution, lt in (([8, 8, 16], 1e-19), ([8, 8, 12], 2.5e-18),
+                           ([8, 8, 16], 2**-47)):
         with pytest.raises(GeometryError, match="must be below 2\\*\\*53"):
             build_geometry({"kind": "HeisenbergLattice3D", "resolution": resolution,
                             "periods": [1.0, 1.0, lt]})
@@ -197,7 +210,7 @@ def test_spacing_and_cell_volume():
     assert geom.cell_weight == HEISENBERG_VOLUME_WEIGHT * ((1.0 / 8) * (1.0 / 8) * (0.5 / 32))
     geom = sphere(24)
     assert geom.spacing == (1.0 / 24,)
-    assert geom.cell_weight == SPHERE_KAPPA * (1.0 / 24)
+    assert geom.cell_weight == math.pi**2 * (1.0 / 24)     # kappa = pi^2
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +405,22 @@ def test_random_initial_data_is_seed_deterministic(make):
     assert not np.array_equal(a.values, c.values)
 
 
+def test_random_data_are_band_limited_series():
+    # the sector's modes are periodic on unequal periods, and the sphere's
+    # coefficients on the cosines cos(n pi s), orthogonal on the cell
+    # centres, are amplitude / sqrt(K) times the seed's normal draws
+    geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [12, 20],
+                           "periods": [1.0, 1.7]})
+    c = np.abs(np.fft.fft2(initial_data(geom, {"kind": "random", "cutoff": 3}).values))
+    kx, ky = (np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in geom.resolution)
+    assert c[(kx[:, None] > 3) | (ky[None, :] > 3)].max() <= 1e-13 * c.max()
+    values = initial_data(sphere(64), {"kind": "random", "seed": 3, "amplitude": 0.05,
+                                       "cutoff": 16}).values
+    cosines = np.cos(np.pi * np.arange(1, 17)[:, None] * sphere(64).axes()[0])
+    draws = np.random.default_rng(3).standard_normal(16)
+    assert np.max(np.abs(cosines @ values / 32.0 - 0.05 / 4.0 * draws)) <= 1e-15
+
+
 def dense_random_lattice(geom, spec):
     """The twisted vertical modes as first written: every window and every
     exponential of ``lattice_mode`` evaluated on the dense (x, y, tau) grid."""
@@ -469,7 +498,7 @@ def test_initial_data_validation_errors():
     # past the bound the set-up would loop cutoff times on the sphere and
     # build about 2 cutoff^2 planar modes: the key is refused, by name,
     # before any mode is built; so is a negative cutoff_t
-    bound = manifold.MAX_CUTOFF
+    bound = 64      # README: cutoff in 1..64, cutoff_t in 0..64
     for geom, key, value in ((sphere(16), "cutoff", bound + 1),
                              (sector(8), "cutoff", bound + 1),
                              (lattice(), "cutoff", bound + 1),

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crflow.operators as operators
 from crflow.conventions import (
     C_STAB,
     HEISENBERG_HORIZONTAL_FACTOR,
@@ -243,9 +244,13 @@ def test_extremal_profile_closed_form():
 # calibration
 
 
-def test_calibration_flat_profile_reads_zero():
+def test_calibration_flat_profile_reads_zero(monkeypatch):
     flat = lambda t, x, y: 1.0
     assert abs(_measure_curvature(flat)[0]) <= 1e-9
+    # a constant, but not a positive one: the calibration refuses it
+    monkeypatch.setattr(operators, "extremal_profile", flat)
+    with pytest.raises(CalibrationError, match="not positive"):
+        calibrate_sphere_curvature.__wrapped__()
 
 
 def test_calibration_scales_as_minus_two_conformal_weights():
@@ -257,9 +262,14 @@ def test_calibration_scales_as_minus_two_conformal_weights():
 
 
 def test_calibration_rejects_non_constant_candidates():
-    warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + 0.05 * np.tanh(t))
+    # relative spreads 0.74 and 2.7e-3 (the bound is 1e-3), and 7e-8 about
+    # a mean of -5e-9 (the absolute bound is 1e-9)
+    for eps in (0.05, 2e-4):
+        warped = lambda t, x, y: extremal_profile(t, x, y) * (1.0 + eps * np.tanh(t))
+        with pytest.raises(CalibrationError):
+            _measure_curvature(warped)
     with pytest.raises(CalibrationError):
-        _measure_curvature(warped)
+        _measure_curvature(lambda t, x, y: 1.0 + 1e-8 * np.tanh(t))
 
 
 def test_calibration_is_bitwise_the_per_point_loop():
@@ -375,6 +385,8 @@ BASIS_GEOMETRIES = {
     "lattice8x8x32": lambda: lattice_geometry([8, 8, 32], [1.0, 1.0, 2.0]),
     "lattice8x8x64": lambda: lattice_geometry([8, 8, 64], [1.0, 1.0, 4.0]),
     "lattice32x32x32": lambda: lattice_geometry([32, 32, 32], [1.0, 1.0, 0.125]),
+    # shift unit 2**37: the twist phase is reduced mod nt in integers
+    "lattice4x4x8-unit2**37": lambda: lattice_geometry([4, 4, 8], [1.0, 1.0, 2.0**-36]),
 }
 
 
