@@ -234,6 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = cfg.output_dir
+        made = not os.path.exists(outdir)
         os.makedirs(outdir, exist_ok=True)
     except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
         # MemoryError: a grid or an IMEX basis too large to allocate is a
@@ -265,6 +266,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
         _dump_json(meta, os.path.join(outdir, "meta.json"))
     except MemoryError as exc:      # an IMEX spectral basis, built on the first step
+        if made and not os.listdir(outdir):
+            os.rmdir(outdir)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

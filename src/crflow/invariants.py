@@ -136,12 +136,12 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
 # sample geometries and data
 
 
-def _sector(n: int = 32, t_fiber: float = 1.0):
+def _sector(n: int = 32, t_fiber: float = 1.0, periods=(1.0, 1.0)):
     return build_geometry(
         {
             "kind": HEISENBERG_SECTOR,
             "resolution": [n, n],
-            "periods": [1.0, 1.0],
+            "periods": list(periods),
             "t_fiber": t_fiber,
         }
     )

@@ -188,12 +188,7 @@ def _point_with_gauge(r: float, rng: np.random.Generator) -> HeisenbergPoint:
     return HeisenbergPoint(t, rho * math.cos(psi), rho * math.sin(psi))
 
 
-def sample_points(
-    n: int,
-    wnorm_min: float = 0.1,
-    wnorm_max: float = 10.0,
-    seed: int = 20210818,
-) -> list:
+def sample_points(n: int, wnorm_min: float, wnorm_max: float, seed: int) -> list:
     """``n`` random points with gauge log-uniform in ``[wnorm_min, wnorm_max]``;
     equal bounds sample the gauge sphere ``|w| = wnorm_min``."""
     if n < 1:

@@ -486,11 +486,18 @@ def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys
         raise MemoryError("Unable to allocate 7.28 TiB for the spectral basis")
 
     monkeypatch.setattr(operators, "spectral_basis", refuse)
-    cfg_path, _ = write_config(tmp_path, integrator="imex")
+    cfg_path, cfg = write_config(tmp_path, integrator="imex")
+    outdir = cfg["output_dir"]
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: Unable to allocate 7.28 TiB for the spectral basis"]
     assert gc.get_freeze_count() == 0
+    # the run made the output directory and leaves none; one that was
+    # there before is left as it was
+    assert not os.path.exists(outdir)
+    os.makedirs(outdir)
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert os.listdir(outdir) == []
 
 
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):

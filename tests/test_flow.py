@@ -29,7 +29,15 @@ from crflow.flow import (
     step_imex,
     volume,
 )
-from crflow.invariants import gradient_check, three_point_div_form
+from crflow.invariants import (
+    _lattice,
+    _sector,
+    _small_models,
+    _smooth,
+    _sphere,
+    gradient_check,
+    three_point_div_form,
+)
 from crflow.manifold import ScalarField, _weighted_sum, build_geometry, initial_data, integrate
 from crflow.operators import (
     Workspace,
@@ -42,38 +50,6 @@ from crflow.operators import (
 from tests.test_operators import STENCIL_GEOMETRIES
 
 
-def sector(n=16):
-    return build_geometry(
-        {"kind": "HeisenbergSector2D", "resolution": [n, n], "periods": [1.0, 1.0]}
-    )
-
-
-def sphere(n=32):
-    return build_geometry({"kind": "SphereReduced1D", "resolution": [n]})
-
-
-def lattice():
-    return build_geometry(
-        {
-            "kind": "HeisenbergLattice3D",
-            "resolution": [8, 8, 16],
-            "periods": [1.0, 1.0, 1.0],
-        }
-    )
-
-
-def random_data(geom, seed, amplitude=0.1, cutoff=2, **extra):
-    return initial_data(
-        geom,
-        {"kind": "random", "seed": seed, "amplitude": amplitude, "cutoff": cutoff,
-         **extra},
-    )
-
-
-def constant(geom, c):
-    return ScalarField(geom, np.full(geom.resolution, c))
-
-
 # ---------------------------------------------------------------------------
 # functionals
 
@@ -81,29 +57,29 @@ def constant(geom, c):
 def test_volume_closed_form_on_constants():
     c = 0.3
     # 2D sector: weight 4, unit coordinate box
-    assert volume(constant(sector(), c)) == pytest.approx(
+    assert volume(_sector(16).constant(c)) == pytest.approx(
         4.0 * math.exp(4.0 * c), rel=1e-14, abs=0
     )
     # sphere: total measure kappa
     kappa = SPHERE_KAPPA
-    assert volume(constant(sphere(), c)) == pytest.approx(
+    assert volume(_sphere(32).constant(c)) == pytest.approx(
         kappa * math.exp(4.0 * c), rel=1e-14, abs=0
     )
 
 
 def test_bondi_closed_form_on_constants():
     c = -0.2
-    assert bondi(constant(sector(), c)) == pytest.approx(
+    assert bondi(_sector(16).constant(c)) == pytest.approx(
         4.0 * math.exp(5.0 * c), rel=1e-14, abs=0
     )
 
 
 def test_sphere_constant_energy_matches_background():
-    geom = sphere()
+    geom = _sphere(32)
     kappa = SPHERE_KAPPA
     w0 = geom.background_curvature
     for c in (0.0, 0.3):
-        assert energy(constant(geom, c)) == pytest.approx(kappa * w0**2, rel=1e-13)
+        assert energy(geom.constant(c)) == pytest.approx(kappa * w0**2, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +87,8 @@ def test_sphere_constant_energy_matches_background():
 
 
 def test_rhs_has_exact_weighted_mean_zero():
-    for make in (sector, sphere, lattice):
-        geom = make()
-        lam = random_data(geom, 22, amplitude=0.15, cutoff=2)
+    for geom in _small_models():
+        lam = _smooth(geom, 22, 0.15, 2)
         rhs = flow_rhs(lam).values
         w = np.exp(4.0 * lam.values)
         total = float(integrate(ScalarField(geom, rhs * w)))
@@ -121,15 +96,14 @@ def test_rhs_has_exact_weighted_mean_zero():
         assert abs(total) <= 1e-13 * norm
 
 
-@pytest.mark.parametrize("make", [sector, sphere, lattice])
+@pytest.mark.parametrize("geom", _small_models(), ids=["sector", "sphere", "lattice"])
 @pytest.mark.parametrize("level", [400.0, -400.0])
-def test_public_entry_points_signal_overflow_without_warnings(make, level):
+def test_public_entry_points_signal_overflow_without_warnings(geom, level):
     # e^{4 lambda}, e^{5 lambda} overflow at +400 and e^{-2 lambda},
     # e^{-3 lambda} at -400: each entry point returns the non-finite
     # signal and warns of nothing
-    geom = make()
-    lam = ScalarField(geom, level + random_data(geom, 41).values)
-    phi = random_data(geom, 42)
+    lam = ScalarField(geom, level + _smooth(geom, 41, 0.1, 2).values)
+    phi = _smooth(geom, 42, 0.1, 2)
     dt = auto_dt(geom)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -152,8 +126,7 @@ def test_public_entry_points_signal_overflow_without_warnings(make, level):
 
 
 def test_auto_dt_matches_the_symbol_formula():
-    for make in (sector, sphere, lattice):
-        geom = make()
+    for geom in _small_models():
         sigma = stability_symbol_max(geom)
         damping = C_STAB * sigma**2 + (
             YAMABE_COEFFICIENT
@@ -170,8 +143,8 @@ def test_auto_dt_matches_the_symbol_formula():
 
 
 def test_explicit_step_advances_bookkeeping():
-    geom = sector()
-    state = make_state(random_data(geom, 41), 0.0, 0)
+    geom = _sector(16)
+    state = make_state(_smooth(geom, 41, 0.1, 2), 0.0, 0)
     nxt = step_explicit(state, 1e-9)
     assert nxt.step_index == 1
     assert nxt.time == 1e-9
@@ -185,7 +158,7 @@ def test_explicit_step_advances_bookkeeping():
 def test_steppers_refuse_a_step_that_is_not_positive_and_finite(stepper, dt):
     # resolve_dt's rule, 0 < dt < inf: a NaN passes a test of dt <= 0,
     # and an infinite step gives a state at time inf
-    state = make_state(random_data(sector(), 3), 0.0, 0)
+    state = make_state(_smooth(_sector(16), 3, 0.1, 2), 0.0, 0)
     with pytest.raises(ValueError, match="positive"):
         stepper(state, dt)
 
@@ -193,9 +166,9 @@ def test_steppers_refuse_a_step_that_is_not_positive_and_finite(stepper, dt):
 # The three kinds, the lattice with a non-trivial x-wrap twist (8 of 16
 # tau-cells) and twisted vertical modes in its data.
 FSAL_CASES = [
-    (lambda: sector(16), {}),
-    (lambda: sphere(64), {"amplitude": 0.05, "cutoff": 16}),
-    (lambda: lattice(), {"cutoff_t": 2}),
+    (lambda: _sector(16), {"amplitude": 0.1, "cutoff": 2}),
+    (lambda: _sphere(64), {"amplitude": 0.05, "cutoff": 16}),
+    (lambda: _lattice((8, 8, 16), lt=1.0), {"amplitude": 0.1, "cutoff": 2, "cutoff_t": 2}),
 ]
 
 
@@ -203,7 +176,7 @@ def fsal_case(make, data):
     geom = make()
     if geom.t_wrap_shift:
         assert geom.t_wrap_shift % geom.resolution[2] != 0
-    return geom, random_data(geom, 3, **data)
+    return geom, _smooth(geom, 3, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +252,7 @@ def expression_imex(geom, y, rhs, v_old, dt):
 def pinned_case(name):
     geom = build_geometry(STENCIL_GEOMETRIES[name])
     extra = {"cutoff_t": 2} if geom.kind == "HeisenbergLattice3D" else {}
-    return geom, random_data(geom, 3, **extra)
+    return geom, _smooth(geom, 3, 0.1, 2, **extra)
 
 
 def assert_same_bits(a, b):
@@ -445,7 +418,7 @@ def test_an_rk4_step_on_a_workspace_allocates_only_the_new_state(config):
     # step, a step's peak is the new state's lam and rhs, with one more
     # grid array of room for the small objects
     geom = build_geometry(config)
-    lam = random_data(geom, 3)
+    lam = _smooth(geom, 3, 0.1, 2)
     dt = auto_dt(geom)
     work = Workspace(geom)
     state = step_explicit(make_state(lam, 0.0, 0, work=work), dt, work=work)
@@ -476,7 +449,7 @@ def test_an_imex_step_on_a_workspace_peaks_at_its_transforms(config, arrays):
     # has 512 cells, whose dense basis eighs in well under a second: its
     # 4 KiB arrays are 3 of the 3.34, the small objects about 1.4 KiB
     geom = build_geometry(config)
-    lam = random_data(geom, 3)
+    lam = _smooth(geom, 3, 0.1, 2)
     dt = 10.0 * auto_dt(geom)
     work = Workspace(geom)
     state = step_imex(make_state(lam, 0.0, 0, work=work), dt, work=work)
@@ -535,8 +508,8 @@ def test_right_hand_side_and_curvature_evaluations_per_step(
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(flow, name, counted)
-    geom = sector()
-    lam0 = random_data(geom, 58)
+    geom = _sector(16)
+    lam0 = _smooth(geom, 58, 0.1, 2)
     dt = auto_dt(geom) * (1.0 if integrator == "explicit" else 10.0)
     for steps in (1, 3):
         counts.update(dict.fromkeys(counts, 0))
@@ -558,8 +531,8 @@ def test_run_calls_the_module_steppers_once_per_step(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(flow, name, counted)
-    geom = sector()
-    lam0 = random_data(geom, 3)
+    geom = _sector(16)
+    lam0 = _smooth(geom, 3, 0.1, 2)
     for integrator, name in (("explicit", "step_explicit"), ("imex", "step_imex")):
         counts.update(dict.fromkeys(counts, 0))
         traj = run(lam0, integrator=integrator, dt=auto_dt(geom), max_steps=3)
@@ -569,7 +542,7 @@ def test_run_calls_the_module_steppers_once_per_step(monkeypatch):
 
 @pytest.mark.parametrize(
     "make, amplitude, cutoff",
-    [(lambda: sector(32), 0.1, 3), (lambda: sphere(64), 0.05, 16)],
+    [(lambda: _sector(32), 0.1, 3), (lambda: _sphere(64), 0.05, 16)],
     ids=["sector", "sphere"],
 )
 def test_imex_is_stable_and_monotone_at_ten_times_the_explicit_edge(
@@ -577,10 +550,7 @@ def test_imex_is_stable_and_monotone_at_ten_times_the_explicit_edge(
 ):
     geom = make()
     dt = 10.0 * auto_dt(geom)
-    lam0 = initial_data(
-        geom,
-        {"kind": "random", "seed": 3, "amplitude": amplitude, "cutoff": cutoff},
-    )
+    lam0 = _smooth(geom, 3, amplitude, cutoff)
     traj = run(lam0, integrator="imex", dt=dt, max_time=1.0, max_steps=100)
     es = traj.energies
     assert traj.outcome == "max_time"
@@ -590,7 +560,7 @@ def test_imex_is_stable_and_monotone_at_ten_times_the_explicit_edge(
 
 @pytest.mark.parametrize(
     "make, amplitude, cutoff",
-    [(lambda: sector(32), 0.1, 3), (lambda: sphere(64), 0.05, 16)],
+    [(lambda: _sector(32), 0.1, 3), (lambda: _sphere(64), 0.05, 16)],
     ids=["sector", "sphere"],
 )
 def test_imex_restores_volume_and_descends_at_a_thousand_times_the_edge(
@@ -598,10 +568,7 @@ def test_imex_restores_volume_and_descends_at_a_thousand_times_the_edge(
 ):
     geom = make()
     dt = 1e3 * auto_dt(geom)
-    lam0 = initial_data(
-        geom,
-        {"kind": "random", "seed": 3, "amplitude": amplitude, "cutoff": cutoff},
-    )
+    lam0 = _smooth(geom, 3, amplitude, cutoff)
     traj = run(lam0, integrator="imex", dt=dt, max_time=40.5 * dt,
                max_steps=40)
     assert traj.outcome == "max_time"
@@ -613,14 +580,13 @@ def test_imex_restores_volume_and_descends_at_a_thousand_times_the_edge(
 
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("make", [
-    lambda: build_geometry({"kind": "HeisenbergLattice3D", "resolution": [16, 16, 32],
-                            "periods": [1.0, 1.0, 0.5]}),
-    lattice,
+    _lattice,
+    lambda: _lattice((8, 8, 16), lt=1.0),
 ], ids=["lattice16x16x32", "lattice8x8x16"])
 def test_lattice_imex_descends_and_keeps_volume_at_ten_times_the_edge(make, seed):
     geom = make()
     dt = 10.0 * auto_dt(geom)
-    lam0 = random_data(geom, seed, cutoff=3, cutoff_t=2)
+    lam0 = _smooth(geom, seed, 0.1, 3, cutoff_t=2)
     traj = run(lam0, integrator="imex", dt=dt, max_time=20.5 * dt,
                max_steps=20)
     assert traj.outcome == "max_time"
@@ -634,7 +600,7 @@ def test_imex_descends_at_a_hundred_million_times_the_edge():
     # the exact inverse's rounding does not grow with the step: at 1e8
     # times auto, applying the shifted operator to the solution misses b
     # by more than 1e-10 ||b||, yet the run descends to its step budget
-    geom = sphere(64)
+    geom = _sphere(64)
     dt = 0.0023300127110531064
     assert dt == 1e8 * auto_dt(geom)
     lam0 = initial_data(geom, {"kind": "random", "seed": 3, "amplitude": 0.01})
@@ -647,16 +613,16 @@ def test_imex_descends_at_a_hundred_million_times_the_edge():
 
 def test_detect_blowup_on_threshold_crossing():
     # the threshold is |lambda| = 20
-    geom = sector(8)
-    tall = constant(geom, np.nextafter(-20.0, -np.inf))
+    geom = _sector(8)
+    tall = geom.constant(np.nextafter(-20.0, -np.inf))
     assert detect_blowup(make_state(tall, 0.0, 0))
-    assert not detect_blowup(make_state(constant(geom, 20.0), 0.0, 0))
+    assert not detect_blowup(make_state(geom.constant(20.0), 0.0, 0))
 
 
 def test_a_non_finite_cell_ranks_highest_and_the_first_one_wins():
     # NaN ranks like inf, above any finite |lambda|: lam_argmax is the
     # first non-finite cell, whichever of the two it is
-    geom = sector(8)
+    geom = _sector(8)
     values = np.zeros(geom.resolution)
     values.flat[2] = 3.0
     for first, second in ((np.inf, np.nan), (np.nan, -np.inf)):
@@ -671,8 +637,8 @@ def test_a_non_finite_cell_ranks_highest_and_the_first_one_wins():
 
 
 def test_zero_data_plateaus_at_the_window():
-    geom = sector(32)
-    lam0 = constant(geom, 0.0)
+    geom = _sector(32)
+    lam0 = geom.constant(0.0)
     traj = run(lam0, dt=1e-9, max_time=1.0, max_steps=500)
     assert traj.outcome == "plateau"
     assert len(traj.diagnostics) - 1 == PLATEAU_WINDOW
@@ -689,7 +655,7 @@ def test_stop_order_when_two_stop_tests_hold(data, dt, max_steps, outcome, steps
     # blow-up is tested before the plateau, and the plateau before the
     # step budget: RK4 at about 270 times auto overflows at step 2, and
     # zero data fill the plateau window at step 50
-    geom = sector(32)
+    geom = _sector(32)
     traj = run(initial_data(geom, data), dt=dt, max_steps=max_steps)
     assert traj.outcome == outcome
     assert len(traj.diagnostics) - 1 == steps
@@ -699,9 +665,8 @@ def test_the_plateau_test_is_relative_at_any_energy_scale():
     # a fiber of 1e-250 scales the energy to about 1e-246, and not the
     # relative change per step that the plateau test reads
     for t_fiber in (1.0, 1e-250):
-        geom = build_geometry({"kind": "HeisenbergSector2D", "resolution": [16, 16],
-                               "t_fiber": t_fiber})
-        traj = run(random_data(geom, 3), max_steps=60)
+        geom = _sector(16, t_fiber=t_fiber)
+        traj = run(_smooth(geom, 3, 0.1, 2), max_steps=60)
         assert (traj.outcome, len(traj.diagnostics) - 1) == ("max_time", 60)
 
 
@@ -715,21 +680,21 @@ def test_a_plateau_is_fifty_consecutive_quiet_steps(monkeypatch):
         return dataclasses.replace(state, step_index=state.step_index + 1, diagnostics=diag)
 
     monkeypatch.setattr(flow, "step_explicit", scripted)
-    traj = run(random_data(sector(8), 3), dt=1e-9, max_steps=500)
+    traj = run(_smooth(_sector(8), 3, 0.1, 2), dt=1e-9, max_steps=500)
     assert (traj.outcome, len(traj.diagnostics) - 1) == ("converged", 81)
 
 
 def test_converged_outcome_after_a_real_drop():
-    geom = sector(16)
-    traj = run(random_data(geom, 3), integrator="imex", dt=1e4 * auto_dt(geom),
+    geom = _sector(16)
+    traj = run(_smooth(geom, 3, 0.1, 2), integrator="imex", dt=1e4 * auto_dt(geom),
                max_steps=3000)
     assert traj.outcome == "converged"
     assert traj.energies[-1] < 0.99 * traj.energies[0]
 
 
 def test_run_records_one_diagnostics_row_per_step():
-    geom = sector()
-    traj = run(random_data(geom, 51), dt=1e-9, max_time=1.0, max_steps=7)
+    geom = _sector(16)
+    traj = run(_smooth(geom, 51, 0.1, 2), dt=1e-9, max_time=1.0, max_steps=7)
     assert len(traj.diagnostics) == 8
     assert all(math.isfinite(d.lam_max) and 0 <= d.lam_argmax < 16 * 16
                for d in traj.diagnostics)
@@ -739,32 +704,32 @@ def test_run_records_one_diagnostics_row_per_step():
 
 
 def test_snapshot_cadence_and_final_state():
-    geom = sector()
-    traj = run(random_data(geom, 52), dt=1e-9, max_time=1.0, max_steps=10,
+    geom = _sector(16)
+    traj = run(_smooth(geom, 52, 0.1, 2), dt=1e-9, max_time=1.0, max_steps=10,
                snapshot_every=4)
     assert [s for s, _ in traj.snapshots] == [0, 4, 8, 10]
     np.testing.assert_array_equal(
         traj.snapshots[-1][1].values, traj.final_state.lam.values
     )
-    none = run(random_data(geom, 52), dt=1e-9, max_time=1.0, max_steps=3)
+    none = run(_smooth(geom, 52, 0.1, 2), dt=1e-9, max_time=1.0, max_steps=3)
     assert none.snapshots == []
 
 
 def test_run_honors_the_time_budget():
-    geom = sector()
-    traj = run(random_data(geom, 53), dt=1e-3, max_time=5e-3)
+    geom = _sector(16)
+    traj = run(_smooth(geom, 53, 0.1, 2), dt=1e-3, max_time=5e-3)
     assert traj.outcome in ("max_time", "blowup")
     assert traj.diagnostics[-1].time <= 5e-3 * (1.0 + 1e-9)
     # flow time accumulates as t + dt, and 20 steps of this dt end one
     # rounding past 20 * dt: the time test's slack still takes the 20th
     dt = 3.7252902984619143e-10
-    traj = run(constant(geom, 0.0), dt=dt, max_time=20 * dt)
+    traj = run(geom.constant(0.0), dt=dt, max_time=20 * dt)
     assert traj.outcome == "max_time" and len(traj.diagnostics) - 1 == 20
 
 
 def test_run_validates_inputs():
-    geom = sector()
-    lam = random_data(geom, 54)
+    geom = _sector(16)
+    lam = _smooth(geom, 54, 0.1, 2)
     for bad in ({"integrator": "leapfrog"}, {"dt": -1e-9}, {"dt": True},
                 {"dt": "1e-9"}, {"max_time": math.nan}, {"max_steps": 2.5},
                 {"snapshot_every": True}, {"max_time": 10**5000}, {"max_steps": -(10**5000)},
@@ -782,19 +747,19 @@ def test_run_validates_inputs():
 
 def test_run_refuses_a_bad_flow_sign():
     with pytest.raises(TypeError, match="unexpected keyword argument 'flow_sign'"):
-        run(random_data(sector(), 54), flow_sign=-1.0)
+        run(_smooth(_sector(16), 54, 0.1, 2), flow_sign=-1.0)
 
 
 def test_dt_auto_resolves_to_the_formula_value():
-    geom = sector()
-    traj = run(random_data(geom, 55), dt="auto", max_time=1.0, max_steps=2)
+    geom = _sector(16)
+    traj = run(_smooth(geom, 55, 0.1, 2), dt="auto", max_time=1.0, max_steps=2)
     assert traj.dt == auto_dt(geom)
 
 
 @pytest.mark.parametrize("dt", [True, "1e-9"], ids=["bool", "string"])
 def test_resolve_dt_refuses_what_run_refuses(dt):
     # resolve_dt reads dt as run's argument check does, not by float()
-    lam0 = random_data(sector(), 55)
+    lam0 = _smooth(_sector(16), 55, 0.1, 2)
     for call in (lambda: flow.resolve_dt(lam0.geometry, dt),
                  lambda: run(lam0, dt=dt, max_steps=1)):
         with pytest.raises(ValueError, match="dt must be a finite number"):
@@ -806,8 +771,8 @@ def test_resolve_dt_refuses_what_run_refuses(dt):
 
 
 def test_diagnostics_record_is_serializable():
-    geom = sector()
-    state = make_state(random_data(geom, 56), 0.0, 0)
+    geom = _sector(16)
+    state = make_state(_smooth(geom, 56, 0.1, 2), 0.0, 0)
     record = dataclasses.asdict(state.diagnostics)
     assert set(record) == {
         "time", "volume", "energy", "bondi", "w_min", "w_max", "dissipation",
@@ -818,6 +783,6 @@ def test_diagnostics_record_is_serializable():
 
 
 def test_dissipation_is_nonpositive_for_the_descent_sign():
-    geom = sector()
-    state = make_state(random_data(geom, 57, amplitude=0.2), 0.0, 0)
+    geom = _sector(16)
+    state = make_state(_smooth(geom, 57, 0.2, 2), 0.0, 0)
     assert state.diagnostics.dissipation <= 0.0

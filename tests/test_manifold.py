@@ -17,32 +17,8 @@ from crflow.manifold import (
     lattice_mode,
 )
 from crflow.conventions import HEISENBERG_VOLUME_WEIGHT
+from crflow.invariants import _lattice, _sector, _smooth, _sphere
 from crflow.operators import spectral_basis
-
-
-def sector(n=16, periods=(1.0, 1.0), t_fiber=1.0):
-    return build_geometry(
-        {
-            "kind": "HeisenbergSector2D",
-            "resolution": [n, n],
-            "periods": list(periods),
-            "t_fiber": t_fiber,
-        }
-    )
-
-
-def sphere(n=64):
-    return build_geometry({"kind": "SphereReduced1D", "resolution": [n]})
-
-
-def lattice(nx=8, ny=8, nt=16, lt=1.0):
-    return build_geometry(
-        {
-            "kind": "HeisenbergLattice3D",
-            "resolution": [nx, ny, nt],
-            "periods": [1.0, 1.0, lt],
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +26,9 @@ def lattice(nx=8, ny=8, nt=16, lt=1.0):
 
 
 def test_known_kinds_construct():
-    assert sector().kind == "HeisenbergSector2D"
-    assert sphere().kind == "SphereReduced1D"
-    assert lattice().kind == "HeisenbergLattice3D"
+    assert _sector(16).kind == "HeisenbergSector2D"
+    assert _sphere().kind == "SphereReduced1D"
+    assert _lattice((8, 8, 16), lt=1.0).kind == "HeisenbergLattice3D"
 
 
 def test_unknown_kind_rejected():
@@ -138,7 +114,7 @@ def test_period_validation():
 def test_unsatisfiable_wrap_shift_rejected(monkeypatch):
     # 16 tau-cells on a unit fiber make the frame shift a quarter cell
     with pytest.raises(GeometryError, match="wrap-shift constraint unsatisfiable"):
-        lattice(16, 16, 16, lt=1.0)
+        _lattice((16, 16, 16), lt=1.0)
     # the degree 4 Px Py / Lt = 4/3 or 0.04: the quotient does not close
     for periods in ([1.0, 1.0, 3.0], [0.1, 0.1, 1.0]):
         with pytest.raises(GeometryError, match="the degree 4\\*Px\\*Py/Lt"):
@@ -167,7 +143,7 @@ def test_unsatisfiable_wrap_shift_rejected(monkeypatch):
 
 
 def test_lattice_wrap_numbers():
-    geom = lattice(8, 8, 16, lt=1.0)
+    geom = _lattice((8, 8, 16), lt=1.0)
     assert geom.shift_unit == 1
     assert geom.t_wrap_shift == 8
     assert geom.lattice_degree == 4
@@ -176,7 +152,7 @@ def test_lattice_wrap_numbers():
 
 
 def test_reference_lattice_sixteen_cubed():
-    geom = lattice(16, 16, 16, lt=0.25)
+    geom = _lattice((16, 16, 16), lt=0.25)
     assert geom.shift_unit == 1
     assert geom.t_wrap_shift == 16
     assert geom.lattice_degree == 16
@@ -185,30 +161,31 @@ def test_reference_lattice_sixteen_cubed():
 def test_lattice_geometries_compare_by_their_description():
     # the precomputed gathers are arrays; equality and hashing must not
     # touch them
-    assert lattice() == lattice()
-    assert lattice(16, 16, 32, lt=0.5) == lattice(16, 16, 32, lt=0.5)
-    assert lattice() != lattice(lt=0.5)
-    assert lattice(16, 16, 32, lt=0.5) != lattice(16, 16, 32, lt=0.25)
-    assert hash(lattice()) == hash(lattice())
-    assert hash(lattice(16, 16, 32, lt=0.5)) == hash(lattice(16, 16, 32, lt=0.5))
+    small = (8, 8, 16)
+    assert _lattice(small, lt=1.0) == _lattice(small, lt=1.0)
+    assert _lattice((16, 16, 32), lt=0.5) == _lattice((16, 16, 32), lt=0.5)
+    assert _lattice(small, lt=1.0) != _lattice(small, lt=0.5)
+    assert _lattice((16, 16, 32), lt=0.5) != _lattice((16, 16, 32), lt=0.25)
+    assert hash(_lattice(small, lt=1.0)) == hash(_lattice(small, lt=1.0))
+    assert hash(_lattice((16, 16, 32), lt=0.5)) == hash(_lattice((16, 16, 32), lt=0.5))
     # a value: no field can be assigned once built
-    geom = lattice()
+    geom = _lattice(small, lt=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         geom.spacing = (1.0, 1.0, 1.0)
     # separately built equal geometries share one spectral basis
-    assert spectral_basis(lattice()) is spectral_basis(lattice())
+    assert spectral_basis(_lattice(small, lt=1.0)) is spectral_basis(_lattice(small, lt=1.0))
 
 
 def test_spacing_and_cell_volume():
-    geom = sector(8, periods=(2.0, 4.0), t_fiber=0.5)
+    geom = _sector(8, periods=(2.0, 4.0), t_fiber=0.5)
     assert geom.spacing == pytest.approx((0.25, 0.5))
     # the weight is the volume-form weight times the coordinate cell
     # volume, bit for bit as that product groups
     assert geom.cell_weight == HEISENBERG_VOLUME_WEIGHT * ((2.0 / 8) * (4.0 / 8) * 0.5)
-    geom = lattice(8, 8, 32, lt=0.5)
+    geom = _lattice((8, 8, 32), lt=0.5)
     assert geom.spacing == (1.0 / 8, 1.0 / 8, 0.5 / 32)
     assert geom.cell_weight == HEISENBERG_VOLUME_WEIGHT * ((1.0 / 8) * (1.0 / 8) * (0.5 / 32))
-    geom = sphere(24)
+    geom = _sphere(24)
     assert geom.spacing == (1.0 / 24,)
     assert geom.cell_weight == math.pi**2 * (1.0 / 24)     # kappa = pi^2
 
@@ -218,7 +195,7 @@ def test_spacing_and_cell_volume():
 
 
 def test_integrate_rejects_non_finite():
-    geom = sector(8)
+    geom = _sector(8)
     values = np.zeros((8, 8))
     values[3, 4] = np.inf
     with pytest.raises(ValueError):
@@ -227,7 +204,7 @@ def test_integrate_rejects_non_finite():
 
 def test_heisenberg_volume_carries_fiber_and_weight():
     # volume element 4 * dx dy dt: a unit box with half fiber gives 4 * 1/2
-    geom = sector(8, t_fiber=0.5)
+    geom = _sector(8, t_fiber=0.5)
     total = integrate(ScalarField(geom, np.ones((8, 8))))
     assert total == pytest.approx(HEISENBERG_VOLUME_WEIGHT * 0.5, rel=1e-15, abs=0)
 
@@ -238,7 +215,7 @@ def test_heisenberg_volume_carries_fiber_and_weight():
 
 def test_stencil_commutes_with_wrap_on_delta_fields():
     """Applying a shift stencil then wrapping equals wrapping then shifting."""
-    geom = lattice()
+    geom = _lattice((8, 8, 16), lt=1.0)
     nx, ny, nt = geom.resolution
     for cell in [(0, 0, 0), (3, 5, 7), (7, 2, 15)]:
         delta = np.zeros(geom.resolution)
@@ -265,7 +242,7 @@ def test_stencil_commutes_with_wrap_on_delta_fields():
 def test_lattice_mode_satisfies_the_deck_identity():
     # crossing the x-period in polarized coordinates carries tau along by
     # 4 * Px * y; the generated modes obey that identification pointwise
-    geom = lattice()
+    geom = _lattice((8, 8, 16), lt=1.0)
     px, py, lt = geom.periods
     rng = np.random.default_rng(13)
     worst = 0.0
@@ -279,7 +256,7 @@ def test_lattice_mode_satisfies_the_deck_identity():
 
 
 def test_lattice_mode_sampled_on_grid_matches_twisted_wrap():
-    geom = lattice()
+    geom = _lattice((8, 8, 16), lt=1.0)
     px = geom.periods[0]
     mode = lattice_mode(geom, 1, 0)
     nx, ny, nt = geom.resolution
@@ -329,7 +306,7 @@ LATTICES = {
 @pytest.mark.parametrize("name", list(LATTICES))
 def test_lattice_shift_is_the_twisted_gather(name):
     resolution, lt, twist = LATTICES[name]
-    geom = lattice(*resolution, lt=lt)
+    geom = _lattice(resolution, lt=lt)
     assert geom.t_wrap_shift % resolution[2] == twist
     values = np.random.default_rng(17).standard_normal(resolution)
     before = values.tobytes()
@@ -381,7 +358,7 @@ def test_shift_moves_exactly_one_cell(name):
 
 def test_shift_is_not_defined_on_the_sphere_kind():
     with pytest.raises(GeometryError, match="not defined on the sphere"):
-        sphere(8).shift(np.zeros(8), 0, 1)
+        _sphere(8).shift(np.zeros(8), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +366,14 @@ def test_shift_is_not_defined_on_the_sphere_kind():
 
 
 def test_constant_initial_data():
-    geom = sector(8)
+    geom = _sector(8)
     lam = initial_data(geom, {"kind": "constant", "value": 0.3})
     np.testing.assert_array_equal(lam.values, np.full((8, 8), 0.3))
 
 
-@pytest.mark.parametrize("make", [sector, sphere, lattice])
-def test_random_initial_data_is_seed_deterministic(make):
-    geom = make()
+@pytest.mark.parametrize("geom", [_sector(16), _sphere(64), _lattice((8, 8, 16), lt=1.0)],
+                         ids=["sector", "sphere", "lattice"])
+def test_random_initial_data_is_seed_deterministic(geom):
     spec = {"kind": "random", "seed": 9, "amplitude": 0.2, "cutoff": 3}
     a = initial_data(geom, spec)
     b = initial_data(geom, spec)
@@ -414,9 +391,8 @@ def test_random_data_are_band_limited_series():
     c = np.abs(np.fft.fft2(initial_data(geom, {"kind": "random", "cutoff": 3}).values))
     kx, ky = (np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in geom.resolution)
     assert c[(kx[:, None] > 3) | (ky[None, :] > 3)].max() <= 1e-13 * c.max()
-    values = initial_data(sphere(64), {"kind": "random", "seed": 3, "amplitude": 0.05,
-                                       "cutoff": 16}).values
-    cosines = np.cos(np.pi * np.arange(1, 17)[:, None] * sphere(64).axes()[0])
+    values = _smooth(_sphere(64), 3, 0.05, 16).values
+    cosines = np.cos(np.pi * np.arange(1, 17)[:, None] * _sphere(64).axes()[0])
     draws = np.random.default_rng(3).standard_normal(16)
     assert np.max(np.abs(cosines @ values / 32.0 - 0.05 / 4.0 * draws)) <= 1e-15
 
@@ -447,7 +423,7 @@ def dense_random_lattice(geom, spec):
 @pytest.mark.parametrize("name", list(LATTICES))
 def test_random_lattice_data_is_bitwise_the_dense_grid_evaluation(name):
     resolution, lt, _ = LATTICES[name]
-    geom = lattice(*resolution, lt=lt)
+    geom = _lattice(resolution, lt=lt)
     for seed in range(3, 11):
         for cutoff_t in (1, 2, 3):
             spec = {"kind": "random", "seed": seed, "amplitude": 0.1, "cutoff": 3,
@@ -457,7 +433,7 @@ def test_random_lattice_data_is_bitwise_the_dense_grid_evaluation(name):
 
 
 def test_random_lattice_data_respects_the_twisted_wrap():
-    geom = lattice()
+    geom = _lattice((8, 8, 16), lt=1.0)
     lam = initial_data(
         geom, {"kind": "random", "seed": 5, "amplitude": 0.2, "cutoff": 2, "cutoff_t": 2}
     )
@@ -474,7 +450,7 @@ def test_random_lattice_data_respects_the_twisted_wrap():
 
 
 def test_initial_data_validation_errors():
-    geom = sector(8)
+    geom = _sector(8)
     with pytest.raises(GeometryError):
         initial_data(geom, {"kind": "perlin"})
     with pytest.raises(GeometryError):
@@ -499,31 +475,32 @@ def test_initial_data_validation_errors():
     # build about 2 cutoff^2 planar modes: the key is refused, by name,
     # before any mode is built; so is a negative cutoff_t
     bound = 64      # README: cutoff in 1..64, cutoff_t in 0..64
-    for geom, key, value in ((sphere(16), "cutoff", bound + 1),
-                             (sector(8), "cutoff", bound + 1),
-                             (lattice(), "cutoff", bound + 1),
-                             (lattice(), "cutoff_t", bound + 1),
-                             (lattice(), "cutoff_t", -1)):
+    lattice = _lattice((8, 8, 16), lt=1.0)
+    for geom, key, value in ((_sphere(16), "cutoff", bound + 1),
+                             (_sector(8), "cutoff", bound + 1),
+                             (lattice, "cutoff", bound + 1),
+                             (lattice, "cutoff_t", bound + 1),
+                             (lattice, "cutoff_t", -1)):
         with pytest.raises(GeometryError, match=f"^{key} must be between"):
             initial_data(geom, {"kind": "random", key: value})
-    assert initial_data(sphere(16), {"kind": "random", "cutoff": bound}).is_finite()
-    assert initial_data(lattice(), {"kind": "random", "cutoff": 2,
-                                    "cutoff_t": bound}).is_finite()
+    assert initial_data(_sphere(16), {"kind": "random", "cutoff": bound}).is_finite()
+    assert initial_data(lattice, {"kind": "random", "cutoff": 2,
+                                  "cutoff_t": bound}).is_finite()
     # a key the kind does not read is named, not ignored; cutoff_t is read
     # on the lattice only
-    for geom, spec, key in ((sector(8), {"kind": "random", "sed": 4}, "sed"),
-                            (sector(8), {"kind": "constant", "valu": 2}, "valu"),
-                            (sector(8), {"kind": "random", "cutoff_t": 2}, "cutoff_t"),
-                            (sphere(16), {"kind": "random", "cutoff_t": 2}, "cutoff_t")):
+    for geom, spec, key in ((_sector(8), {"kind": "random", "sed": 4}, "sed"),
+                            (_sector(8), {"kind": "constant", "valu": 2}, "valu"),
+                            (_sector(8), {"kind": "random", "cutoff_t": 2}, "cutoff_t"),
+                            (_sphere(16), {"kind": "random", "cutoff_t": 2}, "cutoff_t")):
         with pytest.raises(GeometryError, match=re.escape(f"does not read the keys ['{key}']")):
             initial_data(geom, spec)
-    for geom in (sector(8), sphere(16)):
+    for geom in (_sector(8), _sphere(16)):
         with pytest.raises(GeometryError, match="unknown initial-data kind 'bump'"):
             initial_data(geom, {"kind": "bump"})
     # a long key or kind is shown by its head and length
     for spec in ({"kind": "constant", "k" * 300: 1}, {"kind": "k" * 300}):
         with pytest.raises(GeometryError, match="characters") as exc:
-            initial_data(sector(8), spec)
+            initial_data(_sector(8), spec)
         assert len(str(exc.value)) <= 200
 
 
@@ -532,13 +509,13 @@ def test_initial_data_validation_errors():
 
 
 def test_field_shape_must_match_geometry():
-    geom = sector(8)
+    geom = _sector(8)
     with pytest.raises(GeometryError):
         ScalarField(geom, np.zeros((8, 9)))
 
 
 def test_field_copy_is_independent():
-    geom = sector(8)
+    geom = _sector(8)
     a = ScalarField(geom, np.zeros((8, 8)))
     b = a.copy()
     b.values[0, 0] = 1.0
@@ -546,7 +523,7 @@ def test_field_copy_is_independent():
 
 
 def test_is_finite_flags_bad_cells():
-    geom = sector(8)
+    geom = _sector(8)
     values = np.zeros((8, 8))
     assert ScalarField(geom, values).is_finite()
     values[2, 2] = np.nan
