@@ -57,6 +57,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -200,9 +201,18 @@ def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
 
 
 def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None:
+    # an earlier run into the same directory may have left snapshots of
+    # other steps: remove every step file that this run does not write
+    snapdir = os.path.join(outdir, "snapshots")
+    written = {f"step_{step:06d}{ext}" for step, _ in traj.snapshots
+               for ext in (".f64", ".json")}
+    if os.path.isdir(snapdir):
+        for name in os.listdir(snapdir):
+            if name not in written and re.fullmatch(r"step_\d{6,}\.(f64|json)", name,
+                                                    re.ASCII):
+                os.remove(os.path.join(snapdir, name))
     if not traj.snapshots:
         return
-    snapdir = os.path.join(outdir, "snapshots")
     os.makedirs(snapdir, exist_ok=True)
     for step, lam in traj.snapshots:
         stem = os.path.join(snapdir, f"step_{step:06d}")
@@ -234,7 +244,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = cfg.output_dir
-        made = not os.path.exists(outdir)
+        made = []       # the directories makedirs makes, deepest first
+        path = os.path.abspath(outdir)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         os.makedirs(outdir, exist_ok=True)
     except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
         # MemoryError: a grid or an IMEX basis too large to allocate is a
@@ -266,8 +280,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
         _dump_json(meta, os.path.join(outdir, "meta.json"))
     except MemoryError as exc:      # an IMEX spectral basis, built on the first step
-        if made and not os.listdir(outdir):
-            os.rmdir(outdir)
+        for path in made:           # a directory left non-empty keeps its parents
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

@@ -177,12 +177,12 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     arrays.  The curvature's scratch is reused in place, each product
     and sum with the operands and grouping of
 
-        DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w).
+        DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w)
 
-    bg = What * m2 is the curvature's own product, held in ``work.m2``;
-    where it skipped it (What == 0, m2 finite) it is exactly +0.0, and
-    w * 0.0 has the same bits.  That term and w * w go into the stencil's
-    ``work.e``, free once it returns, so ``work.m2`` holds only bg.
+    with the background product left out where What == 0 (the flat
+    kinds).  bg = What * m2 is the curvature's own product, held in
+    ``work.m2``, and bg * w goes there too; w * w goes into the stencil's
+    ``work.e``, free once it returns.
     """
     if out is None:
         out = np.empty(geom.resolution)
@@ -198,7 +198,8 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     u *= w
     cov = _div_form_values(geom, u, out=out, work=work, yamabe=True)
     cov *= em3
-    cov += np.multiply(w, 0.0, out=work.e) if bg is None else np.multiply(bg, w, out=bg)
+    if bg is not None:
+        cov += np.multiply(bg, w, out=bg)
     cov -= np.multiply(w, w, out=work.e)
     cov *= DESCENT * 2.0
     return cov, w

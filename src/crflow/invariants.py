@@ -75,14 +75,16 @@ def three_point_div_form(geom: ModelGeometry, v: np.ndarray,
         flux = np.zeros(n + 1)
         flux[1:-1] = mu[1:-1] * ((0.5 * (g[1:] + g[:-1])) * np.diff(v)) / ds
         return -SPHERE_CS * np.diff(flux) / ds
-    acc = np.zeros_like(v)
+    terms = []
     for axis in (0, 1):
         d = geom.spacing[axis]
         wp = 0.5 * (g + geom.shift(g, axis, 1))
         wm = 0.5 * (g + geom.shift(g, axis, -1))
-        acc += (wp * (geom.shift(v, axis, 1) - v)
-                - wm * (v - geom.shift(v, axis, -1))) / (d * d)
-    return -HEISENBERG_HORIZONTAL_FACTOR * acc
+        terms.append((wp * (geom.shift(v, axis, 1) - v)
+                      - wm * (v - geom.shift(v, axis, -1))) / (d * d))
+    # the X term plus the Y term, as the run's stencil sums them: a sum
+    # started at 0.0 would turn -0.0 + -0.0 into +0.0
+    return -HEISENBERG_HORIZONTAL_FACTOR * (terms[0] + terms[1])
 
 
 def conformal_sublap(lam: ScalarField, f: ScalarField) -> ScalarField:

@@ -114,8 +114,7 @@ class Workspace:
     that is given it; anything a caller may keep is a fresh array.
 
     ``m2`` is written only where a background term What * e^{-2 lambda}
-    is formed: on the sphere, or at a flat state with a lambda <= -354
-    or NaN, so a normal flat run never makes its pages resident.
+    is formed, on the sphere: a flat run never makes its pages resident.
 
     On the sphere ``r`` is the stencil's zero-padded flux, n + 1 faces
     whose two end faces no call writes, and ``sphere`` holds what the
@@ -158,13 +157,13 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     Y term in ``e``, with ``r`` for the edges read back; the sphere,
     given ``work``, allocates nothing.
 
-    The bits are those of ((0.0 + t_x / dx^2) + t_y / dy^2) * -1/2 on the
+    The bits are those of (t_x / dx^2 + t_y / dy^2) * -1/2 on the
     flat kinds and (t * -c_s) / ds on the sphere, each times 4 with
     ``yamabe``.  Scaling by a power of two commutes with rounding unless
     a value overflows or is subnormal.  So the sphere multiplies by
     -c_s * 4 at once, and where every d^2, D / d^2 (D = max d^2) and
     -1/2 (* 4) / D are finite powers of two, the flat sum is
-    (0.0 + t_x * D / dx^2) + t_y * D / dy^2 times that one factor.  The
+    t_x * D / dx^2 + t_y * D / dy^2 times that one factor.  The
     bits can differ only where a stencil intermediate overflows or is
     subnormal: e^lambda above about 1e304 or below about 1e-300, far
     past the |lambda| <= 20 blow-up threshold.
@@ -194,9 +193,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
         e -= r
         if operands[axis] is not None:
             op(e, operands[axis], out=e)
-        if axis == 0:
-            e += 0.0        # a sum started at 0.0: -0.0 becomes +0.0
-        else:
+        if axis == 1:
             out += e
     for factor in factors:
         out *= factor
@@ -230,14 +227,13 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     constant lambda = c yields w bitwise equal to e^{-2c} * What, and the
     flow right-hand side of constant states cancels to exactly zero.
 
-    bg is None, and m2 never computed, when What == 0 and every lambda is
-    above -354: there e^{-2 lam} < e^708 is finite, What * m2 is exactly
-    +0.0, and w gets + 0.0 in its place.  A NaN lambda, or any lambda
-    <= -354, takes the full path, where an infinite m2 makes w NaN.
+    bg is None, and m2 never computed, when What == 0 (the flat kinds):
+    w gets + 0.0 in place of the background term, at any lambda, so a
+    -0.0 curvature reads +0.0.
 
     A kernel, run under the caller's errstate: overflow is the blow-up
-    signal.  The four arrays are ``work``'s ``u``, ``m2`` (full path
-    only), ``em3`` and ``w``, scratch for the caller until its next call
+    signal.  The four arrays are ``work``'s ``u``, ``m2`` (sphere only),
+    ``em3`` and ``w``, scratch for the caller until its next call
     on ``work`` (built when None).  ``lam_values`` is never written and
     shares no memory with ``work``.
     """
@@ -248,8 +244,7 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     np.exp(em3, out=em3)
     w = _div_form_values(geom, u, out=work.w, work=work, yamabe=True)
     w *= em3
-    if geom.background_curvature == 0.0 \
-            and np.minimum.reduce(lam_values, axis=None) > -354.0:
+    if geom.background_curvature == 0.0:
         w += 0.0
         return u, None, em3, w
     bg = np.multiply(lam_values, -2.0, out=work.m2)

@@ -271,6 +271,21 @@ def test_run_snapshots_round_trip(tmp_path):
     np.testing.assert_array_equal(stored, lam0.values)
 
 
+def test_a_rerun_leaves_only_its_own_snapshots(tmp_path):
+    # a rerun into the same directory removes the step files it does not
+    # write, and nothing else
+    outdir = tmp_path / "out"
+    snapdir = outdir / "snapshots"
+    for every, steps in ((1, range(5)), (2, (0, 2, 4)), (0, ())):
+        cfg_path, _ = write_config(tmp_path, snapshot_every=every, max_steps=4)
+        snapdir.mkdir(parents=True, exist_ok=True)
+        (snapdir / "notes.txt").write_text("kept")
+        assert main(["run", str(cfg_path)]) == EXIT_OK
+        assert sorted(p.name for p in snapdir.iterdir()) == sorted(
+            ["notes.txt"] + [f"step_{k:06d}{ext}" for k in steps for ext in (".f64", ".json")])
+    assert (snapdir / "notes.txt").read_text() == "kept"
+
+
 def test_lambda_columns_match_the_snapshots(tmp_path):
     cfg_path, _ = write_config(tmp_path, snapshot_every=4, max_steps=12)
     assert main(["run", str(cfg_path)]) == EXIT_OK
@@ -498,6 +513,16 @@ def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys
     os.makedirs(outdir)
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     assert os.listdir(outdir) == []
+    # every missing parent the run made goes too, and no directory that
+    # was there before, even an empty one
+    os.rmdir(outdir)
+    os.makedirs(tmp_path / "keep")
+    for nested, gone, kept in (("out/a/b", tmp_path / "out", tmp_path),
+                               ("keep/x/y", tmp_path / "keep" / "x", tmp_path / "keep")):
+        assert main(["run", str(cfg_path), "--output-dir", str(tmp_path / nested)]) \
+            == EXIT_CONFIG
+        assert not os.path.exists(gone) and os.path.isdir(kept)
+    assert os.listdir(tmp_path / "keep") == []
 
 
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):

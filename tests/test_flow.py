@@ -184,21 +184,25 @@ def fsal_case(make, data):
 
 
 def expression_webster_core(geom, lam_values):
+    # the background term What * e^{-2 lambda} only where What != 0; the
+    # flat kinds add +0.0 in its place
     u = np.exp(lam_values)
-    m2 = np.exp(-2.0 * lam_values)
     em3 = np.exp(-3.0 * lam_values)
+    bg = geom.background_curvature * np.exp(-2.0 * lam_values) \
+        if geom.background_curvature != 0.0 else None
     w = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, u, np.ones_like(u))) \
-        + geom.background_curvature * m2
-    return u, m2, em3, w
+        + (0.0 if bg is None else bg)
+    return u, bg, em3, w
 
 
 def expression_rhs_values(geom, values):
-    u, m2, em3, w = expression_webster_core(geom, values)
+    u, bg, em3, w = expression_webster_core(geom, values)
     if not np.isfinite(values).all():
         return np.full_like(values, np.nan), w
     uw = u * w
-    cov = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, uw, np.ones_like(uw))) \
-        + (geom.background_curvature * m2) * w
+    cov = em3 * (YAMABE_COEFFICIENT * three_point_div_form(geom, uw, np.ones_like(uw)))
+    if bg is not None:
+        cov = cov + bg * w
     return DESCENT * 2.0 * (cov - w * w), w
 
 
@@ -305,11 +309,11 @@ def test_kernels_keep_the_expression_form_bits_past_overflow(name):
     # e^{-3 lambda}; a single NaN cell takes the non-finite branches.
     # +150 overflows only bondi's e^{5 lambda}, so make_state scans w and
     # finds it finite; two cells at 1e308 are finite but overflow the sum
-    # _rhs_values tests before its cell scan.  The flat kinds skip
-    # e^{-2 lambda} only while every lambda is above -354: -300 overflows
-    # e^{-3 lambda} but not e^{-2 lambda}, so the skip runs with w = +-inf,
-    # and two states put their minimum one ulp either side of -354; at
-    # -357 e^{-2 lambda} overflows too, and the full path makes w NaN
+    # _rhs_values tests before its cell scan.  -300 overflows e^{-3 lambda}
+    # but not e^{-2 lambda}, so w = +-inf; two states put their minimum
+    # one ulp either side of -354, and at -357 e^{-2 lambda} overflows
+    # too, which on the sphere makes w NaN and on the flat kinds, which
+    # form no background term, leaves w = +-inf
     geom, lam0 = pinned_case(name)
     dt = auto_dt(geom)
     one_nan = lam0.values.copy()
@@ -472,29 +476,46 @@ def test_a_workspace_holds_no_fourth_stage():
 
 @pytest.mark.parametrize("make, data", FSAL_CASES, ids=["sector", "sphere", "lattice"])
 def test_only_a_background_term_writes_m2(make, data):
-    # the flat kinds form What * e^{-2 lambda} only at a lambda <= -354
-    # or NaN, so on a normal flat run no step writes work.m2 and its
-    # pages never become resident; the sphere's background term is m2
+    # the flat kinds never form What * e^{-2 lambda}, at any lambda, so no
+    # flat evaluation writes work.m2 and its pages never become resident;
+    # the sphere's background term is m2, written on every evaluation
     geom, lam = fsal_case(make, data)
     flat = geom.background_curvature == 0.0
     work = Workspace(geom)
     sentinel = np.arange(lam.values.size, dtype=float).reshape(geom.resolution) + 0.5
-    work.m2[...] = sentinel
     dt = auto_dt(geom)
-    state = make_state(lam, 0.0, 0, work=work)
-    assert (work.m2.tobytes() == sentinel.tobytes()) == flat
-    for stepper, h in ((step_explicit, dt), (step_imex, 10.0 * dt)):
+    state = lam
+    for evaluate in (lambda s: make_state(s, 0.0, 0, work=work),
+                     lambda s: step_explicit(s, dt, work=work),
+                     lambda s: step_imex(s, 10.0 * dt, work=work)):
         work.m2[...] = sentinel
-        state = stepper(state, h, work=work)
-        assert state.lam.values.min() > -354.0
+        state = evaluate(state)
         assert (work.m2.tobytes() == sentinel.tobytes()) == flat
-    deep = lam.values.copy()
-    deep.flat[5] = -353.0
-    make_state(ScalarField(geom, deep), 0.0, 0, work=work)
-    assert (work.m2.tobytes() == sentinel.tobytes()) == flat
-    deep.flat[5] = -400.0
-    make_state(ScalarField(geom, deep), 0.0, 0, work=work)
-    assert work.m2.tobytes() != sentinel.tobytes()
+    for deep in (-353.0, -357.0, np.nan):
+        values = lam.values.copy()
+        values.flat[5] = deep
+        work.m2[...] = sentinel
+        make_state(ScalarField(geom, values), 0.0, 0, work=work)
+        assert (work.m2.tobytes() == sentinel.tobytes()) == flat
+
+
+@pytest.mark.parametrize("make, data", FSAL_CASES[::2], ids=["sector", "lattice"])
+def test_a_flat_curvature_past_the_overflow_of_its_background_term_is_infinite(make,
+                                                                             data):
+    # at lambda = -400, e^{-2 lambda} and e^{-3 lambda} overflow.  The flat
+    # kinds form no background term, so w is em3 * (4 * L(u)) + 0.0: +-inf
+    # where L(u) != 0, where a formed 0 * e^{-2 lambda} would make it NaN
+    geom, lam = fsal_case(make, data)
+    values = lam.values.copy()
+    i = 5
+    values.flat[i] = -400.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(values)
+        lu = YAMABE_COEFFICIENT * three_point_div_form(geom, u, np.ones_like(u))
+        w = _rhs_values(geom, values)[1]
+        expected = np.exp(1200.0) * lu.flat[i] + 0.0
+    assert lu.flat[i] != 0.0 and math.isinf(expected)
+    assert w.flat[i] == expected
 
 
 @pytest.mark.parametrize("integrator, per_step", [("explicit", 4), ("imex", 1)])

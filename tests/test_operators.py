@@ -122,7 +122,7 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
     if name == "sector8x8-subnormal":
         v = 1e-300 * v
     ones = np.ones(geom.resolution)
-    # signed zeros: the zero-initialised sum's 0.0 + t turns -0.0 into 0.0
+    # signed zeros: the sum starts from the X term, so -0.0 + -0.0 stays -0.0
     zeros = np.where(_noise(geom, 23, 1.0).values > 0.0, 0.0, -0.0)
     for x in (v, zeros):
         ref = three_point_div_form(geom, x, ones)
