@@ -9,9 +9,12 @@ Subcommands
     into the configured output directory.  A run has one of four
     outcomes: exit 0 for the scientific outcomes
     ``converged``/``plateau``/``max_time``, exit 3 for ``blowup`` (a
-    labeled result, not a failure).  Exit 1 for configuration errors
-    (among them a degenerate cell spacing, a grid too large to allocate
-    and a resolved step that is not positive and finite).
+    labeled result, not a failure).  Any failure from reading the config
+    to writing ``meta.json`` exits 1 with one ``error:`` line, after the
+    directories the run made are removed, deepest first, while empty: a
+    bad config or cell spacing, a grid or an IMEX basis too large to
+    allocate, a resolved step that is not positive and finite, an
+    artifact that cannot be written.
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -23,7 +26,7 @@ Subcommands
 ``crflow invert T X Y``
     Print a JSON record for one point under the inversion map: image point,
     gauge norms before/after, pullback residual, Jacobian determinant.
-    Exit 1 at the origin.
+    Exit 1 at the origin and at a gauge |w| outside [2**-255, 2**255].
 
 ``run`` loads only ``conventions``, ``manifold``, ``operators`` and ``flow``;
 ``check`` imports ``invariants`` and ``invert`` imports ``inversion`` lazily,
@@ -233,62 +236,55 @@ def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    made = []       # the directories makedirs makes, deepest first
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = RunConfig.from_dict(raw)
+            cfg = RunConfig.from_dict(json.load(fh))
         if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
             cfg.validate()
         geom = build_geometry(cfg.geometry)
-        dt = flow.resolve_dt(geom, cfg.dt)
         lam0 = initial_data(geom, cfg.initial_data)
         outdir = cfg.output_dir
-        made = []       # the directories makedirs makes, deepest first
         path = os.path.abspath(outdir)
         while not os.path.exists(path):
             made.append(path)
             path = os.path.dirname(path)
         os.makedirs(outdir, exist_ok=True)
+        gc.freeze()
+        try:
+            started = time.perf_counter()
+            traj = flow.run(lam0, **cfg.run_args())
+            wall = time.perf_counter() - started
+
+            _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
+            _write_snapshots(outdir, cfg, traj)
+            final = traj.diagnostics[-1]
+            meta = {
+                "config": cfg.to_dict(),
+                "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
+                "conventions": conventions_record(),
+                "outcome": traj.outcome,
+                "n_steps": len(traj.diagnostics) - 1,
+                "final": dataclasses.asdict(final),
+                "bondi_sup_rate": traj.bondi_sup_rate,
+                "wall_time_seconds": wall,
+            }
+            _dump_json(meta, os.path.join(outdir, "meta.json"))
+        finally:
+            gc.unfreeze()
     except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
-        # MemoryError: a grid or an IMEX basis too large to allocate is a
-        # configuration error, in set-up or in the run below
+        # makedirs may have failed part way: skip what it never made
+        for path in filter(os.path.isdir, made):
+            try:
+                os.rmdir(path)
+            except OSError:     # left non-empty: it keeps its parents
+                break
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:
             message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-
-    gc.freeze()
-    try:
-        started = time.perf_counter()
-        traj = flow.run(lam0, **dict(cfg.run_args(), dt=dt))
-        wall = time.perf_counter() - started
-
-        _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
-        _write_snapshots(outdir, cfg, traj)
-        final = traj.diagnostics[-1]
-        meta = {
-            "config": cfg.to_dict(),
-            "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
-            "conventions": conventions_record(),
-            "outcome": traj.outcome,
-            "n_steps": len(traj.diagnostics) - 1,
-            "final": dataclasses.asdict(final),
-            "bondi_sup_rate": traj.bondi_sup_rate,
-            "wall_time_seconds": wall,
-        }
-        _dump_json(meta, os.path.join(outdir, "meta.json"))
-    except MemoryError as exc:      # an IMEX spectral basis, built on the first step
-        for path in made:           # a directory left non-empty keeps its parents
-            try:
-                os.rmdir(path)
-            except OSError:
-                break
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    finally:
-        gc.unfreeze()
 
     print(
         f"outcome: {traj.outcome}  steps: {len(traj.diagnostics) - 1}  "
@@ -347,7 +343,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
             "pullback_residual": inversion.pullback_residual(p),
             "jacobian_det": inversion.jacobian_det(p),
         }
-    except (inversion.InversionDomainError, ValueError) as exc:
+    except ValueError as exc:   # InversionDomainError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     json.dump(_json_safe(record), sys.stdout, indent=2, sort_keys=True)

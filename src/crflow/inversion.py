@@ -10,8 +10,14 @@ Packaging ``w = t + i|z|^2`` into a single complex number, the inversion
     ``I(t, z) = (-t / |w|^2, z / w)``
 
 is a well-defined automorphism of the punctured group (it is singular only at
-the origin, where ``w = 0``).  It satisfies these closed-form identities,
-which the ``inversion`` entries of ``crflow.invariants`` check:
+the origin, where ``w = 0``).  The functions here evaluate it on the gauges
+``2**-255 <= |w| <= 2**255``, a range that ``w -> -1/w`` maps onto itself;
+past it a square in the formulas (``q = |w|^2``, ``q^2``) under- or
+overflows, so the origin and every point outside raise
+``InversionDomainError``.  At an edge, rounding can put an image a few ulps
+outside, and inverting that image is refused too.  It satisfies these
+closed-form identities, which the ``inversion`` entries of
+``crflow.invariants`` check:
 
 * ``w(I(p)) = -1/w(p)``, so spheres ``|w| = r`` and ``|w| = 1/r`` swap;
 * ``I circ I = (t, -z)``;
@@ -46,7 +52,8 @@ __all__ = [
 
 
 class InversionDomainError(ValueError):
-    """Raised when the inversion is evaluated at its singular point."""
+    """Raised when the inversion is evaluated at the origin, its singular
+    point, or at a gauge |w| outside [2**-255, 2**255]."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,14 @@ class HeisenbergPoint:
         return self.t == 0.0 and self.x == 0.0 and self.y == 0.0
 
 
-def _require_off_origin(p: HeisenbergPoint) -> None:
+def _require_in_domain(p: HeisenbergPoint) -> None:
+    """Refuse the origin, and a point whose |w|^2 = t^2 + |z|^4 lies
+    outside [2**-510, 2**510]."""
     if p.is_origin():
         raise InversionDomainError("the inversion is undefined at the origin")
+    if not 2.0 ** -510 <= p.t * p.t + p.zsq * p.zsq <= 2.0 ** 510:
+        raise InversionDomainError("the inversion is evaluated only at gauges 2**-255"
+                                   f" <= |w| <= 2**255, got |w| = {wnorm(p)!r}")
 
 
 def wnorm(p: HeisenbergPoint) -> float:
@@ -97,7 +109,7 @@ def wnorm(p: HeisenbergPoint) -> float:
 
 def invert(p: HeisenbergPoint) -> HeisenbergPoint:
     """Evaluate ``I(t, z) = (-t/|w|^2, z/w)``; the origin is excluded."""
-    _require_off_origin(p)
+    _require_in_domain(p)
     q = p.t * p.t + p.zsq * p.zsq
     zp = p.z / p.w
     return HeisenbergPoint(-p.t / q, zp.real, zp.imag)
@@ -121,7 +133,7 @@ def jacobian(p: HeisenbergPoint) -> np.ndarray:
     the image is ``T = -t/q``, ``X = (x t + y s)/q``, ``Y = (y t - x s)/q``
     and each entry below is the quotient rule applied to those formulas.
     """
-    _require_off_origin(p)
+    _require_in_domain(p)
     t, x, y = p.t, p.x, p.y
     s = p.zsq
     q = t * t + s * s
@@ -171,7 +183,7 @@ def pullback_residual(p: HeisenbergPoint) -> float:
     The returned residual is absolute; near the origin the comparison scale
     grows like ``|w|^{-2}``, so relative statements should divide by it.
     """
-    _require_off_origin(p)
+    _require_in_domain(p)
     pulled = jacobian(p).T @ contact_coefficients(invert(p))
     q = p.t * p.t + p.zsq * p.zsq
     target = contact_coefficients(p) / q

@@ -448,11 +448,11 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
       the twisted identification (default 0: vertical-invariant data,
       identical cell-for-cell to the 2D sector field of the same seed).
 
-    A key the kind does not read, and a K outside 1..MAX_CUTOFF or a Kt
-    outside 0..MAX_CUTOFF, raise ``GeometryError``.  The same seed
-    always yields bitwise-identical values.  An amplitude whose sum
-    overflows gives non-finite values, the flow's blow-up signal, and
-    no warning.
+    A key the kind does not read, a negative seed, and a K outside
+    1..MAX_CUTOFF or a Kt outside 0..MAX_CUTOFF raise ``GeometryError``.
+    The same seed always yields bitwise-identical values.  An amplitude
+    whose sum overflows gives non-finite values, the flow's blow-up
+    signal, and no warning.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeometryError("initial-data spec must be a mapping with a 'kind'")
@@ -468,6 +468,8 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
             read += ("cutoff_t",)
         _refuse_unread_keys(spec, read, f"initial-data kind 'random' on {geom.kind}")
         seed = _as_int(spec.get("seed", 0), "seed")
+        if seed < 0:
+            raise GeometryError(f"seed must be a non-negative integer, got {_shown(seed)}")
         amplitude = _as_finite(spec.get("amplitude", 0.1), "amplitude")
         cutoff = _as_int(spec.get("cutoff", 4), "cutoff")
         if not 1 <= cutoff <= MAX_CUTOFF:

@@ -2,6 +2,7 @@
 
 import atexit
 import csv
+import errno
 import gc
 import json
 import math
@@ -153,6 +154,8 @@ FIXED_KEYS = ("conventions", "plateau_tol", "plateau_window")
         {"plateau_tol": PLATEAU_TOL},
         {"plateau_window": None},
         {"plateau_window": PLATEAU_WINDOW},
+        # a value JSON cannot encode
+        {"max_steps": {3}},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -448,13 +451,20 @@ def test_missing_config_file_exits_with_the_config_code(tmp_path, capsys):
 def test_output_dir_naming_a_file_exits_with_the_config_code(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
-    # a name too long for the file system is shown by its head and length
-    for outdir in (taken, tmp_path / ("o" * 300)):
+    os.makedirs(tmp_path / "keep")
+    # a name too long for the file system is shown by its head and length.
+    # Below new1/ and keep/, makedirs makes new2/ (and new1/) before it
+    # refuses that name: the run removes what it made, and keep/ stays
+    long = "o" * 300
+    for outdir in (taken, tmp_path / long, tmp_path / "new1" / "new2" / long,
+                   tmp_path / "keep" / "new2" / long):
         cfg_path, _ = write_config(tmp_path, output_dir=str(outdir))
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert len(err[0].encode()) <= 200
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "keep", "taken"]
+    assert os.listdir(tmp_path / "keep") == []
 
 
 def test_unbuildable_geometry_exits_with_the_config_code(tmp_path, capsys):
@@ -491,6 +501,9 @@ def test_degenerate_or_unallocatable_grid_exits_with_the_config_code(
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    # the step is resolved inside flow.run, after makedirs, and the
+    # directory the run made is removed
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys,
@@ -523,6 +536,26 @@ def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys
             == EXIT_CONFIG
         assert not os.path.exists(gone) and os.path.isdir(kept)
     assert os.listdir(tmp_path / "keep") == []
+
+
+@pytest.mark.parametrize("blocker, code", [("snapshots", errno.EEXIST),
+                                           ("diagnostics.csv", errno.EISDIR)],
+                         ids=["snapshots", "diagnostics"])
+def test_an_unwritable_artifact_exits_with_the_config_code(tmp_path, capsys, blocker, code):
+    # a file where the snapshot directory goes, a directory where the
+    # diagnostics go: the write fails after the run, with the heap thawed
+    cfg_path, cfg = write_config(tmp_path, snapshot_every=1, max_steps=2)
+    os.makedirs(cfg["output_dir"])
+    if blocker == "snapshots":
+        (tmp_path / "out" / blocker).write_text("")
+    else:
+        os.makedirs(tmp_path / "out" / blocker)
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: [Errno {code}] ")
+    assert len(err[0].encode()) <= 200 and captured.out == ""
+    assert gc.get_freeze_count() == 0
 
 
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):

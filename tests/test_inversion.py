@@ -6,6 +6,8 @@ complex-step differentiation, which is exact to machine precision and
 fully independent of the closed forms under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,43 @@ def test_invert_pure_space_point():
     "func", [invert, double_invert, jacobian, jacobian_det, pullback_residual]
 )
 def test_origin_is_excluded(func):
-    with pytest.raises(InversionDomainError):
+    with pytest.raises(InversionDomainError, match="^the inversion is undefined at the origin$"):
         func(HeisenbergPoint(0.0, 0.0, 0.0))
+
+
+# points just past each edge of the gauge range, then points whose squares
+# under- or overflow in the formulas: a division by zero, a determinant
+# that is NaN, 0 or inf
+OUT_OF_RANGE = [(math.nextafter(2.0 ** -255, 0.0), 0.0, 0.0),
+                (math.nextafter(2.0 ** 255, math.inf), 0.0, 0.0),
+                (1e-320, 0.0, 0.0), (0.0, 1e-170, 0.0), (0.0, 1e200, 0.0),
+                (1e100, 0.0, 0.0), (1e308, 1e308, 1e308), (1e-80, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "func", [invert, double_invert, jacobian, jacobian_det, pullback_residual]
+)
+def test_gauges_outside_the_range_are_excluded(func):
+    for t, x, y in OUT_OF_RANGE:
+        with pytest.raises(InversionDomainError, match=r"2\*\*-255 <= \|w\| <= 2\*\*255"):
+            func(HeisenbergPoint(t, x, y))
+
+
+@pytest.mark.parametrize("edge", [2.0 ** -255, 2.0 ** 255], ids=["low", "high"])
+def test_the_gauge_range_edges_are_evaluated(edge):
+    # on the t axis at the edge itself, and at six angles 2**-40 inside it
+    # (rounding can put an image of an edge point a few ulps outside): no
+    # warning, an error under the suite's filter, and the closed forms hold
+    inside = edge * (1.0 + 2.0 ** -40 if edge < 1.0 else 1.0 - 2.0 ** -40)
+    points = [HeisenbergPoint(edge, 0.0, 0.0), HeisenbergPoint(-edge, 0.0, 0.0)]
+    points += sample_points(6, wnorm_min=inside, wnorm_max=inside, seed=17)
+    for p in points:
+        assert jacobian_det(p) == pytest.approx(wnorm(p) ** -4, rel=1e-12, abs=0)
+        back = double_invert(p)
+        scale = max(abs(p.t), abs(p.x), abs(p.y))
+        assert max(abs(back.t - p.t), abs(back.x + p.x), abs(back.y + p.y)) <= 1e-12 * scale
+        target = np.max(np.abs(contact_coefficients(p))) / wnorm(p) ** 2
+        assert pullback_residual(p) <= 1e-12 * target
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,14 @@ def test_shift_is_not_defined_on_the_sphere_kind():
         _sphere(8).shift(np.zeros(8), 0, 1)
 
 
+def test_deck_reduction_and_lattice_modes_are_lattice_only():
+    for geom in (_sphere(8), _sector(8)):
+        with pytest.raises(GeometryError, match="only defined on the 3D lattice"):
+            geom.reduce_index(0, 0, 0)
+        with pytest.raises(GeometryError, match="only defined on the 3D lattice"):
+            lattice_mode(geom, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -471,6 +479,9 @@ def test_initial_data_validation_errors():
     for spec in bad_specs:
         with pytest.raises(GeometryError):
             initial_data(geom, spec)
+    # numpy would refuse a negative seed without naming the key
+    with pytest.raises(GeometryError, match=r"^seed must be a non-negative integer, got -1$"):
+        initial_data(geom, {"kind": "random", "seed": -1})
     # past the bound the set-up would loop cutoff times on the sphere and
     # build about 2 cutoff^2 planar modes: the key is refused, by name,
     # before any mode is built; so is a negative cutoff_t

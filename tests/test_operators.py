@@ -253,6 +253,10 @@ def test_calibration_rejects_non_constant_candidates():
             _measure_curvature(warped)
     with pytest.raises(CalibrationError):
         _measure_curvature(lambda t, x, y: 1.0 + 1e-8 * np.tanh(t))
+    # a NaN profile passes the positivity test (NaN <= 0 is false) and
+    # is refused as non-finite
+    with pytest.raises(CalibrationError, match="non-finite"):
+        _measure_curvature(lambda t, x, y: np.full(np.broadcast(t, x, y).shape, np.nan))
 
 
 def test_calibration_is_bitwise_the_per_point_loop():
