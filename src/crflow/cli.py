@@ -5,16 +5,18 @@ Subcommands
 
 ``crflow run CONFIG.json``
     Execute one flow run described by a JSON configuration and write its
-    artifacts (``diagnostics.csv``, ``meta.json``, optional raw snapshots)
-    into the configured output directory.  A run has one of four
-    outcomes: exit 0 for the scientific outcomes
+    artifacts (``diagnostics.csv``, optional snapshots as bare ``<f8``
+    files shaped by ``meta.json``'s ``resolved.resolution``, and last
+    ``meta.json``) into the configured output directory.  A run has one
+    of four outcomes: exit 0 for the scientific outcomes
     ``converged``/``plateau``/``max_time``, exit 3 for ``blowup`` (a
     labeled result, not a failure).  Any failure from reading the config
     to writing ``meta.json`` exits 1 with one ``error:`` line, after the
     directories the run made are removed, deepest first, while empty: a
     bad config or cell spacing, a grid or an IMEX basis too large to
     allocate, a resolved step that is not positive and finite, an
-    artifact that cannot be written.
+    artifact that cannot be written.  An older ``meta.json`` is removed
+    before the first artifact is written: a failed run leaves none.
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import dataclasses
 import gc
 import json
@@ -203,12 +206,11 @@ def _write_diagnostics(path: str, traj: flow.Trajectory) -> None:
         fh.writelines(row % (step, *cells(d)) for step, d in enumerate(traj.diagnostics))
 
 
-def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None:
-    # an earlier run into the same directory may have left snapshots of
-    # other steps: remove every step file that this run does not write
+def _write_snapshots(outdir: str, traj: flow.Trajectory) -> None:
+    # bare <f8 files in C order; a rerun removes each step file, an older
+    # run's .json sidecar included, that it does not write
     snapdir = os.path.join(outdir, "snapshots")
-    written = {f"step_{step:06d}{ext}" for step, _ in traj.snapshots
-               for ext in (".f64", ".json")}
+    written = {f"step_{step:06d}.f64" for step, _ in traj.snapshots}
     if os.path.isdir(snapdir):
         for name in os.listdir(snapdir):
             if name not in written and re.fullmatch(r"step_\d{6,}\.(f64|json)", name,
@@ -218,17 +220,7 @@ def _write_snapshots(outdir: str, cfg: RunConfig, traj: flow.Trajectory) -> None
         return
     os.makedirs(snapdir, exist_ok=True)
     for step, lam in traj.snapshots:
-        stem = os.path.join(snapdir, f"step_{step:06d}")
-        lam.values.astype("<f8").tofile(stem + ".f64")
-        sidecar = {
-            "dtype": "<f8",
-            "shape": list(lam.values.shape),
-            "geometry": cfg.geometry,
-            "step": step,
-            "time": traj.diagnostics[step].time,
-            "order": "C",
-        }
-        _dump_json(sidecar, stem + ".json")
+        lam.values.astype("<f8").tofile(os.path.join(snapdir, f"step_{step:06d}.f64"))
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +249,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             traj = flow.run(lam0, **cfg.run_args())
             wall = time.perf_counter() - started
 
+            # meta.json is written last: one on disk belongs to the files
+            # beside it, so an older run's goes before the first write
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, "meta.json"))
             _write_diagnostics(os.path.join(outdir, "diagnostics.csv"), traj)
-            _write_snapshots(outdir, cfg, traj)
+            _write_snapshots(outdir, traj)
             final = traj.diagnostics[-1]
             meta = {
                 "config": cfg.to_dict(),
-                "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir)},
+                "resolved": {"dt": traj.dt, "output_dir": os.path.abspath(outdir),
+                             "resolution": list(geom.resolution)},
                 "conventions": conventions_record(),
                 "outcome": traj.outcome,
                 "n_steps": len(traj.diagnostics) - 1,

@@ -196,7 +196,7 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
         out.fill(np.nan)
         return out, w
     u *= w
-    cov = _div_form_values(geom, u, out=out, work=work, yamabe=True)
+    cov = _div_form_values(geom, u, out=out, work=work)
     cov *= em3
     if bg is not None:
         cov += np.multiply(bg, w, out=bg)

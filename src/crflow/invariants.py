@@ -65,9 +65,9 @@ def three_point_div_form(geom: ModelGeometry, v: np.ndarray,
     plainest form: per cell, both neighbour differences times the
     arithmetic mean of their two cells' weights, ``np.diff`` on the
     sphere.  At g = 1 every weight is exactly 1.0, so it is the
-    background operator, bit for bit the run's ``_div_form_values``
-    wherever no stencil intermediate overflows or is subnormal: the
-    tests' reference for it."""
+    background operator, bit for bit ``sublap``, and 4 times it the run's
+    ``_div_form_values``, wherever no stencil intermediate overflows or
+    is subnormal: the tests' reference for both."""
     if geom.kind == SPHERE_REDUCED:
         n, ds = geom.resolution[0], geom.spacing[0]
         faces = np.arange(n + 1) / n

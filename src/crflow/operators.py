@@ -74,7 +74,7 @@ def _operand(x: float) -> np.ndarray:
     return a
 
 
-_MINUS_CS = (_operand(-SPHERE_CS), _operand(-SPHERE_CS * YAMABE_COEFFICIENT))
+_MINUS_CS = _operand(-SPHERE_CS * YAMABE_COEFFICIENT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,13 +88,13 @@ def _sphere_faces(n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _flat_constants(spacing: tuple, yamabe: bool):
+def _flat_constants(spacing: tuple):
     """(op, operands, factors): a flat stencil call ops each axis term by
     its operand (not None), then multiplies the sum by each factor; the
     fold of ``_div_form_values`` where it applies.  Cached per grid."""
     d2 = tuple(d * d for d in spacing[:2])
     ratios = tuple(max(d2) / x for x in d2)
-    factors = (-HEISENBERG_HORIZONTAL_FACTOR,) + (YAMABE_COEFFICIENT,) * yamabe
+    factors = (-HEISENBERG_HORIZONTAL_FACTOR, YAMABE_COEFFICIENT)
     fold = math.prod(factors) / max(d2)
     if all(abs(math.frexp(x)[0]) == 0.5 for x in (*d2, *ratios, fold)):
         return np.multiply, tuple(None if x == 1.0 else x for x in ratios), (fold,)
@@ -140,10 +140,9 @@ class Workspace:
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
                      out: np.ndarray | None = None,
-                     work: Workspace | None = None,
-                     yamabe: bool = False) -> np.ndarray:
-    """Apply the positive background sublaplacian to the float64 value
-    array ``v``, times YAMABE_COEFFICIENT with ``yamabe``.
+                     work: Workspace | None = None) -> np.ndarray:
+    """Apply 4 * the positive background sublaplacian, L-hat's second-order
+    part, to the float64 value array ``v``.
 
     Flux form: each edge difference e = v[S p] - v[p] is computed once
     and read back at the cell behind, e[S^-1 p] = v[p] - v[S^-1 p], so
@@ -158,12 +157,12 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     given ``work``, allocates nothing.
 
     The bits are those of (t_x / dx^2 + t_y / dy^2) * -1/2 on the
-    flat kinds and (t * -c_s) / ds on the sphere, each times 4 with
-    ``yamabe``.  Scaling by a power of two commutes with rounding unless
-    a value overflows or is subnormal.  So the sphere multiplies by
-    -c_s * 4 at once, and where every d^2, D / d^2 (D = max d^2) and
-    -1/2 (* 4) / D are finite powers of two, the flat sum is
-    t_x * D / dx^2 + t_y * D / dy^2 times that one factor.  The
+    flat kinds and (t * -c_s) / ds on the sphere, each times 4.  Scaling
+    by a power of two commutes with rounding unless a value overflows or
+    is subnormal.  So the sphere multiplies by -c_s * 4 at once, and
+    where every d^2, D / d^2 (D = max d^2) and -1/2 * 4 / D are finite
+    powers of two, the flat sum is t_x * D / dx^2 + t_y * D / dy^2 times
+    that one factor.  The
     bits can differ only where a stencil intermediate overflows or is
     subnormal: e^lambda above about 1e304 or below about 1e-300, far
     past the |lambda| <= 20 blow-up threshold.
@@ -176,14 +175,14 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
         d *= mu
         d /= ds
         out = np.subtract(upper, lower, out=out)
-        out *= _MINUS_CS[yamabe]
+        out *= _MINUS_CS
         out /= ds
         return out
 
     shift = geom.shift
     if out is None:
         out = np.empty(geom.resolution)
-    op, operands, factors = _flat_constants(geom.spacing, yamabe)
+    op, operands, factors = _flat_constants(geom.spacing)
     r = work.r
     for axis in (0, 1):
         e = out if axis == 0 else work.e
@@ -206,11 +205,13 @@ def sublap(f: ScalarField) -> ScalarField:
     Flat kinds: -(X^2 + Y^2)/2 through the frame-flow shifts (the plain
     five-point stencil on the vertical-invariant sector).  Sphere kind:
     -c_s (s(1-s) f')' with the degenerate face weight vanishing at both
-    endpoints, so no boundary condition is ever imposed.
+    endpoints, so no boundary condition is ever imposed.  The stencil's
+    4 * sublap over 4, exact short of overflow and subnormals.
     """
     if not f.is_finite():
         raise ValueError("sublap: non-finite field values")
-    return ScalarField(f.geometry, _div_form_values(f.geometry, f.values))
+    values = _div_form_values(f.geometry, f.values)
+    return ScalarField(f.geometry, values / YAMABE_COEFFICIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     u = np.exp(lam_values, out=work.u)
     em3 = np.multiply(lam_values, -3.0, out=work.em3)
     np.exp(em3, out=em3)
-    w = _div_form_values(geom, u, out=work.w, work=work, yamabe=True)
+    w = _div_form_values(geom, u, out=work.w, work=work)
     w *= em3
     if geom.background_curvature == 0.0:
         w += 0.0
@@ -454,7 +455,7 @@ def _lattice_basis(geom: ModelGeometry):
 @functools.lru_cache(maxsize=None)
 def spectral_basis(geom: ModelGeometry):
     """(forward, inverse, sigma) with inverse(sigma * forward(v)) the
-    background sublaplacian ``_div_form_values`` of the value array v.
+    background sublaplacian ``sublap`` of the value array v.
     Built on first use and cached per geometry value, so equal geometries
     share one basis; read-only.
 

@@ -213,6 +213,8 @@ def test_run_writes_the_artifact_set(tmp_path, capsys):
         "config", "resolved", "conventions", "outcome", "n_steps",
         "final", "bondi_sup_rate", "wall_time_seconds",
     }
+    assert set(meta["resolved"]) == {"dt", "output_dir", "resolution"}
+    assert meta["resolved"]["resolution"] == [16, 16]
     assert all(0 <= int(row[9]) < 16 * 16 for row in rows[1:])
     assert meta["final"]["lam_max"] == float(rows[-1][8])
     assert meta["final"]["lam_argmax"] == int(rows[-1][9])
@@ -245,33 +247,31 @@ def test_meta_states_each_plateau_value_once(tmp_path, overrides, used):
     assert {k: meta[k] for k in used} == used
     assert plateau_entries(meta) == [(("conventions", "plateau_tol"), 1e-10),
                                      (("conventions", "plateau_window"), 50)]
-    assert set(meta["resolved"]) == {"dt", "output_dir"}
+    assert set(meta["resolved"]) == {"dt", "output_dir", "resolution"}
 
 
 def test_run_snapshots_round_trip(tmp_path):
+    # a snapshot is bare <f8 in C order: its shape is meta.json's
+    # resolved.resolution and its time the step's diagnostics.csv row
     cfg_path, cfg = write_config(tmp_path, snapshot_every=5, max_steps=10)
     assert main(["run", str(cfg_path)]) == EXIT_OK
 
-    snapdir = tmp_path / "out" / "snapshots"
-    stems = sorted(p.name for p in snapdir.iterdir())
-    assert stems == [
-        "step_000000.f64", "step_000000.json",
-        "step_000005.f64", "step_000005.json",
-        "step_000010.f64", "step_000010.json",
-    ]
+    outdir = tmp_path / "out"
+    snapdir = outdir / "snapshots"
+    assert sorted(p.name for p in snapdir.iterdir()) == [
+        "step_000000.f64", "step_000005.f64", "step_000010.f64"]
+    meta = json.loads((outdir / "meta.json").read_text())
+    rows = read_rows(outdir / "diagnostics.csv")[1:]
 
-    sidecar = json.loads((snapdir / "step_000000.json").read_text())
-    assert sidecar["dtype"] == "<f8"
-    assert sidecar["shape"] == [16, 16]
-    assert sidecar["order"] == "C"
-    assert sidecar["geometry"] == cfg["geometry"]
-
-    stored = np.fromfile(snapdir / "step_000000.f64", dtype="<f8").reshape(
-        sidecar["shape"]
-    )
     geom = build_geometry(cfg["geometry"])
-    lam0 = initial_data(geom, cfg["initial_data"])
-    np.testing.assert_array_equal(stored, lam0.values)
+    traj = flow.run(initial_data(geom, cfg["initial_data"]),
+                    **RunConfig.from_dict(cfg).run_args())
+    assert [step for step, _ in traj.snapshots] == [0, 5, 10]
+    for step, lam in traj.snapshots:
+        path = snapdir / f"step_{step:06d}.f64"
+        stored = np.fromfile(path, "<f8").reshape(meta["resolved"]["resolution"])
+        assert stored.tobytes() == lam.values.tobytes()
+        assert float(rows[step][1]) == traj.diagnostics[step].time
 
 
 def test_a_rerun_leaves_only_its_own_snapshots(tmp_path):
@@ -283,9 +283,11 @@ def test_a_rerun_leaves_only_its_own_snapshots(tmp_path):
         cfg_path, _ = write_config(tmp_path, snapshot_every=every, max_steps=4)
         snapdir.mkdir(parents=True, exist_ok=True)
         (snapdir / "notes.txt").write_text("kept")
+        # a JSON sidecar as older runs wrote them is a step file too
+        (snapdir / "step_000003.json").write_text("{}")
         assert main(["run", str(cfg_path)]) == EXIT_OK
         assert sorted(p.name for p in snapdir.iterdir()) == sorted(
-            ["notes.txt"] + [f"step_{k:06d}{ext}" for k in steps for ext in (".f64", ".json")])
+            ["notes.txt"] + [f"step_{k:06d}.f64" for k in steps])
     assert (snapdir / "notes.txt").read_text() == "kept"
 
 
@@ -543,19 +545,28 @@ def test_an_unallocatable_imex_basis_exits_with_the_config_code(tmp_path, capsys
                          ids=["snapshots", "diagnostics"])
 def test_an_unwritable_artifact_exits_with_the_config_code(tmp_path, capsys, blocker, code):
     # a file where the snapshot directory goes, a directory where the
-    # diagnostics go: the write fails after the run, with the heap thawed
-    cfg_path, cfg = write_config(tmp_path, snapshot_every=1, max_steps=2)
-    os.makedirs(cfg["output_dir"])
+    # diagnostics go: the rerun's write fails after the run, with the heap
+    # thawed, and the earlier run's meta.json, which no longer describes
+    # the files beside it, is gone
+    cfg_path, _ = write_config(tmp_path, max_steps=5)
+    assert main(["run", str(cfg_path)]) == EXIT_OK
+    capsys.readouterr()
+    outdir = tmp_path / "out"
     if blocker == "snapshots":
-        (tmp_path / "out" / blocker).write_text("")
+        (outdir / blocker).write_text("")
     else:
-        os.makedirs(tmp_path / "out" / blocker)
+        (outdir / blocker).unlink()
+        os.makedirs(outdir / blocker)
+    cfg_path, _ = write_config(tmp_path, snapshot_every=1, max_steps=2)
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: [Errno {code}] ")
     assert len(err[0].encode()) <= 200 and captured.out == ""
     assert gc.get_freeze_count() == 0
+    assert sorted(os.listdir(outdir)) == sorted({"diagnostics.csv", blocker})
+    if blocker == "snapshots":
+        assert len(read_rows(outdir / "diagnostics.csv")) == 1 + 3
 
 
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):

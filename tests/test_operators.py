@@ -126,10 +126,11 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
     zeros = np.where(_noise(geom, 23, 1.0).values > 0.0, 0.0, -0.0)
     for x in (v, zeros):
         ref = three_point_div_form(geom, x, ones)
-        assert _div_form_values(geom, x).tobytes() == ref.tobytes()
-        # the run path's call, whose constants include the 4
-        assert _div_form_values(geom, x, yamabe=True).tobytes() \
+        # the run path's kernel, whose constants include the 4, and the
+        # public operator, which divides it out exactly
+        assert _div_form_values(geom, x).tobytes() \
             == (YAMABE_COEFFICIENT * ref).tobytes()
+        assert sublap(ScalarField(geom, x)).values.tobytes() == ref.tobytes()
     if geom.kind == "HeisenbergLattice3D":
         # the flux form reads e[S^-1 p]: the -1 gather must invert the +1
         cells = np.arange(v.size).reshape(geom.resolution)
@@ -150,14 +151,13 @@ def test_flat_constants_fold_where_every_factor_is_a_power_of_two(name, folds):
     # powers of two, and 2^1034 overflows
     geom = build_geometry({**STENCIL_GEOMETRIES, **RECIPROCAL_GEOMETRIES}[name])
     top = max(d * d for d in geom.spacing[:2])
-    for yamabe, scale in ((False, 1.0), (True, YAMABE_COEFFICIENT)):
-        op, operands, factors = _flat_constants(geom.spacing, yamabe)
-        if folds is None:
-            assert op is np.divide
-            assert factors == (-HEISENBERG_HORIZONTAL_FACTOR, scale)[:1 + yamabe]
-        else:
-            assert op is np.multiply and operands == folds
-            assert factors == (-HEISENBERG_HORIZONTAL_FACTOR * scale / top,)
+    op, operands, factors = _flat_constants(geom.spacing)
+    if folds is None:
+        assert op is np.divide
+        assert factors == (-HEISENBERG_HORIZONTAL_FACTOR, YAMABE_COEFFICIENT)
+    else:
+        assert op is np.multiply and operands == folds
+        assert factors == (-HEISENBERG_HORIZONTAL_FACTOR * YAMABE_COEFFICIENT / top,)
 
 
 def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
@@ -176,7 +176,8 @@ def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
     finally:
         tracemalloc.stop()
     assert peak - start < v.nbytes
-    assert np.array_equal(out, three_point_div_form(geom, v, np.ones(geom.resolution)))
+    assert np.array_equal(out, YAMABE_COEFFICIENT
+                          * three_point_div_form(geom, v, np.ones(geom.resolution)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def test_spectral_basis_diagonalizes_the_stencil(name):
         assert chain_order(geom) >= 4
     forward, inverse, sigma = spectral_basis(geom)
     v = _noise(geom, 31, 1.0).values
-    lv = _div_form_values(geom, v)
+    lv = _div_form_values(geom, v) / YAMABE_COEFFICIENT     # sublap
     scale = np.max(np.abs(lv))
     assert np.max(np.abs(inverse(sigma * forward(v)) - lv)) <= 1e-12 * scale
     c, cl = forward(v), forward(lv)
@@ -374,9 +375,9 @@ def test_spectral_basis_diagonalizes_the_stencil(name):
 
 
 def dense_stencil(geom):
-    """The matrix of _div_form_values, column by column."""
+    """The matrix of sublap, _div_form_values / 4, column by column."""
     n = int(np.prod(geom.resolution))
-    cols = [_div_form_values(geom, e.reshape(geom.resolution)).ravel()
+    cols = [_div_form_values(geom, e.reshape(geom.resolution)).ravel() / YAMABE_COEFFICIENT
             for e in np.eye(n)]
     return np.array(cols).T
 
