@@ -30,9 +30,10 @@ Subcommands
     gauge norms before/after, pullback residual, Jacobian determinant.
     Exit 1 at the origin and at a gauge |w| outside [2**-255, 2**255].
 
-``run`` loads only ``conventions``, ``manifold``, ``operators`` and ``flow``;
-``check`` imports ``invariants`` and ``invert`` imports ``inversion`` lazily,
-inside the subcommand, so a run never loads either.
+``run`` loads only ``conventions``, ``manifold``, ``operators``, ``rng`` and
+``flow``, and never ``numpy.random``; ``check`` imports ``invariants`` and
+``invert`` imports ``inversion`` lazily, inside the subcommand, so a run never
+loads either.
 
 ``run`` freezes the heap from the end of set-up until its artifacts are
 written: no collection inside the flow traverses the set-up's objects.

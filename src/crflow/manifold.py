@@ -50,6 +50,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .conventions import HEISENBERG_VOLUME_WEIGHT, SPHERE_KAPPA, _shown
+from .rng import default_rng
 
 __all__ = ["HEISENBERG_SECTOR", "HEISENBERG_LATTICE", "SPHERE_REDUCED",
            "GeometryError", "ModelGeometry", "ScalarField", "build_geometry",
@@ -309,6 +310,17 @@ def _refuse_unread_keys(spec: dict, read: tuple, what: str) -> None:
         raise GeometryError(f"{what} does not read the keys {_shown(unread)}")
 
 
+def _flat_cell_weight(volume, fiber):
+    """4 * dx * dy * fiber, refused unless positive and finite: volume,
+    energy and every integral scale by it."""
+    weight = HEISENBERG_VOLUME_WEIGHT * volume
+    if not 0.0 < weight < math.inf:
+        raise GeometryError(
+            f"degenerate cell weight 4*dx*dy*{fiber} = {weight!r}: "
+            "it must be positive and finite")
+    return weight
+
+
 def build_geometry(config: dict) -> ModelGeometry:
     """Build a fully initialized geometry from a JSON-style description.
 
@@ -318,9 +330,9 @@ def build_geometry(config: dict) -> ModelGeometry:
 
     Raises ``GeometryError`` for an unknown kind, a key the kind does not
     read, a resolution below 4 cells per axis, an X or Y cell spacing
-    whose square is 0 or not finite, or a 3D lattice whose grid cannot
-    represent the twisted identification by whole-cell shifts below
-    2**53.
+    whose square is 0 or not finite, a flat cell weight that is 0 or not
+    finite, or a 3D lattice whose grid cannot represent the twisted
+    identification by whole-cell shifts below 2**53.
     """
     if not isinstance(config, dict):
         raise GeometryError("geometry description must be a mapping")
@@ -370,7 +382,7 @@ def build_geometry(config: dict) -> ModelGeometry:
             resolution=resolution,
             periods=(periods[0], periods[1], t_fiber),
             spacing=(dx, dy),
-            cell_weight=HEISENBERG_VOLUME_WEIGHT * (dx * dy * t_fiber),
+            cell_weight=_flat_cell_weight(dx * dy * t_fiber, "t_fiber"),
         )
 
     # 3D lattice
@@ -405,7 +417,7 @@ def build_geometry(config: dict) -> ModelGeometry:
         resolution=resolution,
         periods=periods,
         spacing=(dx, dy, dtau),
-        cell_weight=HEISENBERG_VOLUME_WEIGHT * (dx * dy * dtau),
+        cell_weight=_flat_cell_weight(dx * dy * dtau, "dtau"),
         t_wrap_shift=t_wrap_shift,
         shift_unit=s_unit,
         lattice_degree=degree,
@@ -447,6 +459,12 @@ def initial_data(geom: ModelGeometry, spec: dict) -> ScalarField:
       ``"cutoff_t": Kt`` adds vertical-frequency atoms built to respect
       the twisted identification (default 0: vertical-invariant data,
       identical cell-for-cell to the 2D sector field of the same seed).
+
+    The coefficients are the normal (and, for the vertical modes, bounded
+    integer) draws of ``crflow.rng.default_rng``: seed s for the planar
+    and the sphere's modes, s + 0x5EED for the vertical ones.  Those draws
+    are bit for bit ``numpy.random.default_rng``'s, and being crflow's own
+    copy they do not change with the numpy release.
 
     A key the kind does not read, a negative seed, and a K outside
     1..MAX_CUTOFF or a Kt outside 0..MAX_CUTOFF raise ``GeometryError``.
@@ -508,7 +526,7 @@ def _random_planar(geom, seed, amplitude, cutoff):
     """
     px, py = geom.periods[0], geom.periods[1]
     x, y = np.meshgrid(*geom.axes()[:2], indexing="ij")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     modes = _planar_modes(cutoff)
     scale = amplitude / np.sqrt(len(modes))
     out = np.zeros_like(x)
@@ -521,7 +539,7 @@ def _random_planar(geom, seed, amplitude, cutoff):
 
 def _random_sphere(geom, seed, amplitude, cutoff):
     s = geom.axes()[0]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     scale = amplitude / np.sqrt(cutoff)
     out = np.zeros_like(s)
     for n in range(1, cutoff + 1):
@@ -579,10 +597,10 @@ def _random_lattice(geom, seed, amplitude, cutoff, cutoff_t):
         return out
 
     x, y, tau = np.meshgrid(*geom.axes(), indexing="ij", sparse=True)
-    rng = np.random.default_rng(seed + 0x5EED)
+    rng = default_rng(seed + 0x5EED)
     scale = amplitude / np.sqrt(cutoff_t)
     for ell in range(1, cutoff_t + 1):
-        n0 = int(rng.integers(-cutoff, cutoff + 1))
+        n0 = rng.integers(-cutoff, cutoff + 1)
         c_re, c_im = rng.standard_normal(2)
         atom = lattice_mode(geom, ell, n0)(x, y, tau)
         out += scale * (c_re * atom.real + c_im * atom.imag)

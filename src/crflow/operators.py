@@ -41,6 +41,7 @@ from .manifold import (
     ModelGeometry,
     ScalarField,
 )
+from .rng import default_rng
 
 __all__ = [
     "CalibrationError",
@@ -322,7 +323,7 @@ def _measure_curvature(profile) -> tuple:
     <= 1e-9, which admits the exactly-flat baseline (all samples 0).
     """
     h = _CALIBRATION_STEP
-    rng = np.random.default_rng(_CALIBRATION_SEED)
+    rng = default_rng(_CALIBRATION_SEED)
     points = tuple(rng.uniform(-a, a, _CALIBRATION_POINTS)
                    for a in (2.0, 1.5, 1.5))   # t, x, y
     w_h, w_h2 = (webster_pointwise(profile, points, step) for step in (h, 0.5 * h))

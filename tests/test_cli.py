@@ -586,12 +586,26 @@ def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
 
 
 RUN_MODULES = ["crflow", "crflow.cli", "crflow.conventions", "crflow.flow",
-               "crflow.manifold", "crflow.operators"]
+               "crflow.manifold", "crflow.operators", "crflow.rng"]
+# numpy.random and what it imports: secrets, hmac and OpenSSL's _hashlib
+NOT_RUN_MODULES = {"numpy.random", "secrets", "hmac", "_hashlib"}
+RUN_KINDS = {
+    "sector": ({"kind": "HeisenbergSector2D", "resolution": [16, 16]},
+               {"kind": "random", "seed": 3, "cutoff": 3}),
+    "lattice": ({"kind": "HeisenbergLattice3D", "resolution": [8, 8, 16],
+                 "periods": [1, 1, 1]},
+                {"kind": "random", "seed": 3, "cutoff": 3, "cutoff_t": 2}),
+    "sphere": ({"kind": "SphereReduced1D", "resolution": 16},
+               {"kind": "random", "seed": 3, "cutoff": 8}),
+}
 
 
-@pytest.mark.parametrize("integrator, loads_fft", [("explicit", False), ("imex", True)])
-def test_run_process_loads_only_the_modules_it_runs(tmp_path, integrator, loads_fft):
-    cfg_path, _ = write_config(tmp_path, integrator=integrator)
+@pytest.mark.parametrize("integrator", ["explicit", "imex"])
+@pytest.mark.parametrize("kind", list(RUN_KINDS))
+def test_run_process_loads_only_the_modules_it_runs(tmp_path, kind, integrator):
+    geometry, data = RUN_KINDS[kind]
+    cfg_path, _ = write_config(tmp_path, geometry=geometry, initial_data=data,
+                               integrator=integrator, dt="auto", max_steps=3)
     script = (
         "import json, sys\n"
         "import numpy\n"
@@ -607,8 +621,11 @@ def test_run_process_loads_only_the_modules_it_runs(tmp_path, integrator, loads_
     code, numpy_fft, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == EXIT_OK
     assert [m for m in modules if m.split(".")[0] == "crflow"] == RUN_MODULES
-    # the sector's spectral inverse is the only user of numpy.fft; numpy
-    # releases that import it with numpy itself load it for every run
+    # the seeded data and the sphere's calibration draw from crflow.rng
+    assert not NOT_RUN_MODULES & set(modules)
+    # the flat kinds' spectral inverses are the only users of numpy.fft;
+    # numpy releases that import it with numpy itself load it for every run
+    loads_fft = integrator == "imex" and kind != "sphere"
     assert ("numpy.fft" in modules) == (loads_fft or numpy_fft)
 
 

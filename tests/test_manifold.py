@@ -111,6 +111,24 @@ def test_period_validation():
                             "periods": periods})
 
 
+def test_a_cell_weight_of_zero_or_inf_is_refused():
+    # each spacing's square is positive and finite, but the volume, the
+    # energy and every integral scale by the weight, and it underflows to
+    # 0 or overflows to inf: on the sector through t_fiber, on the
+    # lattice through dx * dy * dtau
+    for spec, weight in (
+            ({"kind": "HeisenbergSector2D", "resolution": [8, 8], "t_fiber": 5e-324},
+             "t_fiber = 0.0"),
+            ({"kind": "HeisenbergSector2D", "resolution": [8, 8], "t_fiber": 1e308,
+              "periods": [1e10, 1e10]}, "t_fiber = inf"),
+            ({"kind": "HeisenbergLattice3D", "resolution": [4, 4, 16],
+              "periods": [4e-154, 4e-154, 6.4e-307]}, "dtau = 0.0"),
+            ({"kind": "HeisenbergLattice3D", "resolution": [4, 4, 16],
+              "periods": [4e153, 4e153, 6.4e307]}, "dtau = inf")):
+        with pytest.raises(GeometryError, match=re.escape(f"cell weight 4*dx*dy*{weight}")):
+            build_geometry(spec)
+
+
 def test_unsatisfiable_wrap_shift_rejected(monkeypatch):
     # 16 tau-cells on a unit fiber make the frame shift a quarter cell
     with pytest.raises(GeometryError, match="wrap-shift constraint unsatisfiable"):
