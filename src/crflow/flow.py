@@ -44,7 +44,7 @@ from .operators import (Workspace, _div_form_values, _webster_core, linear_solve
 __all__ = [
     "Diagnostics", "FlowState", "Trajectory", "energy", "volume", "bondi",
     "flow_rhs", "make_state", "step_explicit", "step_imex",
-    "detect_blowup", "auto_dt", "resolve_dt", "INTEGRATORS", "run",
+    "detect_blowup", "auto_dt", "INTEGRATORS", "run",
 ]
 
 INTEGRATORS = ("explicit", "imex")   # stepped by step_explicit, step_imex
@@ -400,7 +400,7 @@ def auto_dt(geom: ModelGeometry) -> float:
     below the top, and dt times the true stiffest rate is 0.65-0.79 (8
     to 256 cells): still inside RK4's real-axis limit 2.78, but not the
     0.2 margin the flat kinds get.  A rate that underflows to 0 (a huge
-    cell spacing) gives an infinite step, which ``resolve_dt`` refuses.
+    cell spacing) gives an infinite step, which ``run`` refuses.
     """
     sigma = stability_symbol_max(geom)
     rate = C_STAB * sigma * sigma \
@@ -408,20 +408,12 @@ def auto_dt(geom: ModelGeometry) -> float:
     return 0.2 / rate if rate else math.inf
 
 
-def resolve_dt(geom: ModelGeometry, dt: float | str) -> float:
-    """The step a run takes: ``auto_dt(geom)`` for ``"auto"``, else dt
-    read as ``_check_run_args`` reads it (booleans and strings refused).
-
-    Raises ValueError unless 0 < dt < inf.  An extreme cell spacing can
-    make the automatic step 0 (C_STAB * sigma^2 overflows), NaN (a
-    subnormal squared spacing) or infinite (the rate underflows)."""
-    return _check_dt(auto_dt(geom) if dt == "auto" else _as_finite(dt, "dt"),
-                     "the resolved dt")
-
-
 def _check_dt(dt: float, what: str) -> float:
-    """The one rule for a step, which ``resolve_dt`` and both steppers
-    apply: dt, else ValueError unless 0 < dt < inf (NaN included)."""
+    """The one rule for a step, which ``run``, for the step it resolves,
+    and both steppers apply: dt, else ValueError unless 0 < dt < inf (NaN
+    included).  An extreme cell spacing can make the automatic step 0
+    (C_STAB * sigma^2 overflows), NaN (a subnormal squared spacing) or
+    infinite (the rate underflows)."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"{what} {dt!r} is not a positive finite number")
     return dt
@@ -471,7 +463,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     """
     _check_run_args(integrator, dt, max_time, max_steps, snapshot_every)
     geom = lam0.geometry
-    dt_val = resolve_dt(geom, dt)
+    dt_val = _check_dt(auto_dt(geom), "the resolved dt") if dt == "auto" else _as_finite(dt, "dt")
     # read from the module at call time, so a patched step is the one run
     stepper = step_explicit if integrator == "explicit" else step_imex
     if max_steps is None:

@@ -499,6 +499,42 @@ def _fixed_points():
     )
 
 
+def _imex_modes():
+    # one IMEX step multiplies a small eigenmode of rate
+    # mu = 16 sigma (2 sigma - What) by (1 + dt (32 sigma^2 - mu)) /
+    # (1 + dt 32 sigma^2), with C_STAB and the Yamabe coefficient written
+    # out, so a change to either fails here as a wrong solve does.  Mode 1
+    # gets no second-order term back (cos^2 on the sector, an odd mode
+    # squared on the sphere), and what is left is rounding: e^lambda near
+    # 1 holds a lambda of size eps only to u / eps relative.  The defect
+    # measured 0.001 to 0.11 u / eps for eps from 1e-9 to 1e-6, so the
+    # bound u / eps has a margin of 9x; a solve dividing by 1 + s sigma,
+    # 1 + s sigma^2 / 2 or 1 misses by 1e-2 to 4 at 1e6x
+    eps = 1e-7
+    bound = np.finfo(float).eps / eps
+    worst = 0.0
+    for geom in (_sector(32), _sphere(64)):
+        forward, inverse, sigma = operators.spectral_basis(geom)
+        coeffs = np.zeros_like(forward(np.zeros(geom.resolution)))
+        coeffs.flat[1] = 1.0
+        mode = inverse(coeffs)
+        lam = ScalarField(geom, (eps / np.abs(mode).max()) * mode)
+        before = forward(lam.values).flat[1]
+        s = sigma.flat[1]
+        mu = 16.0 * s * (2.0 * s - geom.background_curvature)
+        state = flow.make_state(lam, 0.0, 0)
+        for scale in (1.0, 1e3, 1e6):
+            dt = scale * flow.auto_dt(geom)
+            after = forward(flow.step_imex(state, dt).lam.values).flat[1]
+            closed = (1.0 + dt * (32.0 * s * s - mu)) / (1.0 + dt * 32.0 * s * s)
+            worst = max(worst, abs(after / before - closed))
+    return worst <= bound, (
+        f"worst mode-1 factor defect {worst:.2e} of one IMEX step at 1x, 1e3x "
+        f"and 1e6x auto from amplitude {eps:.0e}, on the 32x32 sector and the "
+        f"64-cell sphere (need <= u / amplitude = {bound:.2e})"
+    )
+
+
 def _shift_invariance():
     # the energy is scale-invariant; the descent direction is its gradient in
     # the volume-weighted inner product, so it carries the exact weight
@@ -764,6 +800,7 @@ REGISTRY = (
     ("flow", "energy-monotone", _energy_monotone),
     ("flow", "gradient-consistency", _gradient_consistency),
     ("flow", "fixed-points", _fixed_points),
+    ("flow", "imex-modes", _imex_modes),
     ("flow", "shift-invariance", _shift_invariance),
     ("flow", "sector-closure", _sector_closure),
     ("flow", "bondi-reported", _bondi_reported),

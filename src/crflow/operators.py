@@ -90,16 +90,16 @@ def _sphere_faces(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _flat_constants(spacing: tuple):
-    """(op, operands, factors): a flat stencil call ops each axis term by
-    its operand (not None), then multiplies the sum by each factor; the
-    fold of ``_div_form_values`` where it applies.  Cached per grid."""
+    """(divisors, factor): a flat stencil call divides each axis term by
+    its divisor (not None), then multiplies the sum by the factor.  The
+    rule of ``_div_form_values``; cached per grid."""
     d2 = tuple(d * d for d in spacing[:2])
-    ratios = tuple(max(d2) / x for x in d2)
-    factors = (-HEISENBERG_HORIZONTAL_FACTOR, YAMABE_COEFFICIENT)
-    fold = math.prod(factors) / max(d2)
-    if all(abs(math.frexp(x)[0]) == 0.5 for x in (*d2, *ratios, fold)):
-        return np.multiply, tuple(None if x == 1.0 else x for x in ratios), (fold,)
-    return np.divide, d2, factors
+    factor = -HEISENBERG_HORIZONTAL_FACTOR * YAMABE_COEFFICIENT
+    divisors = tuple(x / max(d2) for x in d2)
+    fold = factor / max(d2)
+    if all(abs(math.frexp(x)[0]) == 0.5 for x in (*d2, *divisors, fold)):
+        return tuple(None if x == 1.0 else x for x in divisors), fold
+    return d2, factor
 
 
 class Workspace:
@@ -160,13 +160,13 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     The bits are those of (t_x / dx^2 + t_y / dy^2) * -1/2 on the
     flat kinds and (t * -c_s) / ds on the sphere, each times 4.  Scaling
     by a power of two commutes with rounding unless a value overflows or
-    is subnormal.  So the sphere multiplies by -c_s * 4 at once, and
-    where every d^2, D / d^2 (D = max d^2) and -1/2 * 4 / D are finite
-    powers of two, the flat sum is t_x * D / dx^2 + t_y * D / dy^2 times
-    that one factor.  The
-    bits can differ only where a stencil intermediate overflows or is
-    subnormal: e^lambda above about 1e304 or below about 1e-300, far
-    past the |lambda| <= 20 blow-up threshold.
+    is subnormal.  So the sphere multiplies by -c_s * 4 at once and the
+    flat sum by -2; where every d^2, divisor d^2 / D (D = max d^2) and
+    -2 / D are finite powers of two, a term is divided by its divisor
+    (not by 1) and the sum multiplied by -2 / D instead.  The bits can
+    differ only where a stencil intermediate overflows or is subnormal:
+    e^lambda above about 1e304 or below about 1e-300, far past the
+    |lambda| <= 20 blow-up threshold.
     """
     if work is None:
         work = Workspace(geom)
@@ -183,7 +183,7 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     shift = geom.shift
     if out is None:
         out = np.empty(geom.resolution)
-    op, operands, factors = _flat_constants(geom.spacing)
+    divisors, factor = _flat_constants(geom.spacing)
     r = work.r
     for axis in (0, 1):
         e = out if axis == 0 else work.e
@@ -191,12 +191,11 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
         e -= v
         shift(e, axis, -1, out=r)
         e -= r
-        if operands[axis] is not None:
-            op(e, operands[axis], out=e)
+        if divisors[axis] is not None:
+            e /= divisors[axis]
         if axis == 1:
             out += e
-    for factor in factors:
-        out *= factor
+    out *= factor
     return out
 
 

@@ -108,6 +108,7 @@ def test_every_registry_entry_runs_here():
         "manifold: twisted-periodicity",
         "manifold: sphere-measure",
         "operators: positivity",
+        "flow: imex-modes",
         "flow: bondi-reported",
         "cli: self-description",
     )

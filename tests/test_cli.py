@@ -569,6 +569,27 @@ def test_an_unwritable_artifact_exits_with_the_config_code(tmp_path, capsys, blo
         assert len(read_rows(outdir / "diagnostics.csv")) == 1 + 3
 
 
+def test_a_full_disk_keeps_the_directories_the_written_artifacts_are_in(
+        tmp_path, capsys, monkeypatch):
+    # the snapshot write fails after diagnostics.csv is on disk: the
+    # clean-up stops at the first directory it cannot remove, so both
+    # directories the run made stay, and no meta.json describes the run
+    def full(outdir, traj):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(crflow.cli, "_write_snapshots", full)
+    cfg_path, _ = write_config(tmp_path, snapshot_every=1, max_steps=2)
+    outdir = tmp_path / "new1" / "new2"
+    assert main(["run", str(cfg_path), "--output-dir", str(outdir)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: [Errno {errno.ENOSPC}] ")
+    assert len(err[0].encode()) <= 200 and captured.out == ""
+    assert os.listdir(outdir) == ["diagnostics.csv"]
+    assert len(read_rows(outdir / "diagnostics.csv")) == 1 + 3
+    assert os.listdir(tmp_path / "new1") == ["new2"]
+
+
 def test_malformed_initial_data_exits_without_a_traceback(tmp_path):
     cfg_path, _ = write_config(
         tmp_path,
@@ -728,6 +749,27 @@ def test_check_names_the_corrupted_stencil(monkeypatch, capsys):
     assert "[FAIL] operators: self-adjointness" in captured.out
     assert "invariant failed" in captured.err
     assert "self-adjointness" in captured.err
+
+
+@pytest.mark.parametrize("denominator", [
+    lambda s, sigma: 1.0 + s * sigma,
+    lambda s, sigma: 1.0 + 0.5 * s * sigma * sigma,
+    lambda s, sigma: np.ones_like(sigma),
+], ids=["s-sigma", "half-s-sigma2", "one"])
+def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, denominator):
+    # solves that pass on constant states, where the rhs is 0; the last
+    # drops the implicit part, which is explicit Euler
+    def wrong_inverse(geom, s):
+        forward, inverse, sigma = operators.spectral_basis(geom)
+        denom = denominator(s, sigma)
+        return lambda v: inverse(forward(v) / denom)
+
+    monkeypatch.setattr(flow, "shifted_bilap_inverse", wrong_inverse)
+    code = main(["check", "--only", "flow"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "[FAIL] flow: imex-modes" in captured.out
+    assert captured.err == "error: invariant failed: imex-modes\n"
 
 
 def test_check_rejects_unknown_module(capsys):

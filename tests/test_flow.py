@@ -156,7 +156,7 @@ def test_explicit_step_advances_bookkeeping():
 @pytest.mark.parametrize("dt", [0.0, -1e-9, math.nan, math.inf],
                          ids=["zero", "negative", "nan", "inf"])
 def test_steppers_refuse_a_step_that_is_not_positive_and_finite(stepper, dt):
-    # resolve_dt's rule, 0 < dt < inf: a NaN passes a test of dt <= 0,
+    # _check_dt's rule, 0 < dt < inf: a NaN passes a test of dt <= 0,
     # and an infinite step gives a state at time inf
     state = make_state(_smooth(_sector(16), 3, 0.1, 2), 0.0, 0)
     with pytest.raises(ValueError, match="positive"):
@@ -778,13 +778,11 @@ def test_dt_auto_resolves_to_the_formula_value():
 
 
 @pytest.mark.parametrize("dt", [True, "1e-9"], ids=["bool", "string"])
-def test_resolve_dt_refuses_what_run_refuses(dt):
-    # resolve_dt reads dt as run's argument check does, not by float()
-    lam0 = _smooth(_sector(16), 55, 0.1, 2)
-    for call in (lambda: flow.resolve_dt(lam0.geometry, dt),
-                 lambda: run(lam0, dt=dt, max_steps=1)):
-        with pytest.raises(ValueError, match="dt must be a finite number"):
-            call()
+def test_run_reads_dt_as_its_argument_check_does(dt):
+    # run resolves a step given as a number by the argument check's
+    # reader, not by float()
+    with pytest.raises(ValueError, match="dt must be a finite number"):
+        run(_smooth(_sector(16), 55, 0.1, 2), dt=dt, max_steps=1)
 
 
 # ---------------------------------------------------------------------------

@@ -103,21 +103,25 @@ STENCIL_GEOMETRIES = {
 }
 
 
-# Power-of-two squared spacings, which the flat stencil multiplies by the
-# reciprocal of, unless it is infinite as for the subnormal 2^-1040.  Not
-# in STENCIL_GEOMETRIES: the flow tests would get an automatic dt of 0
-# there.  The tiny sector's field is scaled by 1e-300 so v / (d * d)
-# stays finite.
-RECIPROCAL_GEOMETRIES = {
+# Power-of-two squared spacings, where the flat stencil divides the
+# finer term by a power-of-two divisor and multiplies the sum by one
+# folded factor: the non-square sector and lattice divide their Y term by
+# 1/4, and the tiny sector its X term by the subnormal 2^-1034.  Not in
+# STENCIL_GEOMETRIES, whose flow tests would get an automatic dt of 0 on
+# the tiny sector.  The tiny sector's field is scaled by 1e-300 so
+# v / (d * d) stays finite.
+FOLDED_GEOMETRIES = {
     "sector16x32": {"kind": "HeisenbergSector2D", "resolution": [16, 32]},
+    "lattice8x16x32": {"kind": "HeisenbergLattice3D", "resolution": [8, 16, 32],
+                       "periods": [1.0, 1.0, 1.0]},
     "sector8x8-subnormal": {"kind": "HeisenbergSector2D", "resolution": [8, 8],
                             "periods": [2.0 ** -517, 1.0]},
 }
 
 
-@pytest.mark.parametrize("name", [*STENCIL_GEOMETRIES, *RECIPROCAL_GEOMETRIES])
+@pytest.mark.parametrize("name", [*STENCIL_GEOMETRIES, *FOLDED_GEOMETRIES])
 def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
-    geom = build_geometry({**STENCIL_GEOMETRIES, **RECIPROCAL_GEOMETRIES}[name])
+    geom = build_geometry({**STENCIL_GEOMETRIES, **FOLDED_GEOMETRIES}[name])
     v = _noise(geom, 21, 1.0).values
     if name == "sector8x8-subnormal":
         v = 1e-300 * v
@@ -141,23 +145,24 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
                                   cells)
 
 
-@pytest.mark.parametrize("name, folds", [("sector16x32", (None, 4.0)),
+@pytest.mark.parametrize("name, folds", [("sector16x32", (None, 0.25)),
                                          ("lattice8x8x16", (None, None)),
                                          ("sector12x20", None),
-                                         ("sector8x8-subnormal", None)])
+                                         ("sector8x8-subnormal", (2.0 ** -1034, None))])
 def test_flat_constants_fold_where_every_factor_is_a_power_of_two(name, folds):
-    # a folded call scales the finer axis by the ratio of squared spacings
-    # and the sum by -1/2 * 4 / max(d^2) alone; 1/144 and 1/400 are no
-    # powers of two, and 2^1034 overflows
-    geom = build_geometry({**STENCIL_GEOMETRIES, **RECIPROCAL_GEOMETRIES}[name])
-    top = max(d * d for d in geom.spacing[:2])
-    op, operands, factors = _flat_constants(geom.spacing)
+    # a folded call divides a finer axis term by d^2 / max(d^2), a power
+    # of two (exact even where subnormal, as 2^-1034), and the sum by
+    # -1/2 * 4 / max(d^2) alone; 1/144 and 1/400 are no powers of two, so
+    # each term is divided by its d^2 and the sum multiplied by -2
+    geom = build_geometry({**STENCIL_GEOMETRIES, **FOLDED_GEOMETRIES}[name])
+    d2 = tuple(d * d for d in geom.spacing[:2])
+    divisors, factor = _flat_constants(geom.spacing)
     if folds is None:
-        assert op is np.divide
-        assert factors == (-HEISENBERG_HORIZONTAL_FACTOR, YAMABE_COEFFICIENT)
+        assert divisors == d2
+        assert factor == -HEISENBERG_HORIZONTAL_FACTOR * YAMABE_COEFFICIENT == -2.0
     else:
-        assert op is np.multiply and operands == folds
-        assert factors == (-HEISENBERG_HORIZONTAL_FACTOR * YAMABE_COEFFICIENT / top,)
+        assert divisors == folds
+        assert factor == -HEISENBERG_HORIZONTAL_FACTOR * YAMABE_COEFFICIENT / max(d2)
 
 
 def test_the_sphere_stencil_allocates_no_grid_array_on_a_workspace():
