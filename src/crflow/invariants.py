@@ -8,11 +8,13 @@ of its eleven criteria runs the entries it covers, one more test runs the
 rest, and that test fails if an entry is named by no test there.
 
 There is one scale: the 32x32 sector, the 64-cell sphere and the
-16x16x32 lattice (tau period 0.5), with the reference RK4 runs on data
-seeds 3-5 computed once per process.  The lattice's x-wrap twist moves
-by half a tau period, so every check on it exercises the twisted
-identification.  The manifold checks and the positivity check keep their
-small geometries, whose 8x8x16 lattice also twists by half a period.
+16x16x32 lattice (tau period 0.5).  ``RUNS`` is the one table of RK4 and
+IMEX runs that the descent and volume entries walk; each run, like the
+pair of CLI runs, is computed once per process.  The lattice's x-wrap
+twist moves by half a tau period, so every check on it exercises the
+twisted identification.  The manifold checks and the positivity check
+keep their small geometries, whose 8x8x16 lattice also twists by half a
+period, and ``RUNS`` holds IMEX runs on that lattice too.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .manifold import (
 )
 from .operators import sublap, webster_curvature
 
-__all__ = ["REGISTRY", "MODULES", "evaluate", "three_point_div_form",
-           "conformal_sublap", "yamabe_apply", "gradient_check"]
+__all__ = ["REGISTRY", "MODULES", "RUNS", "RISE_TOL", "evaluate",
+           "three_point_div_form", "conformal_sublap", "yamabe_apply",
+           "gradient_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +196,61 @@ def _noise(geom, seed: int, amplitude: float = 0.3) -> ScalarField:
 
 
 SEEDS = (3, 4, 5)
+RISE_TOL = 1e-10    # the most the energy may rise in one step, relative to it
+
+# the rough data of each model: (geometry, amplitude, cutoff, extra data keys)
+_ROUGH = {
+    "32x32 sector": (lambda: _sector(32), 0.1, 3, {}),
+    "64-cell sphere": (lambda: _sphere(64), 0.05, 16, {}),
+    "16x16x32 lattice": (_lattice, 0.1, 3, {"cutoff_t": 2}),
+    "8x8x16 lattice": (lambda: _lattice((8, 8, 16), lt=1.0), 0.1, 3, {"cutoff_t": 2}),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """``steps`` steps of ``integrator`` from the rough data of ``model`` at
+    data seed ``seed``, at the fixed step ``dt`` or at ``auto`` x auto_dt."""
+
+    integrator: str
+    model: str
+    seed: int
+    steps: int
+    dt: float = 0.0
+    auto: float = 0.0
+
+    def __str__(self) -> str:
+        step = f"dt {self.dt:g}" if self.dt else f"{self.auto:g}x auto"
+        name = "RK4" if self.integrator == "explicit" else "IMEX"
+        return f"{name} on the {self.model}, seed {self.seed}, {step}"
+
+
+# the runs the descent and volume promises are checked on: RK4 inside its
+# stability interval, and IMEX at 10x and 1e3x its explicit edge
+_RK4_RUNS = tuple(
+    _Run("explicit", model, seed, 100, dt=dt)
+    for model, dt in (("32x32 sector", 1.8e-9), ("64-cell sphere", 6e-11))
+    for seed in SEEDS)
+_IMEX_RUNS = (
+    *(_Run("imex", model, 3, steps, auto=auto)
+      for model in ("32x32 sector", "64-cell sphere")
+      for auto, steps in ((10.0, 100), (1e3, 40))),
+    *(_Run("imex", model, seed, 20, auto=10.0)
+      for model in ("16x16x32 lattice", "8x8x16 lattice")
+      for seed in (3, 4)),
+)
+RUNS = _RK4_RUNS + _IMEX_RUNS
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_run(kind: str, seed: int, halve: bool = False) -> flow.Trajectory:
-    """Explicit RK4 from random data at a step inside its stability
-    interval: 100 steps, or 200 steps at half the step."""
-    if kind == "sector":
-        geom, amplitude, cutoff, dt = _sector(32), 0.1, 3, 1.8e-9
-    else:
-        geom, amplitude, cutoff, dt = _sphere(64), 0.05, 16, 6e-11
-    lam0 = _smooth(geom, seed, amplitude, cutoff)
-    return flow.run(
-        lam0,
-        integrator="explicit",
-        dt=dt / (2.0 if halve else 1.0),
-        max_time=1.0,
-        max_steps=200 if halve else 100,
-    )
-
-
-def _reference_runs(halve: bool = False):
-    return [
-        (kind, seed, _reference_run(kind, seed, halve))
-        for kind in ("sector", "sphere")
-        for seed in SEEDS
-    ]
+def _run(run: _Run) -> flow.Trajectory:
+    """The trajectory of ``run``, computed once per process."""
+    make, amplitude, cutoff, extra = _ROUGH[run.model]
+    geom = make()
+    lam0 = _smooth(geom, run.seed, amplitude, cutoff, **extra)
+    return flow.run(lam0, integrator=run.integrator,
+                    dt=run.dt or run.auto * flow.auto_dt(geom),
+                    max_time=1.0, max_steps=run.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -425,33 +457,45 @@ def _relative_drift(traj: flow.Trajectory) -> float:
 
 
 def _volume_conservation():
-    worst_drift = 0.0
-    worst_ratio = math.inf
-    for (_, _, full), (_, _, half) in zip(_reference_runs(), _reference_runs(True)):
-        drift = _relative_drift(full)
-        worst_drift = max(worst_drift, drift)
-        worst_ratio = min(worst_ratio, drift / _relative_drift(half))
-    ok = worst_drift <= 1e-6 and worst_ratio >= 16.0
+    # RK4 drifts by its time error, which halving the step shrinks at
+    # least 16x; IMEX only by the rounding of its restore after each step
+    drifts = {run: _relative_drift(_run(run)) for run in RUNS}
+    ratios = {run: drifts[run] / _relative_drift(_run(dataclasses.replace(
+        run, steps=2 * run.steps, dt=run.dt / 2.0))) for run in _RK4_RUNS}
+    ok = (all(drifts[run] <= 1e-6 for run in _RK4_RUNS)
+          and all(r >= 16.0 for r in ratios.values())
+          and all(drifts[run] <= 1e-13 for run in _IMEX_RUNS))
+    rk4 = max(_RK4_RUNS, key=drifts.get)
+    slow = min(ratios, key=ratios.get)
+    imex = max(_IMEX_RUNS, key=drifts.get)
     return ok, (
-        f"relative drift <= {worst_drift:.3e} over 100 RK4 steps, "
-        f"x2-step refinement ratio >= {worst_ratio:.1f} "
-        f"(need <= 1e-06 and >= 16)"
+        f"RK4 relative drift <= {drifts[rk4]:.3e} ({rk4}), x2-step refinement "
+        f"ratio >= {ratios[slow]:.1f} ({slow}); IMEX relative drift <= "
+        f"{drifts[imex]:.1e} ({imex}) (need <= 1e-06 and >= 16 over 100 RK4 "
+        f"steps, <= 1e-13 with IMEX)"
     )
 
 
 def _energy_monotone():
-    worst = 0.0
-    rise = None
-    for kind, seed, traj in _reference_runs():
+    # every run ends at its step budget, with finite energies that never
+    # rise by more than RISE_TOL in one step
+    ratios, defects = {}, []
+    for run in RUNS:
+        traj = _run(run)
         es = traj.energies
-        for k, (a, b) in enumerate(zip(es, es[1:])):
-            worst = max(worst, b / a)
-            if rise is None and not b <= a * (1.0 + 1e-10):
-                rise = f"; {kind} seed {seed}: energy rose at step {k + 1}"
-    ok = worst <= 1.0 + 1e-10 and rise is None
-    return ok, (
-        f"max per-step energy ratio {worst:.15f} "
-        f"(need <= 1 + 1e-10 at every accepted step){rise or ''}"
+        ratios[run] = max(b / a for a, b in zip(es, es[1:]))
+        rises = [k + 1 for k, (a, b) in enumerate(zip(es, es[1:]))
+                 if not b <= a * (1.0 + RISE_TOL)]
+        if rises or not (traj.outcome == "max_time" and len(es) == run.steps + 1
+                         and all(map(math.isfinite, es))):
+            defects.append(f"; {run}: outcome {traj.outcome!r} after "
+                           f"{len(es) - 1} steps, energy rising at steps {rises}")
+    worst = max(ratios, key=ratios.get)
+    return not defects, (
+        f"max per-step energy ratio {ratios[worst]:.15g} ({worst}) over "
+        f"{len(RUNS)} RK4 and IMEX runs (need <= 1 + {RISE_TOL:g} at every "
+        f"step, finite energies and the step budget reached)"
+        f"{defects[0] if defects else ''}"
     )
 
 
@@ -499,39 +543,62 @@ def _fixed_points():
     )
 
 
+def _tau_mode(geom, forward, sigma) -> tuple:
+    """Index, in the lattice's (re, im) coefficient array, of the real part
+    of its least-sigma mode of tau frequency 1.  A field whose tau
+    dependence is cos(2 pi tau / Lt) has coefficients on the chains of
+    that frequency alone, and these cross the twisted x-wrap."""
+    nx, ny, nt = geom.resolution
+    rng = np.random.default_rng(1)
+    field = rng.standard_normal((nx, ny, 1)) * np.cos(2.0 * np.pi * np.arange(nt) / nt)
+    weight = np.abs(forward(field)).max(axis=1)
+    rows = np.flatnonzero(weight > 1e-8 * weight.max())
+    return rows[np.argmin(sigma[rows, 0])], 0
+
+
 def _imex_modes():
     # one IMEX step multiplies a small eigenmode of rate
     # mu = 16 sigma (2 sigma - What) by (1 + dt (32 sigma^2 - mu)) /
     # (1 + dt 32 sigma^2), with C_STAB and the Yamabe coefficient written
-    # out, so a change to either fails here as a wrong solve does.  Mode 1
-    # gets no second-order term back (cos^2 on the sector, an odd mode
-    # squared on the sphere), and what is left is rounding: e^lambda near
-    # 1 holds a lambda of size eps only to u / eps relative.  The defect
-    # measured 0.001 to 0.11 u / eps for eps from 1e-9 to 1e-6, so the
-    # bound u / eps has a margin of 9x; a solve dividing by 1 + s sigma,
-    # 1 + s sigma^2 / 2 or 1 misses by 1e-2 to 4 at 1e6x
+    # out, so a change to either fails here as a wrong solve does.  The
+    # mode gets no second-order term back (cos^2 on the sector, an odd
+    # mode squared on the sphere, tau frequencies 0 and 2 on the lattice),
+    # and what is left is rounding: e^lambda near 1 holds a lambda of size
+    # eps only to u / eps relative.  The defect measured 0.001 to 0.11
+    # u / eps for eps from 1e-9 to 1e-6, so the bound u / eps has a margin
+    # of 9x; a solve dividing by 1 + s sigma, 1 + s sigma^2 / 2 or 1
+    # misses by 1e-2 to 4 at 1e6x on the sector and the sphere, and by
+    # 0.97 to 114 on the lattice
     eps = 1e-7
     bound = np.finfo(float).eps / eps
     worst = 0.0
-    for geom in (_sector(32), _sphere(64)):
+    for geom in (_sector(32), _sphere(64), _lattice()):
         forward, inverse, sigma = operators.spectral_basis(geom)
         coeffs = np.zeros_like(forward(np.zeros(geom.resolution)))
-        coeffs.flat[1] = 1.0
+        if geom.kind == HEISENBERG_LATTICE:
+            at = _tau_mode(geom, forward, sigma)
+        else:   # mode 1 of the sector's rfft2 and of the sphere's eigenbasis
+            at = np.unravel_index(1, coeffs.shape)
+        coeffs[at] = 1.0
         mode = inverse(coeffs)
+        if geom.kind == HEISENBERG_LATTICE:
+            varies = bool(np.ptp(mode, axis=2).max() >= np.abs(mode).max())
         lam = ScalarField(geom, (eps / np.abs(mode).max()) * mode)
-        before = forward(lam.values).flat[1]
-        s = sigma.flat[1]
+        before = forward(lam.values)[at]
+        s = np.broadcast_to(sigma, coeffs.shape)[at]
         mu = 16.0 * s * (2.0 * s - geom.background_curvature)
         state = flow.make_state(lam, 0.0, 0)
         for scale in (1.0, 1e3, 1e6):
             dt = scale * flow.auto_dt(geom)
-            after = forward(flow.step_imex(state, dt).lam.values).flat[1]
+            after = forward(flow.step_imex(state, dt).lam.values)[at]
             closed = (1.0 + dt * (32.0 * s * s - mu)) / (1.0 + dt * 32.0 * s * s)
             worst = max(worst, abs(after / before - closed))
-    return worst <= bound, (
-        f"worst mode-1 factor defect {worst:.2e} of one IMEX step at 1x, 1e3x "
-        f"and 1e6x auto from amplitude {eps:.0e}, on the 32x32 sector and the "
-        f"64-cell sphere (need <= u / amplitude = {bound:.2e})"
+    return worst <= bound and varies, (
+        f"worst mode factor defect {worst:.2e} of one IMEX step at 1x, 1e3x "
+        f"and 1e6x auto from amplitude {eps:.0e}, on mode 1 of the 32x32 "
+        f"sector and the 64-cell sphere and the least-sigma tau-frequency-1 "
+        f"mode of the 16x16x32 lattice (need <= u / amplitude = "
+        f"{bound:.2e}); the lattice mode varies along tau: {varies}"
     )
 
 
@@ -584,9 +651,9 @@ def _sector_closure():
 
 
 def _bondi_reported():
-    for kind, seed, traj in _reference_runs():
-        if not math.isfinite(traj.bondi_sup_rate):
-            return False, f"{kind} seed {seed}: monitored rate is not finite"
+    for run in _RK4_RUNS:
+        if not math.isfinite(_run(run).bondi_sup_rate):
+            return False, f"{run}: monitored rate is not finite"
     return True, "sup-rate finite and recorded on both kinds"
 
 
@@ -620,7 +687,7 @@ def _blowup_taxonomy():
     # run's own label: descent RK4 past its stability edge
     unstable = flow.run(lam0, dt=1e-7, max_steps=60).outcome
 
-    runs = [t for _, _, t in _reference_runs()]
+    runs = [_run(run) for run in _RK4_RUNS]
     outcomes = [t.outcome for t in runs]
     # every field of every row: an overflow leaves a non-finite value there
     nonfinite = sum(not math.isfinite(v) for t in runs for d in t.diagnostics
@@ -735,45 +802,43 @@ def _write_run_config(directory: str):
     return path, cfg
 
 
-def _quiet_run(cfg_path: str) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(["run", cfg_path])
+@functools.lru_cache(maxsize=None)
+def _cli_runs():
+    """The config of ``_write_run_config`` and the artifacts of two
+    ``cmd_run``s of it, computed once per process: (config dict,
+    ((diagnostics.csv bytes, meta.json dict), ...)).  A run that exits
+    with another code raises."""
+    artifacts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, cfg = _write_run_config(tmp)
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", cfg_path])
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"run exited with {code}")
+            with open(os.path.join(cfg["output_dir"], "diagnostics.csv"), "rb") as fh:
+                blob = fh.read()
+            with open(os.path.join(cfg["output_dir"], "meta.json"), "r",
+                      encoding="ascii") as fh:
+                artifacts.append((blob, json.load(fh)))
+    return cfg, tuple(artifacts)
 
 
 def _determinism():
     # diagnostics.csv byte for byte, and meta.json but for its wall time
-    blobs, metas = [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path, cfg = _write_run_config(tmp)
-        for _ in range(2):
-            code = _quiet_run(cfg_path)
-            if code != cli.EXIT_OK:
-                return False, f"run exited with {code}"
-            with open(os.path.join(cfg["output_dir"], "diagnostics.csv"), "rb") as fh:
-                blobs.append(fh.read())
-            with open(os.path.join(cfg["output_dir"], "meta.json"), "r",
-                      encoding="ascii") as fh:
-                metas.append(json.load(fh))
-    for meta in metas:
-        meta.pop("wall_time_seconds")
-    same_csv = blobs[0] == blobs[1] and len(blobs[0]) > 0
-    same_meta = metas[0] == metas[1]
+    (csv0, meta0), (csv1, meta1) = _cli_runs()[1]
+    same_csv = csv0 == csv1 and len(csv0) > 0
+    same_meta = ({**meta0, "wall_time_seconds": None}
+                 == {**meta1, "wall_time_seconds": None})
     return same_csv and same_meta, (
         f"repeated cmd_run produced byte-identical diagnostics "
-        f"({len(blobs[0])} bytes): {same_csv}; equal meta.json but for "
+        f"({len(csv0)} bytes): {same_csv}; equal meta.json but for "
         f"wall_time_seconds: {same_meta}"
     )
 
 
 def _self_description():
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path, cfg = _write_run_config(tmp)
-        code = _quiet_run(cfg_path)
-        meta_path = os.path.join(cfg["output_dir"], "meta.json")
-        if code != cli.EXIT_OK or not os.path.exists(meta_path):
-            return False, "run did not produce meta.json"
-        with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
+    cfg, ((_, meta), _) = _cli_runs()
     has = all(k in meta for k in ("config", "conventions", "outcome"))
     round_trip = cli.RunConfig.from_dict(meta["config"]) == cli.RunConfig.from_dict(cfg)
     return has and round_trip, (

@@ -3,6 +3,7 @@
 import atexit
 import csv
 import errno
+import functools
 import gc
 import json
 import math
@@ -751,12 +752,21 @@ def test_check_names_the_corrupted_stencil(monkeypatch, capsys):
     assert "self-adjointness" in captured.err
 
 
-@pytest.mark.parametrize("denominator", [
-    lambda s, sigma: 1.0 + s * sigma,
-    lambda s, sigma: 1.0 + 0.5 * s * sigma * sigma,
-    lambda s, sigma: np.ones_like(sigma),
+@pytest.fixture
+def fresh_runs(monkeypatch):
+    """The registry's runs in a cache of this test's own: a patched step
+    is the one they take, and no other test reads what it gave."""
+    monkeypatch.setattr(invariants, "_run",
+                        functools.lru_cache(invariants._run.__wrapped__))
+
+
+@pytest.mark.parametrize("denominator, failed", [
+    (lambda s, sigma: 1.0 + s * sigma, "volume-conservation, energy-monotone"),
+    (lambda s, sigma: 1.0 + 0.5 * s * sigma * sigma, "energy-monotone"),
+    (lambda s, sigma: np.ones_like(sigma), "volume-conservation, energy-monotone"),
 ], ids=["s-sigma", "half-s-sigma2", "one"])
-def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, denominator):
+def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, fresh_runs,
+                                        denominator, failed):
     # solves that pass on constant states, where the rhs is 0; the last
     # drops the implicit part, which is explicit Euler
     def wrong_inverse(geom, s):
@@ -769,7 +779,24 @@ def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, denominator):
     captured = capsys.readouterr()
     assert code == EXIT_INVARIANT
     assert "[FAIL] flow: imex-modes" in captured.out
-    assert captured.err == "error: invariant failed: imex-modes\n"
+    assert captured.err == f"error: invariant failed: {failed}, imex-modes\n"
+
+
+def test_check_names_a_missing_volume_restore(monkeypatch, capsys, fresh_runs):
+    # IMEX steps that keep their increment but skip the volume restore:
+    # the energy is invariant under the shift the restore adds, so only
+    # the drift of the IMEX runs shows it
+    accept = flow._accept
+
+    def unrestored(*args, **kwargs):
+        return accept(*args, **{**kwargs, "restore_volume": False})
+
+    monkeypatch.setattr(flow, "_accept", unrestored)
+    code = main(["check", "--only", "flow"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "[FAIL] flow: volume-conservation" in captured.out
+    assert captured.err == "error: invariant failed: volume-conservation\n"
 
 
 def test_check_rejects_unknown_module(capsys):
