@@ -315,9 +315,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         ok, detail = invariants.evaluate(fn)
         print(f"[{'PASS' if ok else 'FAIL'}] {module}: {name} — {detail}")
         if not ok:
-            failures.append(name)
+            failures.append((name, detail))
     if failures:
-        print(f"error: invariant failed: {', '.join(failures)}", file=sys.stderr)
+        print(f"error: invariant failed: {', '.join(n for n, _ in failures)}", file=sys.stderr)
+        # an entry that raised is named above; its error, once, follows
+        for detail in dict.fromkeys(d for _, d in failures if d.startswith("raised ")):
+            print(f"error: an entry {detail}", file=sys.stderr)
         return EXIT_INVARIANT
     print("all invariants passed")
     return EXIT_OK

@@ -47,7 +47,10 @@ __all__ = [
     "detect_blowup", "auto_dt", "INTEGRATORS", "run",
 ]
 
-INTEGRATORS = ("explicit", "imex")   # stepped by step_explicit, step_imex
+# each integrator's name and the stepper here that takes its steps, which
+# run looks up as it starts; the first is run's default.  A new integrator
+# is one entry here and one declaration in crflow.invariants
+INTEGRATORS = {"explicit": "step_explicit", "imex": "step_imex"}
 
 
 @dataclass(frozen=True)
@@ -428,8 +431,8 @@ def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every) -> None
     booleans and strings are refused, and an integer may be an integral
     float.  Raises ValueError, or a reader's GeometryError (a ValueError),
     naming the first bad argument."""
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}, got {_shown(integrator)}")
+    if integrator not in (names := tuple(INTEGRATORS)):    # any value, hashable or not
+        raise ValueError(f"integrator must be one of {names}, got {_shown(integrator)}")
     if dt != "auto":
         _check_dt(_as_finite(dt, "dt"), "dt")
     if _as_finite(max_time, "max_time") <= 0:
@@ -440,7 +443,7 @@ def _check_run_args(integrator, dt, max_time, max_steps, snapshot_every) -> None
         raise ValueError(f"snapshot_every must be at least 0, got {_shown(snapshot_every)}")
 
 
-def run(lam0: ScalarField, *, integrator: str = "explicit",
+def run(lam0: ScalarField, *, integrator: str = next(iter(INTEGRATORS)),
         dt: float | str = "auto", max_time: float = 1.0,
         max_steps: int | None = None, snapshot_every: int = 0) -> Trajectory:
     """March the flow from ``lam0``, on its geometry, to one of four outcomes.
@@ -452,10 +455,11 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     stationary), and ``max_time`` (the next step would pass ``max_time``,
     or ``max_steps`` steps are done); the first that holds ends the run.
     A plateau is ``PLATEAU_WINDOW`` consecutive steps whose relative
-    energy change is below ``PLATEAU_TOL``.
-    Deterministic for fixed inputs.  One Diagnostics record per step,
-    including step 0; snapshots of lambda every ``snapshot_every`` steps
-    (0 disables them) plus the final state.
+    energy change is below ``PLATEAU_TOL``.  ``INTEGRATORS`` names the
+    stepper of ``integrator``, RK4 by default.  Deterministic for fixed
+    inputs.  One Diagnostics record per step, including step 0; snapshots
+    of lambda every ``snapshot_every`` steps (0 disables them) plus the
+    final state.
 
     The arguments are checked before the first step by the rule of
     ``_check_run_args``, and the resolved dt must be positive and
@@ -464,8 +468,7 @@ def run(lam0: ScalarField, *, integrator: str = "explicit",
     _check_run_args(integrator, dt, max_time, max_steps, snapshot_every)
     geom = lam0.geometry
     dt_val = _check_dt(auto_dt(geom), "the resolved dt") if dt == "auto" else _as_finite(dt, "dt")
-    # read from the module at call time, so a patched step is the one run
-    stepper = step_explicit if integrator == "explicit" else step_imex
+    stepper = globals()[INTEGRATORS[integrator]]    # a patched step is the one run
     if max_steps is None:
         max_steps = math.inf    # the time test alone ends the run
 

@@ -108,7 +108,7 @@ def test_every_registry_entry_runs_here():
         "manifold: twisted-periodicity",
         "manifold: sphere-measure",
         "operators: positivity",
-        "flow: imex-modes",
+        "flow: linear-modes",
         "flow: bondi-reported",
         "cli: self-description",
     )

@@ -157,6 +157,8 @@ FIXED_KEYS = ("conventions", "plateau_tol", "plateau_window")
         {"plateau_window": PLATEAU_WINDOW},
         # a value JSON cannot encode
         {"max_steps": {3}},
+        # an unhashable integrator is refused like any other
+        {"integrator": ["explicit"]},
     ],
 )
 def test_config_validation_failures(tmp_path, overrides):
@@ -443,7 +445,9 @@ def test_shown_is_ascii_cut_to_80_characters():
 def test_bad_config_exits_with_the_config_code(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, integrator="leapfrog")
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    # the names of flow.INTEGRATORS as a tuple, never the mapping's repr
+    assert capsys.readouterr().err == (
+        "error: integrator must be one of ('explicit', 'imex'), got 'leapfrog'\n")
 
 
 def test_missing_config_file_exits_with_the_config_code(tmp_path, capsys):
@@ -622,7 +626,7 @@ RUN_KINDS = {
 }
 
 
-@pytest.mark.parametrize("integrator", ["explicit", "imex"])
+@pytest.mark.parametrize("integrator", list(flow.INTEGRATORS))
 @pytest.mark.parametrize("kind", list(RUN_KINDS))
 def test_run_process_loads_only_the_modules_it_runs(tmp_path, kind, integrator):
     geometry, data = RUN_KINDS[kind]
@@ -753,11 +757,15 @@ def test_check_names_the_corrupted_stencil(monkeypatch, capsys):
 
 
 @pytest.fixture
-def fresh_runs(monkeypatch):
-    """The registry's runs in a cache of this test's own: a patched step
-    is the one they take, and no other test reads what it gave."""
+def fresh_imex_runs(monkeypatch):
+    """The registry's IMEX runs in a cache of this test's own: a patched
+    solve or volume restore is the one they take, and no other test reads
+    what it gave.  The RK4 runs come from the shared cache, since RK4
+    never calls shifted_bilap_inverse or passes restore_volume=True."""
+    shared = invariants._run
+    fresh = functools.lru_cache(shared.__wrapped__)
     monkeypatch.setattr(invariants, "_run",
-                        functools.lru_cache(invariants._run.__wrapped__))
+                        lambda run: (fresh if run.integrator == "imex" else shared)(run))
 
 
 @pytest.mark.parametrize("denominator, failed", [
@@ -765,7 +773,7 @@ def fresh_runs(monkeypatch):
     (lambda s, sigma: 1.0 + 0.5 * s * sigma * sigma, "energy-monotone"),
     (lambda s, sigma: np.ones_like(sigma), "volume-conservation, energy-monotone"),
 ], ids=["s-sigma", "half-s-sigma2", "one"])
-def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, fresh_runs,
+def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, fresh_imex_runs,
                                         denominator, failed):
     # solves that pass on constant states, where the rhs is 0; the last
     # drops the implicit part, which is explicit Euler
@@ -778,11 +786,11 @@ def test_check_names_a_wrong_imex_solve(monkeypatch, capsys, fresh_runs,
     code = main(["check", "--only", "flow"])
     captured = capsys.readouterr()
     assert code == EXIT_INVARIANT
-    assert "[FAIL] flow: imex-modes" in captured.out
-    assert captured.err == f"error: invariant failed: {failed}, imex-modes\n"
+    assert "[FAIL] flow: linear-modes" in captured.out
+    assert captured.err == f"error: invariant failed: {failed}, linear-modes\n"
 
 
-def test_check_names_a_missing_volume_restore(monkeypatch, capsys, fresh_runs):
+def test_check_names_a_missing_volume_restore(monkeypatch, capsys, fresh_imex_runs):
     # IMEX steps that keep their increment but skip the volume restore:
     # the energy is invariant under the shift the restore adds, so only
     # the drift of the IMEX runs shows it
@@ -797,6 +805,20 @@ def test_check_names_a_missing_volume_restore(monkeypatch, capsys, fresh_runs):
     assert code == EXIT_INVARIANT
     assert "[FAIL] flow: volume-conservation" in captured.out
     assert captured.err == "error: invariant failed: volume-conservation\n"
+
+
+def test_check_names_an_integrator_with_no_declaration(monkeypatch, capsys):
+    # a name run would accept, with no runs, rules or mode factor to check
+    monkeypatch.setattr(flow, "INTEGRATORS", {**flow.INTEGRATORS, "dummy": "step_explicit"})
+    code = main(["check", "--only", "flow"])
+    captured = capsys.readouterr()
+    error = "raised LookupError: integrator 'dummy' has no declaration in crflow.invariants"
+    entries = ["volume-conservation", "energy-monotone", "fixed-points", "linear-modes"]
+    assert code == EXIT_INVARIANT
+    for entry in entries:
+        assert f"[FAIL] flow: {entry} — {error}\n" in captured.out
+    assert captured.err == (f"error: invariant failed: {', '.join(entries)}\n"
+                            f"error: an entry {error}\n")
 
 
 def test_check_rejects_unknown_module(capsys):

@@ -542,10 +542,10 @@ def test_right_hand_side_and_curvature_evaluations_per_step(
 
 
 def test_run_calls_the_module_steppers_once_per_step(monkeypatch):
-    # run looks step_explicit and step_imex up in the module at call
-    # time, so a wrapper put there, such as perfbench's flow.step span,
-    # sees every step
-    counts = dict.fromkeys(("step_explicit", "step_imex"), 0)
+    # run looks the stepper flow.INTEGRATORS names up in the module at
+    # call time, so a wrapper put there, such as perfbench's flow.step
+    # span, sees every step
+    counts = dict.fromkeys(flow.INTEGRATORS.values(), 0)
     for name in counts:
         def counted(*args, _fn=getattr(flow, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -554,7 +554,7 @@ def test_run_calls_the_module_steppers_once_per_step(monkeypatch):
         monkeypatch.setattr(flow, name, counted)
     geom = _sector(16)
     lam0 = _smooth(geom, 3, 0.1, 2)
-    for integrator, name in (("explicit", "step_explicit"), ("imex", "step_imex")):
+    for integrator, name in flow.INTEGRATORS.items():
         counts.update(dict.fromkeys(counts, 0))
         traj = run(lam0, integrator=integrator, dt=auto_dt(geom), max_steps=3)
         assert traj.final_state.step_index == 3
