@@ -13,10 +13,11 @@ Subcommands
     labeled result, not a failure).  Any failure from reading the config
     to writing ``meta.json`` exits 1 with one ``error:`` line, after the
     directories the run made are removed, deepest first, while empty: a
-    bad config or cell spacing, a grid or an IMEX basis too large to
-    allocate, a resolved step that is not positive and finite, an
-    artifact that cannot be written.  An older ``meta.json`` is removed
-    before the first artifact is written: a failed run leaves none.
+    bad config or cell spacing, a config nested past Python's recursion
+    limit, a grid or an IMEX basis too large to allocate, a resolved step
+    that is not positive and finite, an artifact that cannot be written.
+    An older ``meta.json`` is removed before the first artifact is
+    written: a failed run leaves none.
 
 ``crflow check``
     Run the executable invariant suite of every module and print one
@@ -29,6 +30,9 @@ Subcommands
     Print a JSON record for one point under the inversion map: image point,
     gauge norms before/after, pullback residual, Jacobian determinant.
     Exit 1 at the origin and at a gauge |w| outside [2**-255, 2**255].
+
+A usage error prints argparse's usage line and message to stderr and exits
+1, the configuration code: only a failed invariant exits 2.
 
 ``run`` loads only ``conventions``, ``manifold``, ``operators``, ``rng`` and
 ``flow``, and never ``numpy.random``; ``check`` imports ``invariants`` and
@@ -113,7 +117,7 @@ class RunConfig:
 
     geometry: dict
     initial_data: dict
-    integrator: str = "explicit"
+    integrator: str = next(iter(flow.INTEGRATORS))     # run's default
     dt: object = "auto"
     max_time: float = 1.0
     max_steps: int | None = None
@@ -271,7 +275,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             _dump_json(meta, os.path.join(outdir, "meta.json"))
         finally:
             gc.unfreeze()
-    except (OSError, ValueError, MemoryError) as exc:   # ConfigError and GeometryError too
+    # ConfigError and GeometryError too; RecursionError from a config nested too deep
+    except (OSError, ValueError, MemoryError, RecursionError) as exc:
         # makedirs may have failed part way: skip what it never made
         for path in filter(os.path.isdir, made):
             try:
@@ -406,7 +411,10 @@ def main(argv=None) -> int:
     # unregistering first keeps one registration however often main runs
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     return args.func(args)
 
 

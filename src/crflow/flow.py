@@ -1,5 +1,5 @@
-"""Curvature energy, volume and Bondi-type functionals, and the downward
-gradient flow of the energy.
+"""The downward gradient flow of the curvature energy, and ``make_state``,
+the one definition of a state's energy, volume and Bondi-type monitor.
 
 The energy of the rescaled structure theta = e^{2 lambda} theta-hat is
 
@@ -23,9 +23,13 @@ discretization order, because L-hat is exactly self-adjoint:
   derivative of E in any direction phi, which is the gradient check
   ``invariants.gradient_check(lam, phi)`` (descent sign, step h = 1e-5).
 
-Blow-up handling: overflow of e^{k lambda} is a *signal*, not an error.
-Functionals return non-finite values, the right-hand side propagates
-NaNs, and the run loop classifies the state via detect_blowup.
+Blow-up handling: overflow of e^{k lambda} is a *signal*, never an error
+or a warning.  The diagnostics record non-finite values, the right-hand
+side propagates NaNs, and the run loop classifies the state via
+detect_blowup.  make_state and the steppers each set
+np.errstate(over="ignore", invalid="ignore") once, and the kernels they
+call (_weighted_sum, _rhs_values, _webster_core, _accept) set none of
+their own.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ from .operators import (Workspace, _div_form_values, _webster_core, linear_solve
                         shifted_bilap_inverse, stability_symbol_max)
 
 __all__ = [
-    "Diagnostics", "FlowState", "Trajectory", "energy", "volume", "bondi",
-    "flow_rhs", "make_state", "step_explicit", "step_imex",
-    "detect_blowup", "auto_dt", "INTEGRATORS", "run",
+    "Diagnostics", "FlowState", "Trajectory", "make_state", "step_explicit",
+    "step_imex", "detect_blowup", "auto_dt", "INTEGRATORS", "run",
 ]
 
 # each integrator's name and the stepper here that takes its steps, which
@@ -108,14 +111,6 @@ class Trajectory:
     final_state: FlowState | None = None
 
     @property
-    def energies(self):
-        return [d.energy for d in self.diagnostics]
-
-    @property
-    def volumes(self):
-        return [d.volume for d in self.diagnostics]
-
-    @property
     def bondi_sup_rate(self) -> float:
         """Supremum of the per-step rate (bondi[k] - bondi[k-1]) / dt:
         +inf once any rate is non-finite, -inf before the first step."""
@@ -127,43 +122,12 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# functionals
-
-
-# The functionals and flow_rhs return make_state's values, their one
-# definition.  Overflow of e^{k lambda} is the blow-up signal, never a
-# warning: make_state and the steppers each set
-# np.errstate(over="ignore", invalid="ignore") once, and the kernels they
-# call (_weighted_sum, _rhs_values, _webster_core, _accept) set none of
-# their own.
-
-
-def energy(lam: ScalarField) -> float:
-    """Curvature energy integrate(W^2 e^{4 lambda}) of e^{2 lambda} theta-hat."""
-    return make_state(lam, 0.0, 0).diagnostics.energy
-
-
-def volume(lam: ScalarField) -> float:
-    """Total volume integrate(e^{4 lambda}) of the rescaled structure."""
-    return make_state(lam, 0.0, 0).diagnostics.volume
-
-
-def bondi(lam: ScalarField) -> float:
-    """Monitored quantity integrate(e^{5 lambda}).
-
-    Its discrete time-derivative is recorded along runs and its running
-    supremum reported; no bound on it is asserted anywhere.
-    """
-    return make_state(lam, 0.0, 0).diagnostics.bondi
-
-
-# ---------------------------------------------------------------------------
 # gradient flow right-hand side
 
 
 def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
                 out: np.ndarray | None = None,
-                work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+                work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Returns (rhs, w) at the conformal exponent ``values``: sigma *
     grad E with grad E = 2 (u^{-3} L-hat(uW) - W^2), and the curvature
     values w it was assembled from.
@@ -174,10 +138,9 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     its curvature, and an all-NaN rhs.
 
     rhs is written into ``out``, or into a fresh array without it; w is
-    ``work.w``, valid until the next call on ``work`` (a workspace is
-    built when ``work`` is None).  ``values`` is never written and
-    shares no memory with ``out`` or ``work``'s stencil and curvature
-    arrays.  The curvature's scratch is reused in place, each product
+    ``work.w``, valid until the next call on ``work``.  ``values`` is
+    never written and shares no memory with ``out`` or ``work``'s stencil
+    and curvature arrays.  The curvature's scratch is reused in place, each product
     and sum with the operands and grouping of
 
         DESCENT * 2 * (em3 * (4 * sublap(u * w)) + (What * m2) * w - w * w)
@@ -189,8 +152,6 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     """
     if out is None:
         out = np.empty(geom.resolution)
-    if work is None:
-        work = Workspace(geom)
     u, bg, em3, w = _webster_core(geom, values, work=work)
     # a finite sum has no inf or NaN summand, so only a non-finite one
     # needs the cell scan
@@ -206,17 +167,6 @@ def _rhs_values(geom: ModelGeometry, values: np.ndarray, *,
     cov -= np.multiply(w, w, out=work.e)
     cov *= DESCENT * 2.0
     return cov, w
-
-
-def flow_rhs(lam: ScalarField) -> ScalarField:
-    """Right-hand side of the volume-preserving downward energy flow.
-
-    Exactly annihilates constants and has exactly zero e^{4 lambda}-
-    weighted mean (tangency to the volume constraint).  A non-finite
-    input produces an all-NaN output rather than an exception, so
-    blow-up propagates to the detector.
-    """
-    return ScalarField(lam.geometry, make_state(lam, 0.0, 0).rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -35,20 +35,71 @@ import numpy as np
 from . import cli, flow, inversion, operators
 from .conventions import (HEISENBERG_HORIZONTAL_FACTOR, SPHERE_CS, SPHERE_KAPPA,
                           YAMABE_COEFFICIENT)
-from .flow import _rhs_values, energy
+from .flow import make_state
 from .manifold import (HEISENBERG_LATTICE, HEISENBERG_SECTOR, SPHERE_REDUCED,
-                       GeometryError, ModelGeometry, ScalarField, _weighted_sum,
-                       build_geometry, initial_data, integrate)
-from .operators import sublap, webster_curvature
+                       GeometryError, ModelGeometry, ScalarField, _reduce_index,
+                       _weighted_sum, build_geometry, initial_data)
+from .operators import Workspace, _div_form_values, _webster_core
 
 __all__ = ["REGISTRY", "MODULES", "RUNS", "RISE_TOL", "evaluate",
-           "three_point_div_form", "conformal_sublap", "yamabe_apply",
+           "integrate", "reduce_index", "sublap", "webster_curvature", "energy",
+           "flow_rhs", "three_point_div_form", "conformal_sublap", "yamabe_apply",
            "gradient_check"]
 
 
 # ---------------------------------------------------------------------------
-# check-only operators: what the entries and the tests call, kept out of
-# the modules a run loads
+# check-only functions: what the entries and the tests call, kept out of
+# the modules a run loads.  The kernels' wrappers refuse non-finite fields
+
+
+def integrate(f: ScalarField) -> float:
+    """Integral of f against the background volume form."""
+    if not np.isfinite(f.values).all():
+        raise ValueError("integrate: non-finite field values")
+    return _weighted_sum(f.geometry, f.values)
+
+
+def reduce_index(geom: ModelGeometry, i, j, k):
+    """Integer cell indices (or arrays) of the lattice ``geom`` deck-reduced
+    into its stored domain, by the rules of ``manifold._reduce_index``."""
+    if geom.kind != HEISENBERG_LATTICE:
+        raise GeometryError("reduce_index is only defined on the 3D lattice")
+    return _reduce_index(geom.resolution, geom.t_wrap_shift, i, j, k)
+
+
+def sublap(f: ScalarField) -> ScalarField:
+    """Positive background sublaplacian of f: -(X^2 + Y^2)/2 through the
+    frame-flow shifts on the flat kinds, -c_s (s(1-s) f')' with a face
+    weight vanishing at both ends (no boundary condition) on the sphere.
+    The run's stencil 4 * sublap over 4, exact short of overflow and
+    subnormals."""
+    if not np.isfinite(f.values).all():
+        raise ValueError("sublap: non-finite field values")
+    values = _div_form_values(f.geometry, f.values, work=Workspace(f.geometry))
+    return ScalarField(f.geometry, values / YAMABE_COEFFICIENT)
+
+
+def webster_curvature(lam: ScalarField) -> ScalarField:
+    """Scalar curvature W = u^{-3} (4 * sublap(u) + What * u), u = e^lambda,
+    of the rescaled structure e^{2 lambda}: exactly e^{-2c} * What at a
+    constant lambda = c, so identically zero on the flat kinds."""
+    if not np.isfinite(lam.values).all():
+        raise ValueError("webster_curvature: non-finite conformal exponent")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _webster_core(lam.geometry, lam.values, work=Workspace(lam.geometry))[3]
+    return ScalarField(lam.geometry, w)
+
+
+def energy(lam: ScalarField) -> float:
+    """Curvature energy integrate(W^2 e^{4 lambda}), as ``make_state`` has it."""
+    return make_state(lam, 0.0, 0).diagnostics.energy
+
+
+def flow_rhs(lam: ScalarField) -> ScalarField:
+    """Right-hand side of the volume-preserving downward energy flow, as
+    ``make_state`` has it: exactly zero on constants, of exactly zero
+    e^{4 lambda}-weighted mean, and all NaN on a non-finite input."""
+    return ScalarField(lam.geometry, make_state(lam, 0.0, 0).rhs)
 
 
 def three_point_div_form(geom: ModelGeometry, v: np.ndarray,
@@ -117,8 +168,8 @@ def gradient_check(lam: ScalarField, phi: ScalarField) -> float:
     energy in direction phi, at step h = 1e-5."""
     geom = lam.geometry
     h = 1e-5
+    rhs = flow_rhs(lam).values
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _rhs_values(geom, lam.values)[0]
         lhs = _weighted_sum(geom, -rhs * phi.values * np.exp(4.0 * lam.values))
     e_plus = energy(ScalarField(geom, lam.values + h * phi.values))
     e_minus = energy(ScalarField(geom, lam.values - h * phi.values))
@@ -203,10 +254,12 @@ class _Integrator:
     halving the step cuts it at least ``refine`` fold.  Constant states stay
     bitwise fixed at each of ``fixed`` x auto_dt.  At each of ``modes`` x
     auto_dt, where it stays within 1, a step multiplies an eigenmode by
-    ``factor(dt, sigma, mu)``."""
+    ``factor(dt, sigma, mu)``.  A step makes ``rhs_per_step`` right-hand-side
+    and curvature evaluations."""
 
     name: str
     display: str
+    rhs_per_step: int
     rows: tuple
     drift: float
     refine: float | None
@@ -222,13 +275,13 @@ class _Integrator:
 # RK4 inside its stability interval, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 # at z = -dt mu; IMEX up to 1e3x its explicit edge, C_STAB = 32 written out
 _RK4 = _Integrator(
-    "explicit", "RK4",
+    "explicit", "RK4", rhs_per_step=4,
     rows=tuple((model, seed, 100, dt, 0.0) for model, dt in
                (("32x32 sector", 1.8e-9), ("64-cell sphere", 6e-11)) for seed in SEEDS),
     drift=1e-6, refine=16.0, fixed=("1",), modes=("1",),
     factor=lambda dt, s, mu: sum((-dt * mu) ** k / math.factorial(k) for k in range(5)))
 _IMEX = _Integrator(
-    "imex", "IMEX",
+    "imex", "IMEX", rhs_per_step=1,
     rows=(*((model, 3, steps, 0.0, auto) for model in ("32x32 sector", "64-cell sphere")
             for auto, steps in ((10.0, 100), (1e3, 40))),
           *((model, seed, 20, 0.0, 10.0) for model in ("16x16x32 lattice", "8x8x16 lattice")
@@ -302,12 +355,12 @@ def _twisted_periodicity():
         i = int(rng.integers(-2 * nx, 2 * nx))
         j = int(rng.integers(-2 * ny, 2 * ny))
         k = int(rng.integers(-2 * nt, 2 * nt))
-        at = values[geom.reduce_index(i, j, k)]
-        twisted = values[geom.reduce_index(i, j, k + j * geom.t_wrap_shift)]
+        at = values[reduce_index(geom, i, j, k)]
+        twisted = values[reduce_index(geom, i, j, k + j * geom.t_wrap_shift)]
         # the x-wrap carries the twist; the y- and tau-wraps are plain
-        for lhs, rhs in ((values[geom.reduce_index(i + nx, j, k)], twisted),
-                         (values[geom.reduce_index(i, j + ny, k)], at),
-                         (values[geom.reduce_index(i, j, k + nt)], at)):
+        for lhs, rhs in ((values[reduce_index(geom, i + nx, j, k)], twisted),
+                         (values[reduce_index(geom, i, j + ny, k)], at),
+                         (values[reduce_index(geom, i, j, k + nt)], at)):
             worst = max(worst, abs(lhs - rhs))
     return worst == 0.0, f"max wrap defect {worst:.2e} (exact-zero contract)"
 
@@ -452,8 +505,8 @@ def _calibration():
 
 
 def _relative_drift(traj: flow.Trajectory) -> float:
-    v0 = traj.volumes[0]
-    return max(abs(v - v0) / abs(v0) for v in traj.volumes)
+    v0 = traj.diagnostics[0].volume
+    return max(abs(d.volume - v0) / abs(v0) for d in traj.diagnostics)
 
 
 def _volume_conservation():
@@ -488,7 +541,7 @@ def _energy_monotone():
     ratios, defects = {}, []
     for run in RUNS:
         traj = _run(run)
-        es = traj.energies
+        es = [d.energy for d in traj.diagnostics]
         ratios[run] = max(b / a for a, b in zip(es, es[1:]))
         rises = [k + 1 for k, (a, b) in enumerate(zip(es, es[1:]))
                  if not b <= a * (1.0 + RISE_TOL)]
@@ -525,7 +578,7 @@ def _fixed_points():
     models = _models()
     constants = [ScalarField(g, np.full(g.resolution, c))
                  for g in models for c in (-0.0, 0.0, 0.4, -0.9)]
-    stationary = all(np.all(flow.flow_rhs(lam).values == 0.0) for lam in constants)
+    stationary = all(np.all(flow_rhs(lam).values == 0.0) for lam in constants)
     fixed = True
     for lam in constants:
         dt = flow.auto_dt(lam.geometry)
@@ -538,7 +591,7 @@ def _fixed_points():
                 and traj.final_state.lam.values.tobytes() == lam.values.tobytes()
             )
     flat_zero = all(
-        flow.energy(ScalarField(g, np.full(g.resolution, c))) == 0.0
+        energy(ScalarField(g, np.full(g.resolution, c))) == 0.0
         for g in models
         if g.kind != SPHERE_REDUCED
         for c in (0.0, 0.5, -1.2)
@@ -621,13 +674,13 @@ def _shift_invariance():
     # e^{4c} under a constant shift of the conformal exponent
     geom = _sector(32)
     lam = _smooth(geom, 31, 0.2, 3)
-    e0 = flow.energy(lam)
-    r0 = flow.flow_rhs(lam).values
+    e0 = energy(lam)
+    r0 = flow_rhs(lam).values
     e_rel = r_rel = 0.0
     for c in (0.3, -0.7):
         shifted = ScalarField(geom, lam.values + c)
-        e_rel = max(e_rel, abs(flow.energy(shifted) - e0) / max(abs(e0), 1e-30))
-        r1 = flow.flow_rhs(shifted).values * math.exp(4.0 * c)
+        e_rel = max(e_rel, abs(energy(shifted) - e0) / max(abs(e0), 1e-30))
+        r1 = flow_rhs(shifted).values * math.exp(4.0 * c)
         r_rel = max(r_rel, float(np.max(np.abs(r1 - r0)) / max(np.max(np.abs(r0)), 1e-30)))
     ok = e_rel <= 1e-13 and r_rel <= 1e-12
     return ok, (
@@ -672,7 +725,7 @@ def _blowup_taxonomy():
     lam0 = _smooth(geom, 7, 0.15, 2)
 
     def ascent(v):
-        return -flow.flow_rhs(ScalarField(geom, v)).values
+        return -flow_rhs(ScalarField(geom, v)).values
 
     # the probe: classical RK4 up the energy gradient at dt 5e-10
     dt = 5e-10

@@ -54,7 +54,7 @@ from .rng import default_rng
 
 __all__ = ["HEISENBERG_SECTOR", "HEISENBERG_LATTICE", "SPHERE_REDUCED",
            "GeometryError", "ModelGeometry", "ScalarField", "build_geometry",
-           "integrate", "initial_data", "lattice_mode"]
+           "initial_data", "lattice_mode"]
 
 HEISENBERG_SECTOR = "HeisenbergSector2D"
 HEISENBERG_LATTICE = "HeisenbergLattice3D"
@@ -192,26 +192,21 @@ class ModelGeometry:
                         mode="wrap")
         return out
 
-    def reduce_index(self, i, j, k):
-        """Deck-reduce arbitrary integer cell indices into the stored domain.
-
-        The twisted identification is built into indexing through the
-        extension rules (m = t_wrap_shift)
-
-            F[i + Nx, j, k] = F[i, j, k + j*m]     (x-wrap twist)
-            F[i, j + Ny, k] = F[i, j, k]           (y-wrap plain)
-            F[i, j, k + Nt] = F[i, j, k]           (vertical period)
-
-        which are mutually consistent because Ny*m is a multiple of Nt.
-        Returns the reduced index triple; accepts arrays.
-        """
-        if self.kind != HEISENBERG_LATTICE:
-            raise GeometryError("reduce_index is only defined on the 3D lattice")
-        return _reduce_index(self.resolution, self.t_wrap_shift, i, j, k)
-
 
 def _reduce_index(resolution, t_wrap_shift, i, j, k):
-    """``ModelGeometry.reduce_index`` of a lattice with these numbers."""
+    """Deck-reduce arbitrary integer cell indices of a lattice with these
+    numbers into the stored domain; accepts arrays.
+
+    The twisted identification is built into indexing through the
+    extension rules (m = t_wrap_shift)
+
+        F[i + Nx, j, k] = F[i, j, k + j*m]     (x-wrap twist)
+        F[i, j + Ny, k] = F[i, j, k]           (y-wrap plain)
+        F[i, j, k + Nt] = F[i, j, k]           (vertical period)
+
+    which are mutually consistent because Ny*m is a multiple of Nt.
+    ``invariants.reduce_index`` applies it to a lattice geometry.
+    """
     nx, ny, nt = resolution
     qx, i0 = np.divmod(i, nx)
     j0 = j % ny
@@ -257,9 +252,6 @@ class ScalarField:
             raise GeometryError(
                 f"field shape {self.values.shape} does not match geometry "
                 f"resolution {tuple(self.geometry.resolution)}")
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.geometry, self.values.copy())
@@ -435,13 +427,6 @@ def _weighted_sum(geom: ModelGeometry, values: np.ndarray) -> float:
     signal.  ``np.add.reduce`` is the reduction ``ndarray.sum`` runs,
     without its Python wrapper."""
     return float(np.add.reduce(values, axis=None) * geom.cell_weight)
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral of f against the background volume form."""
-    if not f.is_finite():
-        raise ValueError("integrate: non-finite field values")
-    return _weighted_sum(f.geometry, f.values)
 
 
 # ---------------------------------------------------------------------------

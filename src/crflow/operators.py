@@ -11,8 +11,9 @@ discrete properties the flow rests on:
 The flow's volume conservation rests on the first: its right-hand side
 never forms the conformal sublaplacian, and its zero weighted mean
 follows from the self-adjointness of L-hat = 4 * sublap + What
-(derivation in ``crflow.flow``).  The conformally weighted operator
-is the check-only ``invariants.conformal_sublap``.
+(derivation in ``crflow.flow``).  The public ``sublap``,
+``webster_curvature`` and the conformally weighted ``conformal_sublap``
+are check-only, in ``crflow.invariants``.
 
 Conventions (see ``crflow.conventions``): the sublaplacian is
 positive, -(X^2 + Y^2)/2 on the flat group and -c_s (s(1-s) f')' with
@@ -35,19 +36,12 @@ import math
 import numpy as np
 
 from .conventions import HEISENBERG_HORIZONTAL_FACTOR, SPHERE_CS, YAMABE_COEFFICIENT
-from .manifold import (
-    HEISENBERG_SECTOR,
-    SPHERE_REDUCED,
-    ModelGeometry,
-    ScalarField,
-)
+from .manifold import HEISENBERG_SECTOR, SPHERE_REDUCED, ModelGeometry
 from .rng import default_rng
 
 __all__ = [
     "CalibrationError",
     "Workspace",
-    "sublap",
-    "webster_curvature",
     "webster_pointwise",
     "extremal_profile",
     "calibrate_sphere_curvature",
@@ -141,7 +135,7 @@ class Workspace:
 
 def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
                      out: np.ndarray | None = None,
-                     work: Workspace | None = None) -> np.ndarray:
+                     work: Workspace) -> np.ndarray:
     """Apply 4 * the positive background sublaplacian, L-hat's second-order
     part, to the float64 value array ``v``.
 
@@ -152,10 +146,9 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
 
     Never writes ``v``.  The result is written into ``out`` and returned,
     or into a fresh array without it; ``out`` shares no memory with ``v``
-    or ``work``'s edge arrays ``e`` and ``r`` (a workspace is built when
-    ``work`` is None).  The flat kinds work the X term in ``out`` and the
-    Y term in ``e``, with ``r`` for the edges read back; the sphere,
-    given ``work``, allocates nothing.
+    or ``work``'s edge arrays ``e`` and ``r``.  The flat kinds work the X
+    term in ``out`` and the Y term in ``e``, with ``r`` for the edges read
+    back; the sphere, given ``out``, allocates nothing.
 
     The bits are those of (t_x / dx^2 + t_y / dy^2) * -1/2 on the
     flat kinds and (t * -c_s) / ds on the sphere, each times 4.  Scaling
@@ -168,8 +161,6 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     e^lambda above about 1e304 or below about 1e-300, far past the
     |lambda| <= 20 blow-up threshold.
     """
-    if work is None:
-        work = Workspace(geom)
     if geom.kind == SPHERE_REDUCED:
         d, upper, lower, mu, ds = work.sphere
         np.subtract(v[1:], v[:-1], out=d)
@@ -199,27 +190,11 @@ def _div_form_values(geom: ModelGeometry, v: np.ndarray, *,
     return out
 
 
-def sublap(f: ScalarField) -> ScalarField:
-    """Positive background sublaplacian of f.
-
-    Flat kinds: -(X^2 + Y^2)/2 through the frame-flow shifts (the plain
-    five-point stencil on the vertical-invariant sector).  Sphere kind:
-    -c_s (s(1-s) f')' with the degenerate face weight vanishing at both
-    endpoints, so no boundary condition is ever imposed.  The stencil's
-    4 * sublap over 4, exact short of overflow and subnormals.
-    """
-    if not f.is_finite():
-        raise ValueError("sublap: non-finite field values")
-    values = _div_form_values(f.geometry, f.values)
-    return ScalarField(f.geometry, values / YAMABE_COEFFICIENT)
-
-
 # ---------------------------------------------------------------------------
 # curvature
 
 
-def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
-                  work: Workspace | None = None):
+def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *, work: Workspace):
     """Shared curvature assembly: returns (u, bg, em3, w) with u = e^lam,
     bg = What * m2 (m2 = e^{-2 lam}) or None, em3 = e^{-3 lam} and w the
     curvature values.
@@ -234,12 +209,10 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
 
     A kernel, run under the caller's errstate: overflow is the blow-up
     signal.  The four arrays are ``work``'s ``u``, ``m2`` (sphere only),
-    ``em3`` and ``w``, scratch for the caller until its next call
-    on ``work`` (built when None).  ``lam_values`` is never written and
-    shares no memory with ``work``.
+    ``em3`` and ``w``, scratch for the caller until its next call on
+    ``work``.  ``lam_values`` is never written and shares no memory with
+    ``work``.
     """
-    if work is None:
-        work = Workspace(geom)
     u = np.exp(lam_values, out=work.u)
     em3 = np.multiply(lam_values, -3.0, out=work.em3)
     np.exp(em3, out=em3)
@@ -253,24 +226,6 @@ def _webster_core(geom: ModelGeometry, lam_values: np.ndarray, *,
     bg *= geom.background_curvature
     w += bg
     return u, bg, em3, w
-
-
-def webster_curvature(lam: ScalarField) -> ScalarField:
-    """Scalar curvature of the rescaled structure e^{2 lambda}.
-
-    Conformal-change identity with u = e^lambda:
-
-        W = u^{-3} (4 * sublap(u) + What * u).
-
-    A constant lambda = c therefore gives exactly e^{-2c} * What (the
-    sublaplacian of a constant vanishes identically), and on the flat
-    kinds constants have W identically zero.
-    """
-    if not lam.is_finite():
-        raise ValueError("webster_curvature: non-finite conformal exponent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _webster_core(lam.geometry, lam.values)[3]
-    return ScalarField(lam.geometry, w)
 
 
 def webster_pointwise(u, p, h: float):
@@ -455,7 +410,8 @@ def _lattice_basis(geom: ModelGeometry):
 @functools.lru_cache(maxsize=None)
 def spectral_basis(geom: ModelGeometry):
     """(forward, inverse, sigma) with inverse(sigma * forward(v)) the
-    background sublaplacian ``sublap`` of the value array v.
+    background sublaplacian of the value array v, ``_div_form_values``
+    over 4.
     Built on first use and cached per geometry value, so equal geometries
     share one basis; read-only.
 

@@ -5,12 +5,14 @@ import csv
 import errno
 import functools
 import gc
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -375,18 +377,17 @@ def test_an_empty_output_dir_flag_exits_with_the_config_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# constant data with no step budget: the plateau test ends the run
+PLATEAU_RUN = {"initial_data": {"kind": "constant", "value": 0.0}, "max_steps": None}
+
+
 def test_zero_data_run_plateaus(tmp_path, capsys):
     # with no max_steps only the time test bounds a run: at max_time /
     # dt = 1e310 in the second run, the plateau test ends it first
     huge_budget = {"geometry": {"kind": "HeisenbergSector2D", "resolution": [8, 8]},
                    "max_time": 1e300, "dt": 1e-10}
     for overrides in ({}, huge_budget):
-        cfg_path, _ = write_config(
-            tmp_path,
-            initial_data={"kind": "constant", "value": 0.0},
-            max_steps=None,
-            **overrides,
-        )
+        cfg_path, _ = write_config(tmp_path, **PLATEAU_RUN, **overrides)
         assert main(["run", str(cfg_path)]) == EXIT_OK
         assert "outcome: plateau" in capsys.readouterr().out
         rows = read_rows(tmp_path / "out" / "diagnostics.csv")
@@ -425,7 +426,7 @@ def test_overflowing_random_data_blow_up_at_step_zero(tmp_path, capsys, geometry
     # a data sum past float range is the blow-up signal, never a
     # RuntimeWarning (an error under pytest's and CI's warning filters)
     data = {"kind": "random", "seed": 3, "amplitude": 1e308, **extra}
-    assert not initial_data(build_geometry(geometry), data).is_finite()
+    assert not np.isfinite(initial_data(build_geometry(geometry), data).values).all()
     cfg_path, _ = write_config(tmp_path, geometry=geometry, initial_data=data)
     assert main(["run", str(cfg_path)]) == EXIT_BLOWUP
     assert "outcome: blowup  steps: 0 " in capsys.readouterr().out
@@ -448,6 +449,30 @@ def test_bad_config_exits_with_the_config_code(tmp_path, capsys):
     # the names of flow.INTEGRATORS as a tuple, never the mapping's repr
     assert capsys.readouterr().err == (
         "error: integrator must be one of ('explicit', 'imex'), got 'leapfrog'\n")
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    json.dumps(base_config("out", integrator=nested("explicit", 900))),
+], ids=["100000-arrays", "integrator-900-deep"])
+def test_a_config_nested_past_the_recursion_limit_exits_with_the_config_code(
+        tmp_path, monkeypatch, capsys, text):
+    # json.load stops at the first, the checks after it at the second:
+    # one error line, as for any failure from reading the config on
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    assert main(["run", "cfg.json"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*recursion[^\n]*\n", captured.err)
+    assert len(captured.err) <= 201
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_missing_config_file_exits_with_the_config_code(tmp_path, capsys):
@@ -638,21 +663,94 @@ def test_run_process_loads_only_the_modules_it_runs(tmp_path, kind, integrator):
         "numpy_fft = 'numpy.fft' in sys.modules\n"
         "import crflow.cli\n"
         f"code = crflow.cli.main(['run', {str(cfg_path)!r}])\n"
-        "print(json.dumps([code, numpy_fft, sorted(sys.modules)]))\n"
+        "bases = crflow.operators.spectral_basis.cache_info().currsize\n"
+        "print(json.dumps([code, numpy_fft, bases, sorted(sys.modules)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, numpy_fft, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, numpy_fft, bases, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == EXIT_OK
     assert [m for m in modules if m.split(".")[0] == "crflow"] == RUN_MODULES
     # the seeded data and the sphere's calibration draw from crflow.rng
     assert not NOT_RUN_MODULES & set(modules)
-    # the flat kinds' spectral inverses are the only users of numpy.fft;
+    # the flat kinds' spectral bases are the only users of numpy.fft;
     # numpy releases that import it with numpy itself load it for every run
-    loads_fft = integrator == "imex" and kind != "sphere"
+    loads_fft = bases > 0 and kind != "sphere"
     assert ("numpy.fft" in modules) == (loads_fft or numpy_fft)
+
+
+# Set before crflow.cli is imported, so the import is traced too: the
+# code of every Python call into crflow, as (file name, first line, name)
+CALL_RECORDER = (
+    "import json, os, sys\n"
+    "called = set()\n"
+    "def record(frame, event, arg):\n"
+    "    if event == 'call':\n"
+    "        called.add(frame.f_code)\n"
+    "sys.setprofile(record)\n"
+    "import crflow.cli\n"
+    "codes = [crflow.cli.main(['run', path]) for path in sys.argv[1:]]\n"
+    "sys.setprofile(None)\n"
+    "package = os.path.dirname(crflow.cli.__file__)\n"
+    "print(json.dumps([codes, [[os.path.basename(c.co_filename), c.co_firstlineno,\n"
+    "                           c.co_name] for c in called\n"
+    "                          if os.path.dirname(c.co_filename) == package]]))\n"
+)
+# CI's converged pair: IMEX at 1e4 times the automatic step drops the
+# energy and plateaus at step 172
+CONVERGED_RUN = {
+    "geometry": {"kind": "HeisenbergSector2D", "resolution": [16, 16], "periods": [1, 1]},
+    "initial_data": {"kind": "random", "seed": 3, "amplitude": 0.1, "cutoff": 2},
+    "integrator": "imex",
+    "dt": 5.9604644775390625e-05,
+    "max_steps": 3000,
+}
+
+
+def never_called(code, called, prefix=""):
+    """Qualified names of the functions defined in ``code`` whose code is
+    not in ``called``.  A class body is no function, but its methods are,
+    and so are the nested functions and comprehensions of a function that
+    ran; those of one that never ran go unnamed with it."""
+    for const in code.co_consts:
+        if not isinstance(const, types.CodeType):
+            continue
+        name = prefix + const.co_name
+        function = const.co_flags & inspect.CO_NEWLOCALS
+        if function and (const.co_filename, const.co_firstlineno, const.co_name) not in called:
+            yield name
+        else:
+            yield from never_called(const, called, name + ".")
+
+
+def test_every_function_of_the_run_modules_runs_in_a_run(tmp_path):
+    # the run modules hold the flow and nothing else: a function that none
+    # of these runs calls is check-only and belongs in crflow.invariants.
+    # Each kind under each integrator at the automatic step, with
+    # snapshots, then a plateau, a blow-up and a converged run
+    runs = [{"geometry": geometry, "initial_data": data, "integrator": integrator,
+             "dt": "auto", "max_steps": 3, "snapshot_every": 2}
+            for geometry, data in RUN_KINDS.values() for integrator in flow.INTEGRATORS]
+    runs += [PLATEAU_RUN, UNSTABLE_RUN, CONVERGED_RUN]
+    paths = [str(write_config(tmp_path, f"run{i}.json", **run,
+                              output_dir=str(tmp_path / f"out{i}"))[0])
+             for i, run in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crflow.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CALL_RECORDER, *paths],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, called = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_BLOWUP if run is UNSTABLE_RUN else EXIT_OK for run in runs]
+    called = {tuple(c) for c in called}
+    missing = []
+    for name in ("manifold.py", "operators.py", "flow.py"):
+        with open(os.path.join(os.path.dirname(crflow.__file__), name),
+                  encoding="utf-8") as fh:
+            code = compile(fh.read(), name, "exec")
+        missing += [f"{name}: {fn}" for fn in never_called(code, called)]
+    assert not missing, f"never called in a run: {', '.join(missing)}"
 
 
 # Registered before crflow.cli is imported, so atexit runs it last: after
@@ -822,9 +920,11 @@ def test_check_names_an_integrator_with_no_declaration(monkeypatch, capsys):
 
 
 def test_check_rejects_unknown_module(capsys):
-    with pytest.raises(SystemExit):
-        main(["check", "--only", "nonsense"])
-    capsys.readouterr()
+    # a usage error, not a failed invariant
+    assert main(["check", "--only", "nonsense"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: crflow check")
+    assert "invalid choice: 'nonsense'" in err
 
 
 def test_check_prints_the_calibrated_constant(capsys):
@@ -850,10 +950,25 @@ def test_check_rejects_a_warped_calibration_profile(monkeypatch, capsys):
 
 
 def test_calibrate_is_not_a_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["calibrate"])
-    assert exc.value.code == 2     # argparse's usage error
+    assert main(["calibrate"]) == EXIT_CONFIG     # argparse's usage error
     assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["invert", "1", "x", "0"]],
+                         ids=["no-command", "run-no-config", "invert-word"])
+def test_a_usage_error_exits_with_the_config_code(capsys, argv):
+    # argparse's own code is 2, which a script gating on crflow check
+    # would read as a failed invariant
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: crflow")
+    assert "error: " in captured.err
+
+
+def test_help_exits_with_the_success_code(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: crflow")
 
 
 # ---------------------------------------------------------------------------

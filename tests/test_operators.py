@@ -1,5 +1,6 @@
 """Stencil operators: symbols, adjointness, curvature, calibration, solver."""
 
+import functools
 import math
 import tracemalloc
 
@@ -20,7 +21,9 @@ from crflow.invariants import (
     _sector,
     _sphere,
     conformal_sublap,
+    sublap,
     three_point_div_form,
+    webster_curvature,
     yamabe_apply,
 )
 from crflow.manifold import GeometryError, ScalarField, build_geometry, initial_data
@@ -36,8 +39,6 @@ from crflow.operators import (
     shifted_bilap_inverse,
     spectral_basis,
     stability_symbol_max,
-    sublap,
-    webster_curvature,
     webster_pointwise,
 )
 
@@ -132,7 +133,7 @@ def test_flux_form_stencil_is_bitwise_the_three_point_stencil(name):
         ref = three_point_div_form(geom, x, ones)
         # the run path's kernel, whose constants include the 4, and the
         # public operator, which divides it out exactly
-        assert _div_form_values(geom, x).tobytes() \
+        assert _div_form_values(geom, x, work=Workspace(geom)).tobytes() \
             == (YAMABE_COEFFICIENT * ref).tobytes()
         assert sublap(ScalarField(geom, x)).values.tobytes() == ref.tobytes()
     if geom.kind == "HeisenbergLattice3D":
@@ -370,7 +371,7 @@ def test_spectral_basis_diagonalizes_the_stencil(name):
         assert chain_order(geom) >= 4
     forward, inverse, sigma = spectral_basis(geom)
     v = _noise(geom, 31, 1.0).values
-    lv = _div_form_values(geom, v) / YAMABE_COEFFICIENT     # sublap
+    lv = _div_form_values(geom, v, work=Workspace(geom)) / YAMABE_COEFFICIENT   # sublap
     scale = np.max(np.abs(lv))
     assert np.max(np.abs(inverse(sigma * forward(v)) - lv)) <= 1e-12 * scale
     c, cl = forward(v), forward(lv)
@@ -382,9 +383,20 @@ def test_spectral_basis_diagonalizes_the_stencil(name):
 def dense_stencil(geom):
     """The matrix of sublap, _div_form_values / 4, column by column."""
     n = int(np.prod(geom.resolution))
-    cols = [_div_form_values(geom, e.reshape(geom.resolution)).ravel() / YAMABE_COEFFICIENT
-            for e in np.eye(n)]
+    work = Workspace(geom)
+    cols = [_div_form_values(geom, e.reshape(geom.resolution), work=work).ravel()
+            / YAMABE_COEFFICIENT for e in np.eye(n)]
     return np.array(cols).T
+
+
+@functools.lru_cache(maxsize=None)
+def dense_eigh(geom):
+    """``eigh`` of ``dense_stencil(geom)``, once per geometry value: each
+    step multiple below reuses it.  Read-only."""
+    sigma, vecs = np.linalg.eigh(dense_stencil(geom))
+    for arr in (sigma, vecs):
+        arr.setflags(write=False)
+    return sigma, vecs
 
 
 @pytest.mark.parametrize("mult", [1.0, 10.0, 1e4, 1e6, 1e8])
@@ -399,7 +411,7 @@ def test_shifted_bilap_inverse_matches_a_dense_solve(make, mult):
     # orthonormal change of basis does not, so the error stays at n eps
     geom = make()
     s = mult * auto_dt(geom) * C_STAB
-    sigma, vecs = np.linalg.eigh(dense_stencil(geom))
+    sigma, vecs = dense_eigh(geom)
     b = _noise(geom, 23, 1.0).values
     ref = (vecs @ ((vecs.T @ b.ravel()) / (1.0 + s * sigma * sigma))).reshape(geom.resolution)
     x = shifted_bilap_inverse(geom, s)(b)
